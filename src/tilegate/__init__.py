@@ -23,7 +23,7 @@ from .errors import (
     StructuralError,
     TilegateError,
 )
-from .exact import CycloReal, Rational, cos_pi, cyclotomic_polynomial, euler_phi, sin_pi
+from .exact import CycloReal, cos_pi, cyclotomic_polynomial, euler_phi, sin_pi
 from .geometry import Point, Triangle
 from .tiling import (
     Tiling,
@@ -39,7 +39,6 @@ from .tiling import (
     verify,
 )
 from .vertex import (
-    AngleUnits,
     AuditReport,
     PointClass,
     PointKind,
@@ -50,7 +49,6 @@ from .vertex import (
 )
 
 __all__ = [
-    "AngleUnits",
     "AuditReport",
     "Candidate",
     "CandidateSet",
@@ -64,7 +62,6 @@ __all__ = [
     "PointClass",
     "PointKind",
     "Provenance",
-    "Rational",
     "ResourceLimitError",
     "StructuralError",
     "TilegateError",

@@ -18,6 +18,7 @@ from .vertex import (
     LEMMA4_EXCEPTIONS,
     CornerOutcome,
     allowed_angles,
+    check_polygon_n,
     corner_families,
     corner_has_only_p_gt_q,
     enumerate_solutions,
@@ -80,8 +81,7 @@ def _candidate_set(n: int, values, provenance: Provenance) -> CandidateSet:
 def candidates(n: int) -> CandidateSet:
     """The candidate smaller angles for a regular n-gon, under the
     strongest statement whose hypothesis covers n."""
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     if n >= 25 and n not in (30, 42):
         return _candidate_set(n, [Fraction(2, n)], Provenance.THEOREM_1)
     if n >= 9 and n not in (12, 14, 20):
@@ -143,8 +143,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     n-gon.  Impossible means the argument rules a tiling out;
     NotExcluded means it does not apply (and says nothing more)."""
     a = Fraction(a)
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     if not 0 < a <= Fraction(1, 2):
         raise DomainError(f"a must lie in (0, 1/2], got {a}")
 

@@ -14,11 +14,10 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .classify import alpha_str, candidates, impossibility_audit
 from .errors import TilegateError
-from .tiling import gen_trivial, load_tiling, save_tiling, verify
+from .tiling import _parse_fraction, gen_trivial, load_tiling, save_tiling, verify
 from .vertex import audit_lemma
 
 
@@ -34,13 +33,6 @@ class _UsageError(Exception):
 
 def _emit_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
-
-
-def _parse_alpha(text: str) -> Fraction:
-    if not re.fullmatch(r"\d+/\d+", text) or text.split("/")[1] == "0":
-        raise _UsageError(f"alpha must be a fraction 'u/v', got {text!r}")
-    num, den = text.split("/")
-    return Fraction(int(num), int(den))
 
 
 def _parse_range(text: str) -> range:
@@ -75,7 +67,7 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    verdict = impossibility_audit(args.n, _parse_alpha(args.alpha))
+    verdict = impossibility_audit(args.n, _parse_fraction(args.alpha))
     if args.json:
         _emit_json(verdict.to_obj())
         return 0

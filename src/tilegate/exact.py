@@ -26,8 +26,6 @@ from mpmath.libmp import to_rational
 
 from .errors import DomainError, ModulusError, NonRealError, ResourceLimitError
 
-Rational = Fraction
-
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
 PHI_LIMIT = 4096
@@ -523,67 +521,43 @@ class CycloReal:
             raise FormatError(str(exc)) from None
 
 
+def _trig_step(name: str, k: int, m: int, modulus: int) -> int:
+    # modulus/(2m), the power of zeta_modulus that is the angle pi/m
+    _field(modulus)
+    if m < 1:
+        raise DomainError(f"angle denominator must be positive, got {m}")
+    if modulus % (2 * m):
+        raise ModulusError(
+            f"{name}({k}*pi/{m}) needs 2*{m} | modulus, got modulus {modulus}"
+        )
+    return modulus // (2 * m)
+
+
+def _zeta_mean(modulus: int, t: int) -> CycloReal:
+    # (zeta^t + zeta^-t) / 2 = cos(2*pi*t/modulus)
+    rows = _field(modulus).pow_rows
+    t %= modulus
+    num = [a + b for a, b in zip(rows[t], rows[(modulus - t) % modulus])]
+    return CycloReal._make(modulus, *_normalize(num, 2))
+
+
 def cos_pi(k: int, m: int, modulus: int) -> CycloReal:
     """cos(k*pi/m) as an element of Q(zeta_modulus).
 
     Requires m >= 1 and 2*m | modulus (and 4 | modulus as always).
     """
-    field = _field(modulus)
-    if m < 1:
-        raise DomainError(f"angle denominator must be positive, got {m}")
-    if modulus % (2 * m):
-        raise ModulusError(
-            f"cos({k}*pi/{m}) needs 2*{m} | modulus, got modulus {modulus}"
-        )
-    t = (k * (modulus // (2 * m))) % modulus
-    num = [a + b for a, b in zip(field.pow_rows[t], field.pow_rows[(modulus - t) % modulus])]
-    return CycloReal._make(modulus, *_normalize(num, 2))
+    return _zeta_mean(modulus, k * _trig_step("cos", k, m, modulus))
 
 
 def sin_pi(k: int, m: int, modulus: int) -> CycloReal:
     """sin(k*pi/m) as an element of Q(zeta_modulus); same preconditions
     as :func:`cos_pi`."""
-    field = _field(modulus)
-    if m < 1:
-        raise DomainError(f"angle denominator must be positive, got {m}")
-    if modulus % (2 * m):
-        raise ModulusError(
-            f"sin({k}*pi/{m}) needs 2*{m} | modulus, got modulus {modulus}"
-        )
+    step = _trig_step("sin", k, m, modulus)
     # sin(x) = cos(pi/2 - x); exponent M/4 - k*M/(2m) is an integer
-    t = (modulus // 4 - k * (modulus // (2 * m))) % modulus
-    num = [a + b for a, b in zip(field.pow_rows[t], field.pow_rows[(modulus - t) % modulus])]
-    return CycloReal._make(modulus, *_normalize(num, 2))
+    return _zeta_mean(modulus, modulus // 4 - k * step)
 
 
 def field_degree(modulus: int) -> int:
     """phi(modulus), after validating the modulus."""
     return _field(modulus).degree
 
-
-# Functional aliases for callers that prefer explicit operation names
-# over methods and operators.
-
-
-def cyclo_trig(k: int, m: int, which: str, modulus: int) -> CycloReal:
-    if which == "cos":
-        return cos_pi(k, m, modulus)
-    if which == "sin":
-        return sin_pi(k, m, modulus)
-    raise DomainError(f"which must be 'cos' or 'sin', got {which!r}")
-
-
-def cyclo_arith(x: CycloReal, y: CycloReal | None, op: str) -> CycloReal:
-    if op == "add":
-        return x + y
-    if op == "sub":
-        return x - y
-    if op == "mul":
-        return x * y
-    if op == "neg":
-        return -x
-    raise DomainError(f"op must be add/sub/mul/neg, got {op!r}")
-
-
-def cyclo_sign(x: CycloReal) -> int:
-    return x.sign()

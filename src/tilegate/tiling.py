@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -31,27 +32,25 @@ from .geometry import (
     triangles_interior_disjoint,
 )
 from .vertex import (
-    AngleUnits,
     PointClass,
     PointKind,
     VertexSolution,
+    check_polygon_n,
     point_target,
 )
 
 FORMAT_TAG = "tilegate-tiling/1"
 
-CHECK_ORDER = ("similarity", "containment", "non_overlap", "area_cover", "point_ledger")
-
 _KIND_SLOT = {"alpha": 0, "beta": 1, "right": 2}
 
 
-def _angle_modulus(gamma: AngleUnits) -> int:
+def _angle_modulus(gamma: Fraction) -> int:
     # smallest valid modulus whose field contains cos and sin of gamma*pi/2
     half = Fraction(gamma) / 2
     return math.lcm(4, 2 * half.denominator)
 
 
-def default_modulus(n: int, alpha: AngleUnits) -> int:
+def default_modulus(n: int, alpha: Fraction) -> int:
     """Smallest modulus that holds the n-gon vertices and the rotation
     entries for the angles alpha, 1-alpha and the right angle."""
     alpha = Fraction(alpha)
@@ -62,8 +61,7 @@ def default_modulus(n: int, alpha: AngleUnits) -> int:
 def polygon_vertices(n: int, modulus: int) -> tuple[Point, ...]:
     """V_k = (cos(2k*pi/n), sin(2k*pi/n)) for k = 0..n-1, exact in the
     given modulus (which must be divisible by 2n)."""
-    if n < 5:
-        raise DomainError(f"polygon needs n >= 5, got {n}")
+    check_polygon_n(n)
     return tuple(
         Point(cos_pi(2 * k, n, modulus), sin_pi(2 * k, n, modulus))
         for k in range(n)
@@ -82,7 +80,7 @@ class Tiling:
 
     __slots__ = ("n", "alpha", "modulus", "triangles")
 
-    def __init__(self, n: int, alpha: AngleUnits, modulus: int,
+    def __init__(self, n: int, alpha: Fraction, modulus: int,
                  triangles: "list[Triangle] | tuple[Triangle, ...]") -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 5:
             raise StructuralError(f"polygon parameter must be an integer >= 5, got {n!r}")
@@ -242,7 +240,7 @@ def _rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal]:
     )
 
 
-def angle_matches(tri: Triangle, corner_index: int, gamma: AngleUnits) -> bool:
+def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     """Exact test that the interior angle at the given corner equals
     gamma*pi/2.
 
@@ -291,32 +289,24 @@ def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str
     return tuple(kinds)
 
 
+@dataclass(frozen=True)
 class CheckResult:
     """Outcome of one verification stage."""
 
-    __slots__ = ("status", "detail")
-
-    def __init__(self, status: str, detail: "str | None" = None) -> None:
-        self.status = status
-        self.detail = detail
+    status: str
+    detail: str | None = None
 
     def to_obj(self) -> dict:
         return {"status": self.status, "detail": self.detail}
 
-    def __repr__(self) -> str:
-        return f"CheckResult({self.status!r}, {self.detail!r})"
 
-
+@dataclass(frozen=True)
 class LedgerEntry:
     """One meeting point: its class and the incident corner counts."""
 
-    __slots__ = ("point", "point_class", "solution")
-
-    def __init__(self, point: Point, point_class: PointClass,
-                 solution: VertexSolution) -> None:
-        self.point = point
-        self.point_class = point_class
-        self.solution = solution
+    point: Point
+    point_class: PointClass
+    solution: VertexSolution
 
     def to_obj(self) -> dict:
         return {
@@ -326,18 +316,14 @@ class LedgerEntry:
         }
 
 
+@dataclass(frozen=True)
 class VerificationReport:
     """Check table, point ledger, corner-count certificate, verdict."""
 
-    __slots__ = ("checks", "ledger", "certificate", "verdict")
-
-    def __init__(self, checks: "dict[str, CheckResult]",
-                 ledger: "tuple[LedgerEntry, ...]",
-                 certificate: "tuple[int, int, int]", verdict: bool) -> None:
-        self.checks = checks
-        self.ledger = ledger
-        self.certificate = certificate
-        self.verdict = verdict
+    checks: dict[str, CheckResult]
+    ledger: tuple[LedgerEntry, ...]
+    certificate: tuple[int, int, int]
+    verdict: bool
 
     @property
     def first_failure(self) -> "str | None":
@@ -388,6 +374,102 @@ def classify_point(pt: Point, tiling: Tiling) -> PointClass:
     return _classify(pt, tiling, polygon)
 
 
+@dataclass
+class _VerifyRun:
+    """What the stages of one verify call share: the tiling, its polygon,
+    and what earlier stages derived for later ones."""
+
+    tiling: Tiling
+    polygon: tuple[Point, ...]
+    certificate: tuple[int, int, int] = (0, 0, 0)
+    # distinct vertex points, in first-occurrence order: key -> (point,
+    # first owning triangle, incident (alpha, beta, right) corner counts)
+    points: dict = field(default_factory=dict)
+    ledger: tuple[LedgerEntry, ...] = ()
+
+
+def _check_similarity(run: _VerifyRun) -> "str | None":
+    # on pass, also fills in the certificate and the points' incident corners
+    counts = [0, 0, 0]
+    for idx, tri in enumerate(run.tiling.triangles):
+        try:
+            kinds = _corner_kinds(tri, run.tiling.alpha)
+        except ModulusError as exc:
+            raise StructuralError(f"triangle {idx}: {exc}") from None
+        if isinstance(kinds, str):
+            return f"triangle {idx}: {kinds}"
+        for v, kind in zip(tri.vertices, kinds):
+            slot = _KIND_SLOT[kind]
+            counts[slot] += 1
+            run.points.setdefault(v.key(), (v, idx, [0, 0, 0]))[2][slot] += 1
+    run.certificate = tuple(counts)
+    return None
+
+
+def _check_containment(run: _VerifyRun) -> "str | None":
+    polygon, n = run.polygon, run.tiling.n
+    for pt, owner, _ in run.points.values():
+        if not all(orientation(polygon[i], polygon[(i + 1) % n], pt) >= 0
+                   for i in range(n)):
+            return (f"triangle {owner}: vertex ({float(pt.x):.6g}, "
+                    f"{float(pt.y):.6g}) lies outside the polygon")
+    return None
+
+
+def _check_non_overlap(run: _VerifyRun) -> "str | None":
+    tris = run.tiling.triangles
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            if not triangles_interior_disjoint(tris[i], tris[j]):
+                return f"triangles {i} and {j} have overlapping interiors"
+    return None
+
+
+def _check_area_cover(run: _VerifyRun) -> "str | None":
+    polygon, n, modulus = run.polygon, run.tiling.n, run.tiling.modulus
+    poly_area2 = CycloReal.zero(modulus)
+    for i in range(n):
+        a, b = polygon[i], polygon[(i + 1) % n]
+        poly_area2 = poly_area2 + (a.x * b.y - b.x * a.y)
+    total2 = CycloReal.zero(modulus)
+    for tri in run.tiling.triangles:
+        total2 = total2 + tri.twice_area()
+    if (total2 - poly_area2).is_zero():
+        return None
+    gap = float(poly_area2) - float(total2)
+    return (f"triangle areas differ from the polygon area (gap ~ {gap:.6g} "
+            "in doubled-area units)")
+
+
+def _check_point_ledger(run: _VerifyRun) -> "str | None":
+    # on failure the ledger keeps the entries up to the failing point
+    alpha, n = run.tiling.alpha, run.tiling.n
+    entries = []
+    detail = None
+    for pt, _, (p, q, r) in run.points.values():
+        pclass = _classify(pt, run.tiling, run.polygon)
+        entries.append(LedgerEntry(pt, pclass, VertexSolution(p, q, r)))
+        total = p * alpha + q * (1 - alpha) + r
+        target = point_target(pclass, n)
+        if total != target:
+            detail = (f"point ({float(pt.x):.6g}, {float(pt.y):.6g}) [{pclass}]: "
+                      f"corners (p={p}, q={q}, r={r}) fill {total} of target {target}")
+            break
+    run.ledger = tuple(entries)
+    return detail
+
+
+_STAGES = (
+    ("similarity", _check_similarity),
+    ("containment", _check_containment),
+    ("non_overlap", _check_non_overlap),
+    ("area_cover", _check_area_cover),
+    ("point_ledger", _check_point_ledger),
+)
+
+CHECK_ORDER = tuple(name for name, _ in _STAGES)
+
+
 def verify(tiling: Tiling) -> VerificationReport:
     """Run the five checks in order, stopping at the first failure.
 
@@ -404,106 +486,15 @@ def verify(tiling: Tiling) -> VerificationReport:
     counts (alpha, beta, right) corners over all triangles whenever
     similarity passes.
     """
-    checks = {name: CheckResult("skipped") for name in CHECK_ORDER}
-    certificate = (0, 0, 0)
-    ledger: tuple[LedgerEntry, ...] = ()
-
-    def report() -> VerificationReport:
-        verdict = all(checks[name].status == "pass" for name in CHECK_ORDER)
-        return VerificationReport(checks, ledger, certificate, verdict)
-
-    polygon = polygon_vertices(tiling.n, tiling.modulus)
-    alpha = tiling.alpha
-
-    # similarity
-    kinds: list[tuple[str, str, str]] = []
-    for idx, tri in enumerate(tiling.triangles):
-        try:
-            got = _corner_kinds(tri, alpha)
-        except ModulusError as exc:
-            raise StructuralError(f"triangle {idx}: {exc}") from None
-        if isinstance(got, str):
-            checks["similarity"] = CheckResult("fail", f"triangle {idx}: {got}")
-            return report()
-        kinds.append(got)
-    checks["similarity"] = CheckResult("pass")
-    counts = [0, 0, 0]
-    for tri_kinds in kinds:
-        for kind in tri_kinds:
-            counts[_KIND_SLOT[kind]] += 1
-    certificate = (counts[0], counts[1], counts[2])
-
-    # distinct vertex points, in first-occurrence order, with incident corners
-    order: list[Point] = []
-    incident: dict[tuple, list[int]] = {}
-    owner: dict[tuple, int] = {}
-    for idx, tri in enumerate(tiling.triangles):
-        for ci, v in enumerate(tri.vertices):
-            key = v.key()
-            if key not in incident:
-                incident[key] = [0, 0, 0]
-                owner[key] = idx
-                order.append(v)
-            incident[key][_KIND_SLOT[kinds[idx][ci]]] += 1
-
-    # containment
-    n = tiling.n
-    for pt in order:
-        if all(orientation(polygon[i], polygon[(i + 1) % n], pt) >= 0
-               for i in range(n)):
-            continue
-        checks["containment"] = CheckResult(
-            "fail",
-            f"triangle {owner[pt.key()]}: vertex ({float(pt.x):.6g}, "
-            f"{float(pt.y):.6g}) lies outside the polygon")
-        return report()
-    checks["containment"] = CheckResult("pass")
-
-    # non_overlap
-    tris = tiling.triangles
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if not triangles_interior_disjoint(tris[i], tris[j]):
-                checks["non_overlap"] = CheckResult(
-                    "fail", f"triangles {i} and {j} have overlapping interiors")
-                return report()
-    checks["non_overlap"] = CheckResult("pass")
-
-    # area_cover
-    poly_area2 = CycloReal.zero(tiling.modulus)
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        poly_area2 = poly_area2 + (a.x * b.y - b.x * a.y)
-    total2 = CycloReal.zero(tiling.modulus)
-    for tri in tris:
-        total2 = total2 + tri.twice_area()
-    if not (total2 - poly_area2).is_zero():
-        gap = float(poly_area2) - float(total2)
-        checks["area_cover"] = CheckResult(
-            "fail",
-            f"triangle areas differ from the polygon area (gap ~ {gap:.6g} "
-            "in doubled-area units)")
-        return report()
-    checks["area_cover"] = CheckResult("pass")
-
-    # point_ledger
-    entries = []
-    for pt in order:
-        pclass = _classify(pt, tiling, polygon)
-        p, q, r = incident[pt.key()]
-        entries.append(LedgerEntry(pt, pclass, VertexSolution(p, q, r)))
-        total = p * alpha + q * (1 - alpha) + r
-        target = point_target(pclass, n)
-        if total != target:
-            checks["point_ledger"] = CheckResult(
-                "fail",
-                f"point ({float(pt.x):.6g}, {float(pt.y):.6g}) [{pclass}]: "
-                f"corners (p={p}, q={q}, r={r}) fill {total} of target {target}")
-            ledger = tuple(entries)
-            return report()
-    checks["point_ledger"] = CheckResult("pass")
-    ledger = tuple(entries)
-    return report()
+    run = _VerifyRun(tiling, polygon_vertices(tiling.n, tiling.modulus))
+    checks = dict.fromkeys(CHECK_ORDER, CheckResult("skipped"))
+    for name, stage in _STAGES:
+        detail = stage(run)
+        checks[name] = CheckResult("pass" if detail is None else "fail", detail)
+        if detail is not None:
+            break
+    verdict = all(result.status == "pass" for result in checks.values())
+    return VerificationReport(checks, run.ledger, run.certificate, verdict)
 
 
 def regularity_class(tiling: Tiling, report: VerificationReport) -> frozenset:

@@ -27,13 +27,17 @@ from typing import Iterable, NamedTuple
 
 from .errors import DomainError
 
-AngleUnits = Fraction
-
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
 # each audit exhibits a violating solution to prove membership).
 LEMMA4_EXCEPTIONS: frozenset[Fraction] = frozenset(
     (Fraction(1, 4), Fraction(1, 5), Fraction(2, 5), Fraction(3, 7), Fraction(1, 3))
 )
+
+
+def check_polygon_n(n: int) -> None:
+    """Reject polygon parameters below 5, which no statement here covers."""
+    if n < 5:
+        raise DomainError(f"n must be at least 5, got {n}")
 
 
 class VertexSolution(NamedTuple):
@@ -107,8 +111,7 @@ def point_target(pc: PointClass, n: int) -> Fraction:
     straight angles (the r-shift), and a polygon corner contributes its
     interior angle 2 - 4/n.
     """
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     if pc.kind is PointKind.POLYGON_VERTEX:
         return Fraction(2) - Fraction(4, n)
     if pc.kind is PointKind.POLYGON_SIDE_INTERIOR:
@@ -150,8 +153,7 @@ class AngleFamily:
 
 def corner_families(n: int) -> tuple[AngleFamily, AngleFamily]:
     """The two families that corner solutions confine a to."""
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     return (
         AngleFamily(2 - Fraction(4, n), f"(2-4/{n})"),
         AngleFamily(1 - Fraction(4, n), f"(1-4/{n})"),
@@ -160,8 +162,7 @@ def corner_families(n: int) -> tuple[AngleFamily, AngleFamily]:
 
 def allowed_angles(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """The three-angle set {2/n, 4/n, 1/3 + 4/(3n)} in right-angle units."""
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     return (Fraction(2, n), Fraction(4, n), Fraction(1, 3) + Fraction(4, 3 * n))
 
 
@@ -174,8 +175,7 @@ class CornerOutcome(Enum):
 def corner_has_only_p_gt_q(n: int, a: Fraction) -> CornerOutcome:
     """Classify the corner equation S = 2 - 4/n at angle a."""
     a = Fraction(a)
-    if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+    check_polygon_n(n)
     if not 0 < a < Fraction(1, 2):
         raise DomainError(f"a must lie in (0, 1/2), got {a}")
     sols = enumerate_solutions(Fraction(2) - Fraction(4, n), a)
@@ -241,6 +241,15 @@ def _reduced_angles(max_den: int) -> list[tuple[int, int]]:
     ]
 
 
+def _n_range(ns: Iterable[int]) -> list[int]:
+    # sorted distinct n values of an audit range, all >= 5
+    ns = sorted(set(ns))
+    if not ns:
+        raise DomainError("empty n range")
+    check_polygon_n(ns[0])
+    return ns
+
+
 def _audit_l3(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
     for u, v in _reduced_angles(max_den):
@@ -301,11 +310,7 @@ def _audit_l4(max_den: int) -> AuditReport:
 
 
 def _audit_l5(ns: Iterable[int], max_den: int) -> AuditReport:
-    ns = sorted(set(ns))
-    if not ns:
-        raise DomainError("empty n range")
-    if ns[0] < 5:
-        raise DomainError(f"n must be at least 5, got {ns[0]}")
+    ns = _n_range(ns)
     pairs = _reduced_angles(max_den)
     bad: list[AuditCase] = []
     for n in ns:
@@ -345,11 +350,7 @@ def _audit_l5(ns: Iterable[int], max_den: int) -> AuditReport:
 
 
 def _audit_l6(ns: Iterable[int]) -> AuditReport:
-    ns = sorted(set(ns))
-    if not ns:
-        raise DomainError("empty n range")
-    if ns[0] < 5:
-        raise DomainError(f"n must be at least 5, got {ns[0]}")
+    ns = _n_range(ns)
     bad: list[AuditCase] = []
     witnesses: list[AuditCase] = []
     for n in ns:

@@ -71,7 +71,7 @@ def test_audit_not_excluded_exits_zero(run_cli):
 
 
 def test_audit_rejects_bad_alpha(run_cli):
-    for alpha in ("0.3", "1/0", "-1/5", "2/3"):
+    for alpha in ("0.3", "1/0", "1/00", "-1/5", "2/3"):
         result = run_cli(["audit", "--n", "8", "--alpha", alpha])
         assert result.returncode == 2, alpha
         assert "Traceback" not in result.stderr

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilegate import tiling as tiling_module
 from tilegate.classify import Outcome, impossibility_audit
 from tilegate.errors import (
     DomainError,
@@ -36,7 +37,7 @@ from tilegate.tiling import (
     save_tiling,
     verify,
 )
-from tilegate.vertex import PointKind, VertexSolution
+from tilegate.vertex import PointKind, VertexSolution, point_target
 
 
 def rp(x, y, modulus) -> Point:
@@ -300,6 +301,29 @@ def test_duplicated_triangle_fails_non_overlap():
     assert not rep.verdict
     assert rep.first_failure == "non_overlap"
     assert "10" in rep.checks["non_overlap"].detail
+
+
+def test_wrong_target_fails_point_ledger(monkeypatch):
+    # a genuine tiling always satisfies the ledger, so the stage is reached
+    # as first failure only by demanding a wrong target for one point class
+    def wrong_target(pc, n):
+        target = point_target(pc, n)
+        return target + 1 if pc.kind is PointKind.POLYGON_SIDE_INTERIOR else target
+
+    monkeypatch.setattr(tiling_module, "point_target", wrong_target)
+    rep = verify(gen_trivial(5))
+    assert not rep.verdict
+    assert rep.first_failure == "point_ledger"
+    for name in CHECK_ORDER[:-1]:
+        assert rep.checks[name].status == "pass"
+    assert rep.checks["point_ledger"].detail == (
+        "point (0.654508, 0.475528) [PolygonSideInterior]: "
+        "corners (p=0, q=0, r=2) fill 2 of target 3")
+    # the ledger stops at the failing point: centre, vertex 0, foot 0
+    assert [str(e.point_class) for e in rep.ledger] == [
+        "FreeInterior", "PolygonVertex", "PolygonSideInterior"]
+    assert rep.ledger[-1].solution == VertexSolution(0, 0, 2)
+    assert rep.certificate == (10, 10, 10)
 
 
 @settings(max_examples=15, deadline=None)
