@@ -17,7 +17,8 @@ import sys
 
 from .classify import alpha_str, candidates, impossibility_audit
 from .errors import TilegateError
-from .tiling import _parse_fraction, gen_trivial, load_tiling, save_tiling, verify
+from .exact import parse_fraction
+from .tiling import gen_trivial, load_tiling, save_tiling, verify
 from .vertex import audit_lemma
 
 
@@ -36,7 +37,7 @@ def _emit_json(obj: object) -> None:
 
 
 def _parse_range(text: str) -> range:
-    m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
+    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
     if not m:
         raise _UsageError(f"range must look like 'A..B', got {text!r}")
     lo, hi = int(m.group(1)), int(m.group(2))
@@ -67,7 +68,7 @@ def _cmd_candidates(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    verdict = impossibility_audit(args.n, _parse_fraction(args.alpha))
+    verdict = impossibility_audit(args.n, parse_fraction(args.alpha, "alpha"))
     if args.json:
         _emit_json(verdict.to_obj())
         return 0
@@ -108,7 +109,7 @@ def _cmd_gen_trivial(args) -> int:
     if args.json:
         _emit_json({
             "n": tiling.n,
-            "alpha": f"{tiling.alpha.numerator}/{tiling.alpha.denominator}",
+            "alpha": str(tiling.alpha),
             "triangles": len(tiling.triangles),
             "out": args.out,
         })

@@ -16,6 +16,8 @@ evaluations with exact rational endpoints.
 from __future__ import annotations
 
 import math
+import re
+import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -24,7 +26,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import to_rational
 
-from .errors import DomainError, ModulusError, NonRealError, ResourceLimitError
+from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -103,6 +105,13 @@ class _Field:
     """Cached reduction tables for arithmetic in Q(zeta_M)."""
 
     def __init__(self, modulus: int) -> None:
+        # phi(M) >= sqrt(M/2): refuse a larger M before euler_phi's
+        # trial division, whose cost grows with sqrt(M)
+        if modulus > 2 * PHI_LIMIT ** 2:
+            raise ResourceLimitError(
+                f"modulus {modulus} exceeds {2 * PHI_LIMIT ** 2}, so phi "
+                f"exceeds the limit {PHI_LIMIT}"
+            )
         degree = euler_phi(modulus)
         if degree > PHI_LIMIT:
             raise ResourceLimitError(
@@ -234,6 +243,20 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     return num, den
 
 
+def parse_fraction(text: object, what: str) -> Fraction:
+    """Read fraction text in the one grammar tilegate accepts, which is
+    what ``str(Fraction)`` writes: ``u`` or ``u/v``, 1 to 300 ASCII digits
+    a part, u signed, v nonzero.  The cap keeps any loaded value below
+    PHI_LIMIT * 10**300 < 1.7e308, so float_box stays finite."""
+    m = isinstance(text, str) and re.fullmatch(
+        r"(-?[0-9]{1,300})(?:/(?!0*\Z)([0-9]{1,300}))?", text)
+    if not m:
+        raise FormatError(
+            f"{what} must be 'u' or 'u/v' with at most 300 ASCII digits "
+            f"a part and v nonzero, got {reprlib.repr(text)}")
+    return Fraction(int(m[1]), int(m[2] or 1))
+
+
 class CycloReal:
     """An element of the real subfield of Q(zeta_M), 4 | M.
 
@@ -246,7 +269,7 @@ class CycloReal:
 
     __slots__ = ("modulus", "num", "den", "_box", "_sign", "_real")
 
-    def __init__(self, modulus: int, coeffs: Sequence[Fraction | int | str],
+    def __init__(self, modulus: int, coeffs: Sequence[Fraction | int],
                  *, check_real: bool = True) -> None:
         field = _field(modulus)
         if len(coeffs) != field.degree:
@@ -254,9 +277,8 @@ class CycloReal:
                 f"expected {field.degree} coefficients for modulus {modulus}, "
                 f"got {len(coeffs)}"
             )
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
-        num = [int(f * den) for f in fracs]
+        den = math.lcm(*(c.denominator for c in coeffs))
+        num = [c.numerator * (den // c.denominator) for c in coeffs]
         self._init_raw(modulus, *_normalize(num, den))
         if check_real and not self.is_real():
             raise NonRealError(
@@ -499,8 +521,6 @@ class CycloReal:
 
     @classmethod
     def from_obj(cls, obj: object) -> "CycloReal":
-        from .errors import FormatError
-
         if not isinstance(obj, dict) or set(obj) != {"modulus", "coeffs"}:
             raise FormatError(
                 "scalar must be an object with exactly the keys 'modulus' and 'coeffs'"
@@ -509,14 +529,10 @@ class CycloReal:
         coeffs = obj["coeffs"]
         if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise FormatError("scalar modulus must be an integer")
-        if not isinstance(coeffs, list) or not all(isinstance(c, str) for c in coeffs):
+        if not isinstance(coeffs, list):
             raise FormatError("scalar coeffs must be a list of fraction strings")
         try:
-            fracs = [Fraction(c) for c in coeffs]
-        except (ValueError, ZeroDivisionError) as exc:
-            raise FormatError(f"bad fraction literal: {exc}") from None
-        try:
-            return cls(modulus, fracs)
+            return cls(modulus, [parse_fraction(c, "coefficient") for c in coeffs])
         except (DomainError, ModulusError, NonRealError, ResourceLimitError) as exc:
             raise FormatError(str(exc)) from None
 

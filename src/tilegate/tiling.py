@@ -16,13 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, FormatError, ModulusError, StructuralError
-from .exact import CycloReal, cos_pi, sin_pi
+from .exact import CycloReal, cos_pi, parse_fraction, sin_pi
 from .geometry import (
     Point,
     Triangle,
@@ -130,7 +129,7 @@ class Tiling:
         return {
             "format": FORMAT_TAG,
             "n": self.n,
-            "alpha": f"{self.alpha.numerator}/{self.alpha.denominator}",
+            "alpha": str(self.alpha),
             "modulus": self.modulus,
             "triangles": [
                 {"v": [[v.x.to_obj(), v.y.to_obj()] for v in tri.vertices]}
@@ -156,7 +155,7 @@ class Tiling:
         for label, value in (("n", n), ("modulus", modulus)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise FormatError(f"{label} must be an integer, got {value!r}")
-        alpha = _parse_fraction(obj["alpha"])
+        alpha = parse_fraction(obj["alpha"], "alpha")
         raw = obj["triangles"]
         if not isinstance(raw, list):
             raise FormatError("triangles must be a list")
@@ -182,15 +181,6 @@ class Tiling:
         return cls(n, alpha, modulus, triangles)
 
 
-def _parse_fraction(value: object) -> Fraction:
-    if not isinstance(value, str) or not re.fullmatch(r"\d+/\d+", value):
-        raise FormatError(f"alpha must be a 'num/den' string, got {value!r}")
-    num, den = value.split("/")
-    if int(den) == 0:
-        raise FormatError("alpha denominator must be nonzero")
-    return Fraction(int(num), int(den))
-
-
 def save_tiling(tiling: Tiling, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(tiling.to_obj(), fh, sort_keys=True, separators=(",", ":"))
@@ -201,7 +191,9 @@ def load_tiling(path: str) -> Tiling:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, bad UTF-8 and over-long integers are all
+        # ValueErrors; deep nesting exhausts the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise FormatError(f"not valid JSON: {exc}") from None
     return Tiling.from_obj(obj)
 

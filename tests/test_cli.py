@@ -1,9 +1,14 @@
 """End-to-end CLI behavior: output shapes, determinism, exit codes."""
 from __future__ import annotations
 
+import copy
 import json
 import os
+import time
 
+import pytest
+
+from tilegate.cli import main
 from tilegate.tiling import Tiling, gen_trivial, save_tiling
 
 
@@ -46,6 +51,7 @@ def test_candidates_usage_errors(run_cli):
     for args in (["candidates"],
                  ["candidates", "--n", "8", "--range", "5..9"],
                  ["candidates", "--range", "9..5"],
+                 ["candidates", "--range", "\u0665..\u0666"],  # Arabic-Indic 5..6
                  ["candidates", "--n", "4"]):
         result = run_cli(args)
         assert result.returncode == 2, args
@@ -71,10 +77,66 @@ def test_audit_not_excluded_exits_zero(run_cli):
 
 
 def test_audit_rejects_bad_alpha(run_cli):
-    for alpha in ("0.3", "1/0", "1/00", "-1/5", "2/3"):
+    for alpha in ("0.3", "1/0", "1/00", "-1/5", "2/3", "1", "\u0661/\u0665",
+                  "1/" + "9" * 5000):
         result = run_cli(["audit", "--n", "8", "--alpha", alpha])
         assert result.returncode == 2, alpha
         assert "Traceback" not in result.stderr
+
+
+# Everything the one fraction grammar (-?D or -?D/D, D of 1..300 ASCII
+# digits, nonzero denominator) must refuse.
+BAD_FRACTIONS = ["", " 1", "1 ", "+1", "1.0", "0.0", "1e3", "1_0", "\u0661",
+                 "1/0", "1/-2", "--1", "1" * 301, "1/" + "1" * 301]
+
+
+def _exit_two_in_one_line(args, capsys, prefix="tilegate: "):
+    # in-process, so an escaping exception fails the test as a traceback would
+    start = time.perf_counter()
+    assert main(args) == 2, args
+    assert time.perf_counter() - start < 1.0, args
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("text", BAD_FRACTIONS)
+def test_fraction_grammar_rejected_in_every_position(text, tmp_path, capsys):
+    doc = gen_trivial(5).to_obj()
+    bad_coeff = copy.deepcopy(doc)
+    bad_coeff["triangles"][0]["v"][1][0]["coeffs"][0] = text
+    for what, bad in (("alpha", {**doc, "alpha": text}), ("coefficient", bad_coeff)):
+        path = tmp_path / f"{what}.json"
+        path.write_text(json.dumps(bad))
+        _exit_two_in_one_line(["verify", str(path)], capsys, f"tilegate: {what} must be")
+    _exit_two_in_one_line(["audit", "--n", "8", f"--alpha={text}"], capsys,
+                          "tilegate: alpha must be")
+
+
+def test_hostile_files_exit_two_quickly(tmp_path, capsys):
+    doc = gen_trivial(5).to_obj()
+    huge = 20 * (10**16 + 61)  # prime factor: factoring it would take seconds
+    big_modulus = copy.deepcopy(doc)
+    big_modulus["modulus"] = huge
+    for tri in big_modulus["triangles"]:
+        for point in tri["v"]:
+            for coord in point:
+                coord["modulus"] = huge
+    overflow = copy.deepcopy(doc)
+    overflow["triangles"][0]["v"][1][0]["coeffs"][0] = "1e100000"
+    payloads = [
+        b"[" * 100_000,
+        b'{"format": "\xff"}',
+        b'{"n": ' + b"9" * 5000 + b"}",
+        json.dumps(big_modulus).encode(),
+        json.dumps({**doc, "modulus": huge, "triangles": []}).encode(),
+        json.dumps(overflow).encode(),
+        json.dumps({**doc, "alpha": "1/" + "9" * 5000}).encode(),
+    ]
+    path = tmp_path / "hostile.json"
+    for payload in payloads:
+        path.write_bytes(payload)
+        _exit_two_in_one_line(["verify", str(path)], capsys)
 
 
 def test_lemmas_pass_and_json_stability(run_cli):

@@ -8,6 +8,7 @@ Oracles:
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -22,6 +23,7 @@ from tilegate.exact import (
     cyclotomic_polynomial,
     euler_phi,
     field_degree,
+    parse_fraction,
     sin_pi,
 )
 from tilegate.errors import (
@@ -73,6 +75,12 @@ def test_degree_limit_refused():
     # 4099 is prime, so phi(4 * 4099) = 2 * 4098 > 4096
     with pytest.raises(ResourceLimitError):
         field_degree(4 * 4099)
+    # 10**16 + 61 is prime too, so trial division in euler_phi would take
+    # seconds; the modulus bound refuses it before factoring
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError):
+        field_degree(20 * (10**16 + 61))
+    assert time.perf_counter() - start < 1.0
 
 
 # -- trigonometric constructors ---------------------------------------
@@ -379,6 +387,18 @@ def test_coefficient_strings_are_reduced_fractions():
     for c in x.to_obj()["coeffs"]:
         f = Fraction(c)
         assert str(f) == c
+        assert parse_fraction(c, "coefficient") == f
+
+
+_PART = 10**300 - 1  # the largest 300-digit integer
+
+
+@settings(max_examples=200, deadline=None)
+@given(num=st.integers(-_PART, _PART) | st.integers(-99, 99),
+       den=st.integers(1, _PART) | st.integers(1, 99))
+def test_parse_fraction_reads_what_str_writes(num, den):
+    f = Fraction(num, den)
+    assert parse_fraction(str(f), "coefficient") == f
 
 
 def test_immutability():

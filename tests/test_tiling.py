@@ -495,6 +495,10 @@ def test_from_obj_structural_violation():
 
 def test_load_tiling_rejects_invalid_json(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(FormatError, match="JSON"):
-        load_tiling(str(path))
+    for payload in (b"{not json",
+                    b"[" * 100_000,  # RecursionError in the decoder
+                    b'{"format": "\xff"}',  # not UTF-8
+                    b'{"n": ' + b"9" * 5000 + b"}"):  # over int()'s digit limit
+        path.write_bytes(payload)
+        with pytest.raises(FormatError, match="JSON"):
+            load_tiling(str(path))
