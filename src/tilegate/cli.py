@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import reprlib
 import sys
 
 from .classify import alpha_str, candidates, impossibility_audit
@@ -37,9 +38,11 @@ def _emit_json(obj: object) -> None:
 
 
 def _parse_range(text: str) -> range:
-    m = re.fullmatch(r"([0-9]+)\.\.([0-9]+)", text)
+    # six digits a bound keep every range's list small enough to build
+    m = re.fullmatch(r"([0-9]{1,6})\.\.([0-9]{1,6})", text)
     if not m:
-        raise _UsageError(f"range must look like 'A..B', got {text!r}")
+        raise _UsageError(f"range must look like 'A..B' with A and B of at "
+                          f"most 6 digits, got {reprlib.repr(text)}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise _UsageError(f"empty range {text!r}")

@@ -32,8 +32,8 @@ from .errors import DomainError, FormatError, ModulusError, NonRealError, Resour
 # rather than attempted.
 PHI_LIMIT = 4096
 
-# Coefficient bound under which the int64 convolution path is provably
-# overflow-free (checked per multiplication, see _Field.mul).
+# Bound under which int64 reduction is provably overflow-free (checked
+# per reduction, see _Field._dtype).
 _INT64_SAFE = 1 << 62
 
 # Hard ceiling for sign-refinement precision, in bits.  Signs are only
@@ -42,75 +42,85 @@ _INT64_SAFE = 1 << 62
 _PREC_CEILING = 1 << 16
 
 
+def _prime_factors(m: int) -> list[int]:
+    """The distinct primes dividing m >= 1, by trial division."""
+    primes = []
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 def euler_phi(m: int) -> int:
     if m < 1:
         raise DomainError(f"euler_phi undefined for {m}")
     result = m
-    k = m
-    p = 2
-    while p * p <= k:
-        if k % p == 0:
-            while k % p == 0:
-                k //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if k > 1:
-        result -= result // k
+    for p in _prime_factors(m):
+        result -= result // p
     return result
-
-
-def _divisors(m: int) -> list[int]:
-    small, large = [], []
-    d = 1
-    while d * d <= m:
-        if m % d == 0:
-            small.append(d)
-            if d != m // d:
-                large.append(m // d)
-        d += 1
-    return small + large[::-1]
-
-
-def _poly_div_exact(num: list[int], den: Sequence[int]) -> list[int]:
-    # den is monic; division must be exact
-    out = [0] * (len(num) - len(den) + 1)
-    rem = list(num)
-    shift = len(den) - 1
-    for i in range(len(out) - 1, -1, -1):
-        c = rem[i + shift]
-        if c:
-            out[i] = c
-            for j, dj in enumerate(den):
-                rem[i + j] -= c * dj
-    if any(rem):
-        raise ArithmeticError("inexact polynomial division")
-    return out
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree."""
+    """Coefficients of the m-th cyclotomic polynomial, ascending degree.
+
+    For m > 1, Phi_m(x) is the product over squarefree d | m of
+    (1 - x^(m/d))^mu(d) (Arnold & Monagan, Calculating cyclotomic
+    polynomials, Math. Comp. 80, 2011).  Expanded as a power series cut
+    at degree phi(m), each factor costs O(phi(m)): a multiplication by
+    1 - x^e when mu(d) = 1, a division by it when mu(d) = -1.
+    """
     if m < 1:
         raise DomainError(f"cyclotomic_polynomial undefined for {m}")
     if m == 1:
         return (-1, 1)
-    # x^m - 1 divided by the cyclotomic polynomials of all proper divisors
-    poly = [-1] + [0] * (m - 1) + [1]
-    for d in _divisors(m)[:-1]:
-        poly = _poly_div_exact(poly, cyclotomic_polynomial(d))
-    return tuple(poly)
+    degree = euler_phi(m)
+    series = [1] + [0] * degree
+    factors = [(1, 1)]  # (squarefree d, mu(d))
+    for p in _prime_factors(m):
+        factors += [(d * p, -mu) for d, mu in factors]
+    for d, mu in factors:
+        e = m // d
+        if mu == 1:
+            for i in range(degree, e - 1, -1):
+                series[i] -= series[i - e]
+        else:
+            for i in range(e, degree + 1):
+                series[i] += series[i - e]
+    return tuple(series)
 
 
 class _Field:
-    """Cached reduction tables for arithmetic in Q(zeta_M)."""
+    """Arithmetic in Q(zeta_M) = Q[x] / Phi_M, 4 | M, on integer
+    coefficient tuples of length phi = phi(M) in the basis 1, x, ...,
+    x^(phi-1).
+
+    Every reduction is one routine, :meth:`_divide`: division by the
+    monic Phi_M from the top, phi - 1 degrees a step.  The only table is
+    ``red``, whose column i is x^(phi+i) mod Phi_M for i < phi - 1.
+    Those are the degrees a product of two reduced elements reaches, so
+    :meth:`mul` takes one step; a longer vector takes one step per
+    phi - 1 coefficients above degree phi.  :meth:`reduce` first folds
+    every exponent below M/2 with zeta^(M/2) = -1, so it needs at most
+    (M/2 - phi) / (phi - 1) + 1 steps.  The table has phi * (phi - 1)
+    entries, where one row per power below M would take M * phi.  A step
+    runs in int64 when a bound on every partial sum proves it cannot
+    overflow, and on Python ints otherwise.
+    """
 
     def __init__(self, modulus: int) -> None:
         # phi(M) >= sqrt(M/2): refuse a larger M before euler_phi's
         # trial division, whose cost grows with sqrt(M)
         if modulus > 2 * PHI_LIMIT ** 2:
             raise ResourceLimitError(
-                f"modulus {modulus} exceeds {2 * PHI_LIMIT ** 2}, so phi "
-                f"exceeds the limit {PHI_LIMIT}"
+                f"modulus {reprlib.repr(modulus)} exceeds {2 * PHI_LIMIT ** 2}, "
+                f"so phi exceeds the limit {PHI_LIMIT}"
             )
         degree = euler_phi(modulus)
         if degree > PHI_LIMIT:
@@ -119,90 +129,66 @@ class _Field:
             )
         self.modulus = modulus
         self.degree = degree
-        phi_poly = cyclotomic_polynomial(modulus)
-        low = phi_poly[:-1]
-        # pow_rows[j] = coefficient vector of x^j mod Phi_M
-        top = max(modulus - 1, 2 * degree - 2)
-        row = [0] * degree
-        row[0] = 1
-        rows: list[tuple[int, ...]] = [tuple(row)]
-        for _ in range(top):
-            carry = row[-1]
-            row = [0] + row[:-1]
-            if carry:
-                for j, cj in enumerate(low):
-                    row[j] -= carry * cj
-            rows.append(tuple(row))
-        self.pow_rows = rows
-        # numpy reduction block for product degrees degree..2*degree-2
-        red = rows[degree:2 * degree - 1]
-        self.row_max = max((max(abs(v) for v in r) for r in red), default=0)
-        self.np_ok = self.row_max < (1 << 31)
-        self._red_np = (
-            np.array(red, dtype=np.int64) if self.np_ok and red else None
-        )
+        low = np.array(cyclotomic_polynomial(modulus)[:-1], dtype=object)
+        red = np.empty((degree, degree - 1), dtype=object)
+        col = -low  # x^phi = x^phi - Phi_M
+        for i in range(degree - 1):
+            red[:, i] = col
+            col = np.concatenate(([0], col[:-1])) - col[-1] * low
+        self.red_max = int(abs(red).max())
+        self.red = red.astype(np.int64) if self.red_max < _INT64_SAFE else red
+
+    def _dtype(self, bound: int, length: int) -> type:
+        # int64 when no partial sum can overflow: the coefficients of a
+        # vector of this length are at most bound in absolute value, and
+        # each division step multiplies that by at most 1 + red_max*(phi-1)
+        n = self.degree
+        steps = -(-(length - n) // (n - 1))
+        growth = (1 + self.red_max * (n - 1)) ** steps
+        return np.int64 if bound * growth < _INT64_SAFE else object
+
+    def _divide(self, v: np.ndarray) -> tuple[int, ...]:
+        n = self.degree
+        while len(v) > n:
+            start = max(len(v) - (n - 1), n)
+            v[start - n:start] += self.red[:, :len(v) - start] @ v[start:]
+            v = v[:start]
+        return tuple(v.tolist())
+
+    def reduce(self, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
+        """sum(c * zeta^e for (e, c) in terms) in the power basis."""
+        half = self.modulus // 2
+        v = [0] * half
+        for e, c in terms:
+            e %= self.modulus
+            if e < half:
+                v[e] += c
+            else:
+                v[e - half] -= c
+        return self._divide(np.array(v, self._dtype(max(map(abs, v)), half)))
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        n = self.degree
-        amax = max(map(abs, a), default=0)
-        bmax = max(map(abs, b), default=0)
-        if amax == 0 or bmax == 0:
-            return (0,) * n
-        if self.np_ok and self._red_np is not None:
-            conv_bound = amax * bmax * n
-            if conv_bound * (1 + self.row_max * (n - 1)) < _INT64_SAFE:
-                conv = np.convolve(
-                    np.array(a, dtype=np.int64), np.array(b, dtype=np.int64)
-                )
-                out = conv[:n].copy()
-                high = conv[n:]
-                if high.size:
-                    out += high @ self._red_np
-                return tuple(int(v) for v in out)
-        conv = [0] * (2 * n - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out_py = conv[:n]
-        for k in range(n, 2 * n - 1):
-            c = conv[k]
-            if c:
-                row = self.pow_rows[k]
-                for j in range(n):
-                    if row[j]:
-                        out_py[j] += c * row[j]
-        return tuple(out_py)
+        bound = max(map(abs, a)) * max(map(abs, b)) * self.degree
+        if not bound:
+            return (0,) * self.degree
+        dtype = self._dtype(bound, 2 * self.degree - 1)
+        return self._divide(np.convolve(np.array(a, dtype), np.array(b, dtype)))
 
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
-        # zeta^j -> zeta^(M-j)
-        out = [0] * self.degree
-        for j, c in enumerate(a):
-            if c:
-                row = self.pow_rows[(self.modulus - j) % self.modulus]
-                for i in range(self.degree):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        # zeta^j -> zeta^-j
+        return self.reduce((-j, c) for j, c in enumerate(a) if c)
 
     def embed(self, a: Sequence[int], target: "_Field") -> tuple[int, ...]:
         # zeta_M = zeta_L^(L/M) for M | L
         step = target.modulus // self.modulus
-        out = [0] * target.degree
-        for j, c in enumerate(a):
-            if c:
-                row = target.pow_rows[j * step]
-                for i in range(target.degree):
-                    if row[i]:
-                        out[i] += c * row[i]
-        return tuple(out)
+        return target.reduce((j * step, c) for j, c in enumerate(a) if c)
 
 
 @lru_cache(maxsize=None)
 def _field(modulus: int) -> _Field:
     if modulus < 4 or modulus % 4:
-        raise ModulusError(f"modulus {modulus} is not a positive multiple of 4")
+        raise ModulusError(
+            f"modulus {reprlib.repr(modulus)} is not a positive multiple of 4")
     return _Field(modulus)
 
 
@@ -551,9 +537,7 @@ def _trig_step(name: str, k: int, m: int, modulus: int) -> int:
 
 def _zeta_mean(modulus: int, t: int) -> CycloReal:
     # (zeta^t + zeta^-t) / 2 = cos(2*pi*t/modulus)
-    rows = _field(modulus).pow_rows
-    t %= modulus
-    num = [a + b for a, b in zip(rows[t], rows[(modulus - t) % modulus])]
+    num = _field(modulus).reduce(((t, 1), (-t, 1)))
     return CycloReal._make(modulus, *_normalize(num, 2))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -82,17 +83,19 @@ class Tiling:
     def __init__(self, n: int, alpha: Fraction, modulus: int,
                  triangles: "list[Triangle] | tuple[Triangle, ...]") -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 5:
-            raise StructuralError(f"polygon parameter must be an integer >= 5, got {n!r}")
+            raise StructuralError(
+                f"polygon parameter must be an integer >= 5, got {reprlib.repr(n)}")
         alpha = Fraction(alpha)
         if not 0 < alpha <= Fraction(1, 2):
             raise StructuralError(
                 f"smaller acute angle must lie in (0, 1/2] right angles, got {alpha}")
         if not isinstance(modulus, int) or isinstance(modulus, bool):
-            raise StructuralError(f"modulus must be an integer, got {modulus!r}")
+            raise StructuralError(
+                f"modulus must be an integer, got {reprlib.repr(modulus)}")
         for req in (4, 2 * n, 2 * alpha.denominator):
             if modulus % req:
-                raise StructuralError(
-                    f"modulus {modulus} is not divisible by {req}")
+                raise StructuralError(f"modulus {reprlib.repr(modulus)} "
+                                      f"is not divisible by {reprlib.repr(req)}")
         triangles = tuple(triangles)
         for i, tri in enumerate(triangles):
             if not isinstance(tri, Triangle):
@@ -148,13 +151,15 @@ class Tiling:
         if missing:
             raise FormatError(f"missing keys: {sorted(missing)}")
         if unknown:
-            raise FormatError(f"unknown keys: {sorted(unknown)}")
+            raise FormatError(f"unknown keys: {reprlib.repr(sorted(unknown))}")
         if obj["format"] != FORMAT_TAG:
-            raise FormatError(f"unsupported format tag {obj['format']!r}")
+            raise FormatError(
+                f"unsupported format tag {reprlib.repr(obj['format'])}")
         n, modulus = obj["n"], obj["modulus"]
         for label, value in (("n", n), ("modulus", modulus)):
             if not isinstance(value, int) or isinstance(value, bool):
-                raise FormatError(f"{label} must be an integer, got {value!r}")
+                raise FormatError(
+                    f"{label} must be an integer, got {reprlib.repr(value)}")
         alpha = parse_fraction(obj["alpha"], "alpha")
         raw = obj["triangles"]
         if not isinstance(raw, list):
@@ -175,7 +180,7 @@ class Tiling:
                 if x.modulus != modulus or y.modulus != modulus:
                     raise FormatError(
                         f"triangle {i} vertex {j}: coordinate modulus differs "
-                        f"from file modulus {modulus}")
+                        f"from file modulus {reprlib.repr(modulus)}")
                 points.append(Point(x, y))
             triangles.append(Triangle(*points))
         return cls(n, alpha, modulus, triangles)
@@ -202,8 +207,7 @@ def gen_trivial(n: int) -> Tiling:
     """The trivial tiling: join the center to every vertex and drop the
     apothem in each central triangle, giving 2n congruent right triangles
     with smaller acute angle pi/n (a = 2/n)."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 5:
-        raise DomainError(f"gen_trivial needs an integer n >= 5, got {n!r}")
+    check_polygon_n(n)
     alpha = Fraction(2, n)
     modulus = default_modulus(n, alpha)
     verts = polygon_vertices(n, modulus)

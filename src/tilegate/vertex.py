@@ -20,6 +20,7 @@ counting facts the classification rests on:
 from __future__ import annotations
 
 import math
+import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -35,9 +36,12 @@ LEMMA4_EXCEPTIONS: frozenset[Fraction] = frozenset(
 
 
 def check_polygon_n(n: int) -> None:
-    """Reject polygon parameters below 5, which no statement here covers."""
+    """Reject a polygon parameter that is not an int (bool included) or
+    is below 5, which no statement here covers."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"n must be an integer, got {reprlib.repr(n)}")
     if n < 5:
-        raise DomainError(f"n must be at least 5, got {n}")
+        raise DomainError(f"n must be at least 5, got {reprlib.repr(n)}")
 
 
 class VertexSolution(NamedTuple):
@@ -242,12 +246,14 @@ def _reduced_angles(max_den: int) -> list[tuple[int, int]]:
 
 
 def _n_range(ns: Iterable[int]) -> list[int]:
-    # sorted distinct n values of an audit range, all >= 5
-    ns = sorted(set(ns))
+    # sorted distinct n values of an audit range, each checked before
+    # sorting compares them
+    ns = list(ns)
+    for n in ns:
+        check_polygon_n(n)
     if not ns:
         raise DomainError("empty n range")
-    check_polygon_n(ns[0])
-    return ns
+    return sorted(set(ns))
 
 
 def _audit_l3(max_den: int) -> AuditReport:

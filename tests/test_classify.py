@@ -55,8 +55,9 @@ def test_candidates_examples():
     assert c5.angles() == (Fraction(2, 5), Fraction(3, 5), Fraction(4, 5))
     assert [c.feasible for c in c5.candidates] == [True, False, False]
 
-    with pytest.raises(DomainError):
-        candidates(4)
+    for bad in (4, 8.0, "8", True):
+        with pytest.raises(DomainError):
+            candidates(bad)
 
 
 def test_candidates_piecewise_table():
@@ -156,8 +157,9 @@ def test_audit_isosceles_step():
 
 
 def test_audit_domain_errors():
-    with pytest.raises(DomainError):
-        impossibility_audit(4, Fraction(1, 5))
+    for bad in (4, 8.0, "8", True):
+        with pytest.raises(DomainError):
+            impossibility_audit(bad, Fraction(1, 5))
     with pytest.raises(DomainError):
         impossibility_audit(8, Fraction(0))
     with pytest.raises(DomainError):

@@ -52,6 +52,9 @@ def test_candidates_usage_errors(run_cli):
                  ["candidates", "--n", "8", "--range", "5..9"],
                  ["candidates", "--range", "9..5"],
                  ["candidates", "--range", "\u0665..\u0666"],  # Arabic-Indic 5..6
+                 ["candidates", "--range", "5..1" + "0" * 5000],
+                 ["candidates", "--range", "5..100000000000000000000"],
+                 ["lemmas", "--which", "6", "--n-range", "5..100000000000000000000"],
                  ["candidates", "--n", "4"]):
         result = run_cli(args)
         assert result.returncode == 2, args
@@ -98,6 +101,7 @@ def _exit_two_in_one_line(args, capsys, prefix="tilegate: "):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(prefix) and err.count("\n") == 1, err
+    return err
 
 
 @pytest.mark.parametrize("text", BAD_FRACTIONS)
@@ -137,6 +141,24 @@ def test_hostile_files_exit_two_quickly(tmp_path, capsys):
     for payload in payloads:
         path.write_bytes(payload)
         _exit_two_in_one_line(["verify", str(path)], capsys)
+    # values echoed from the file are shortened
+    deep_n = 5
+    for _ in range(900):
+        deep_n = [deep_n]
+    long_modulus = copy.deepcopy(doc)  # refused by the field
+    for tri in long_modulus["triangles"]:
+        for point in tri["v"]:
+            for coord in point:
+                coord["modulus"] = 20 * 10**3998
+    echoes = [
+        {**doc, "format": "x" * 100_000},
+        {**doc, "n": deep_n},
+        {**doc, "modulus": 2 * 10**3999 + 2, "triangles": []},  # refused by Tiling
+        long_modulus,
+    ]
+    for obj in echoes:
+        path.write_text(json.dumps(obj))
+        assert len(_exit_two_in_one_line(["verify", str(path)], capsys)) < 300
 
 
 def test_lemmas_pass_and_json_stability(run_cli):

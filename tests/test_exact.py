@@ -49,7 +49,7 @@ def numeric(x: CycloReal, dps: int = 100) -> mpmath.mpf:
 # -- polynomial tables -------------------------------------------------
 
 
-@pytest.mark.parametrize("m", list(range(1, 130)) + [105, 210, 420])
+@pytest.mark.parametrize("m", list(range(1, 130)) + [105, 210, 420, 4620, 18060, 30030])
 def test_cyclotomic_polynomial_matches_sympy(m):
     ours = cyclotomic_polynomial(m)
     x = sympy.symbols("x")
@@ -81,6 +81,14 @@ def test_degree_limit_refused():
     with pytest.raises(ResourceLimitError):
         field_degree(20 * (10**16 + 61))
     assert time.perf_counter() - start < 1.0
+
+
+def test_large_field_builds_quickly():
+    # 18060 = 4*3*5*7*43: phi is within the limit and Phi_M is dense, so
+    # building the field must not cost time or memory in proportion to M
+    start = time.perf_counter()
+    assert field_degree(18060) == 4032
+    assert time.perf_counter() - start < 8.0
 
 
 # -- trigonometric constructors ---------------------------------------

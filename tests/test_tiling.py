@@ -95,8 +95,9 @@ def test_gen_trivial_examples():
 def test_gen_trivial_domain():
     with pytest.raises(DomainError):
         gen_trivial(4)
-    with pytest.raises(DomainError):
-        gen_trivial("8")
+    for bad in ("8", 8.0, True):
+        with pytest.raises(DomainError):
+            gen_trivial(bad)
 
 
 def test_polygon_vertices_on_unit_circle():

@@ -303,8 +303,9 @@ def test_audit_dispatcher_errors():
         audit_lemma("L5", max_den=10)
     with pytest.raises(DomainError):
         audit_lemma("L6", ns=[])
-    with pytest.raises(DomainError):
-        audit_lemma("L6", ns=[4])
+    for ns in ([4], [5.5, 6], [6, "7"], [True, 6]):
+        with pytest.raises(DomainError):
+            audit_lemma("6", ns=ns)
     with pytest.raises(DomainError):
         audit_lemma("L7", max_den=10)
 
