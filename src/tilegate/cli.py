@@ -37,6 +37,15 @@ def _emit_json(obj: object) -> None:
     print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
 
 
+def _parse_count(text: str) -> int:
+    # argparse type of --n and --max-den; as in _parse_range, a rejected
+    # value is echoed through reprlib and an accepted one has six digits
+    if not re.fullmatch(r"[0-9]{1,6}", text):
+        raise argparse.ArgumentTypeError(
+            f"expected 1 to 6 ASCII digits, got {reprlib.repr(text)}")
+    return int(text)
+
+
 def _parse_range(text: str) -> range:
     # six digits a bound keep every range's list small enough to build
     m = re.fullmatch(r"([0-9]{1,6})\.\.([0-9]{1,6})", text)
@@ -144,26 +153,26 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("candidates", help="candidate smaller angles per n")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_parse_count)
     p.add_argument("--range", help="batch over n, e.g. 5..200")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_candidates)
 
     p = sub.add_parser("audit", help="impossibility argument for one (n, a)")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--alpha", required=True, help="a = 2*alpha/pi as 'u/v'")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser("lemmas", help="finite-range lemma audit")
     p.add_argument("--which", required=True, choices=["3", "4", "5", "6"])
-    p.add_argument("--max-den", type=int, dest="max_den")
+    p.add_argument("--max-den", type=_parse_count, dest="max_den")
     p.add_argument("--n-range", dest="n_range", help="e.g. 5..200")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_lemmas)
 
     p = sub.add_parser("gen-trivial", help="write the trivial tiling of an n-gon")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_parse_count, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_gen_trivial)

@@ -111,7 +111,9 @@ class _Field:
     (M/2 - phi) / (phi - 1) + 1 steps.  The table has phi * (phi - 1)
     entries, where one row per power below M would take M * phi.  A step
     runs in int64 when a bound on every partial sum proves it cannot
-    overflow, and on Python ints otherwise.
+    overflow, and on Python ints otherwise.  The table is built in int64
+    as well, a column at a time, and on Python ints from the first column
+    whose bound would reach 2**62.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -129,14 +131,23 @@ class _Field:
             )
         self.modulus = modulus
         self.degree = degree
-        low = np.array(cyclotomic_polynomial(modulus)[:-1], dtype=object)
-        red = np.empty((degree, degree - 1), dtype=object)
-        col = -low  # x^phi = x^phi - Phi_M
+        # int64 holds Phi_M: phi <= PHI_LIMIT leaves M at most four odd
+        # primes, so its coefficients are below M**2 (Bateman, 1949)
+        low = np.array(cyclotomic_polynomial(modulus)[:-1], np.int64)
+        low_max = int(abs(low).max())
+        red = np.empty((degree, degree - 1), np.int64)
+        col, col_max = -low, low_max  # x^phi = x^phi - Phi_M
+        self.red_max = 0
         for i in range(degree - 1):
             red[:, i] = col
-            col = np.concatenate(([0], col[:-1])) - col[-1] * low
-        self.red_max = int(abs(red).max())
-        self.red = red.astype(np.int64) if self.red_max < _INT64_SAFE else red
+            self.red_max = max(self.red_max, col_max)
+            top = int(col[-1])
+            if red.dtype != object and col_max + abs(top) * low_max >= _INT64_SAFE:
+                # the next column may overflow int64: go on with Python ints
+                red, low = red.astype(object), low.astype(object)
+            col = np.concatenate(([0], col[:-1])) - top * low
+            col_max = int(abs(col).max())
+        self.red = red
 
     def _dtype(self, bound: int, length: int) -> type:
         # int64 when no partial sum can overflow: the coefficients of a
@@ -145,7 +156,9 @@ class _Field:
         n = self.degree
         steps = -(-(length - n) // (n - 1))
         growth = (1 + self.red_max * (n - 1)) ** steps
-        return np.int64 if bound * growth < _INT64_SAFE else object
+        if self.red.dtype == object or bound * growth >= _INT64_SAFE:
+            return object
+        return np.int64
 
     def _divide(self, v: np.ndarray) -> tuple[int, ...]:
         n = self.degree
@@ -337,15 +350,24 @@ class CycloReal:
         num = _field(self.modulus).embed(self.num, field)
         return CycloReal._make(modulus, *_normalize(num, self.den))
 
+    def _plus(self, other: "CycloReal", sign: int) -> "CycloReal":
+        # self + sign * other in one pass over the coefficients
+        field, a, da, b, db = self._aligned(other)
+        den = math.lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        num = tuple(x * fa + y * fb for x, y in zip(a, b))
+        return CycloReal._make(field.modulus, *_normalize(num, den))
+
+    def _scaled(self, p: int, q: int) -> "CycloReal":
+        # self * p/q for integers p and q > 0
+        num = tuple(v * p for v in self.num)
+        return CycloReal._make(self.modulus, *_normalize(num, self.den * q))
+
     def __add__(self, other: object) -> "CycloReal":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        field, a, da, b, db = self._aligned(rhs)
-        den = math.lcm(da, db)
-        fa, fb = den // da, den // db
-        num = tuple(x * fa + y * fb for x, y in zip(a, b))
-        return CycloReal._make(field.modulus, *_normalize(num, den))
+        return self._plus(rhs, 1)
 
     __radd__ = __add__
 
@@ -356,23 +378,25 @@ class CycloReal:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return self.__add__(-rhs)
+        return self._plus(rhs, -1)
 
     def __rsub__(self, other: object) -> "CycloReal":
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        return rhs.__add__(-self)
+        return rhs._plus(self, -1)
 
     def __mul__(self, other: object) -> "CycloReal":
         if isinstance(other, (int, Fraction)):
-            other = Fraction(other)
-            num = tuple(v * other.numerator for v in self.num)
-            return CycloReal._make(
-                self.modulus, *_normalize(num, self.den * other.denominator)
-            )
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, CycloReal):
             return NotImplemented
+        if self.modulus == other.modulus:
+            # a rational factor of the same field scales the other
+            if other.is_rational():
+                return self._scaled(other.num[0], other.den)
+            if self.is_rational():
+                return other._scaled(self.num[0], self.den)
         field, a, da, b, db = self._aligned(other)
         num = field.mul(a, b)
         return CycloReal._make(field.modulus, *_normalize(num, da * db))

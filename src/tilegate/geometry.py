@@ -1,55 +1,34 @@
 """Exact planar predicates over cyclotomic coordinates.
 
-Every predicate first tries an outward-rounded floating-point interval
-evaluation; only when the interval straddles zero does it fall back to
-exact CycloReal arithmetic.  The filter is sound: interval endpoints
-are widened by one ulp after every operation, so the interval always
-contains the true value.
+Each point carries a float box, an outward-rounded enclosure of its two
+coordinates.  ``orientation`` and ``sign_dot`` first ask one interval
+routine, :func:`_box_sign`, for the sign of a cross product of two
+difference vectors; only when the enclosure of that value contains zero
+do they compute it exactly in CycloReal arithmetic.  The dot product
+needs no routine of its own: u . v is the cross product of u with v
+turned by +90 degrees, (-v_y, v_x), and turning only negates, which is
+exact.  Every difference and product is rounded outward by one ulp, and
+the two products of the cross product are compared rather than
+subtracted.  A bound may overflow to inf, and then 0 * inf gives NaN.
+Comparisons with NaN are false, so a NaN that reaches a test sends the
+case to exact arithmetic; one that min or max passes over stands for 0
+times a finite value, which the other products already bound.
 """
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from math import inf, nextafter
 
 from .errors import DomainError
 from .exact import CycloReal
 
 Interval = tuple[float, float]
 
-_INF = math.inf
-
-
-def _widen(lo: float, hi: float) -> Interval:
-    return math.nextafter(lo, -_INF), math.nextafter(hi, _INF)
-
-
-def _iadd(a: Interval, b: Interval) -> Interval:
-    return _widen(a[0] + b[0], a[1] + b[1])
-
-
-def _isub(a: Interval, b: Interval) -> Interval:
-    return _widen(a[0] - b[1], a[1] - b[0])
-
-
-def _imul(a: Interval, b: Interval) -> Interval:
-    p = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return _widen(min(p), max(p))
-
-
-def _isign(a: Interval) -> int | None:
-    if a[0] > 0:
-        return 1
-    if a[1] < 0:
-        return -1
-    if a[0] == a[1] == 0.0:
-        return 0
-    return None
-
 
 class Point:
     """An exact point; both coordinates share one cyclotomic modulus."""
 
-    __slots__ = ("x", "y", "_box")
+    __slots__ = ("x", "y", "_key", "_box")
 
     def __init__(self, x: CycloReal, y: CycloReal) -> None:
         if x.modulus != y.modulus:
@@ -58,6 +37,7 @@ class Point:
             )
         self.x = x
         self.y = y
+        self._key = (x.num, x.den, y.num, y.den)
         self._box: tuple[Interval, Interval] | None = None
 
     @property
@@ -66,7 +46,7 @@ class Point:
 
     def key(self) -> tuple:
         """Hashable exact identity (within a fixed modulus)."""
-        return (self.x.num, self.x.den, self.y.num, self.y.den)
+        return self._key
 
     def box(self) -> tuple[Interval, Interval]:
         if self._box is None:
@@ -87,41 +67,48 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
-def _cross_sign(a: Point, b: Point, c: Point) -> int:
-    # sign of (b - a) x (c - a), exact
-    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    return cross.sign()
+def _box_sign(a: Point, b: Point, c: Point, turn: bool) -> int | None:
+    """Sign of u x v, u = b - a and v = c - a, or of u . v when turn is
+    set, if the float boxes of a, b and c decide it; None otherwise."""
+    (axl, axh), (ayl, ayh) = a._box or a.box()
+    (bxl, bxh), (byl, byh) = b._box or b.box()
+    (cxl, cxh), (cyl, cyh) = c._box or c.box()
+    uxl, uxh = nextafter(bxl - axh, -inf), nextafter(bxh - axl, inf)
+    uyl, uyh = nextafter(byl - ayh, -inf), nextafter(byh - ayl, inf)
+    vxl, vxh = nextafter(cxl - axh, -inf), nextafter(cxh - axl, inf)
+    vyl, vyh = nextafter(cyl - ayh, -inf), nextafter(cyh - ayl, inf)
+    if turn:
+        vxl, vxh, vyl, vyh = -vyh, -vyl, vxl, vxh
+    # u x v = ux*vy - uy*vx
+    p = (uxl * vyl, uxl * vyh, uxh * vyl, uxh * vyh)
+    q = (uyl * vxl, uyl * vxh, uyh * vxl, uyh * vxh)
+    if nextafter(min(p), -inf) > nextafter(max(q), inf):
+        return 1
+    if nextafter(max(p), inf) < nextafter(min(q), -inf):
+        return -1
+    return None
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
     """+1 if a,b,c turn counterclockwise, -1 clockwise, 0 collinear."""
-    ka, kb, kc = a.key(), b.key(), c.key()
+    ka, kb, kc = a._key, b._key, c._key
     if ka == kb or kb == kc or ka == kc:
         return 0
-    (ax, ay), (bx, by), (cx, cy) = a.box(), b.box(), c.box()
-    cross = _isub(
-        _imul(_isub(bx, ax), _isub(cy, ay)),
-        _imul(_isub(by, ay), _isub(cx, ax)),
-    )
-    s = _isign(cross)
+    s = _box_sign(a, b, c, False)
     if s is not None:
         return s
-    return _cross_sign(a, b, c)
+    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+    return cross.sign()
 
 
 def sign_dot(a: Point, b: Point, c: Point) -> int:
     """Sign of (b - a) . (c - a)."""
-    ka, kb, kc = a.key(), b.key(), c.key()
+    ka, kb, kc = a._key, b._key, c._key
     if ka == kb or ka == kc:
         return 0
     if kb == kc:
         return 1  # |b - a|^2 with b != a
-    (ax, ay), (bx, by), (cx, cy) = a.box(), b.box(), c.box()
-    dot = _iadd(
-        _imul(_isub(bx, ax), _isub(cx, ax)),
-        _imul(_isub(by, ay), _isub(cy, ay)),
-    )
-    s = _isign(dot)
+    s = _box_sign(a, b, c, True)
     if s is not None:
         return s
     exact = (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y)
@@ -130,8 +117,8 @@ def sign_dot(a: Point, b: Point, c: Point) -> int:
 
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies on segment ab strictly between the endpoints."""
-    kp = p.key()
-    if kp == a.key() or kp == b.key():
+    kp = p._key
+    if kp == a._key or kp == b._key:
         return False
     return orientation(a, b, p) == 0 and sign_dot(p, a, b) < 0
 

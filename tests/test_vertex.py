@@ -7,15 +7,17 @@ re-runs each sweep with plain Fraction arithmetic.
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tilegate.errors import DomainError
+from tilegate.errors import DomainError, ResourceLimitError
 from tilegate.vertex import (
     LEMMA4_EXCEPTIONS,
+    MAX_DEN_LIMIT,
     AngleFamily,
     AuditReport,
     CornerOutcome,
@@ -308,6 +310,15 @@ def test_audit_dispatcher_errors():
             audit_lemma("6", ns=ns)
     with pytest.raises(DomainError):
         audit_lemma("L7", max_den=10)
+
+
+def test_audit_max_den_limit():
+    for lemma, ns in (("L3", None), ("L4", None), ("L5", [5])):
+        for max_den in (MAX_DEN_LIMIT + 1, 10 ** 4000):
+            start = time.perf_counter()
+            with pytest.raises(ResourceLimitError):
+                audit_lemma(lemma, max_den=max_den, ns=ns)
+            assert time.perf_counter() - start < 1.0
 
 
 def test_audit_report_serialization():
