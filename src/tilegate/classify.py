@@ -17,10 +17,10 @@ from .errors import DomainError
 from .vertex import (
     LEMMA4_EXCEPTIONS,
     CornerOutcome,
+    _corner_outcome,
     allowed_angles,
     check_polygon_n,
     corner_families,
-    corner_has_only_p_gt_q,
     enumerate_solutions,
 )
 
@@ -175,8 +175,8 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         ))
         return verdict(Outcome.IMPOSSIBLE)
 
-    outcome = corner_has_only_p_gt_q(n, a)
     sols = enumerate_solutions(corner_target, a)
+    outcome = _corner_outcome(sols)
 
     if outcome is CornerOutcome.NO_SOLUTIONS:
         steps.append(TraceStep(

@@ -13,11 +13,10 @@ from __future__ import annotations
 import argparse
 import json
 import re
-import reprlib
 import sys
 
 from .classify import alpha_str, candidates, impossibility_audit
-from .errors import TilegateError
+from .errors import TilegateError, echo
 from .exact import parse_fraction
 from .tiling import gen_trivial, load_tiling, save_tiling, verify
 from .vertex import audit_lemma
@@ -39,10 +38,10 @@ def _emit_json(obj: object) -> None:
 
 def _parse_count(text: str) -> int:
     # argparse type of --n and --max-den; as in _parse_range, a rejected
-    # value is echoed through reprlib and an accepted one has six digits
+    # value is echoed shortened and an accepted one has six digits
     if not re.fullmatch(r"[0-9]{1,6}", text):
         raise argparse.ArgumentTypeError(
-            f"expected 1 to 6 ASCII digits, got {reprlib.repr(text)}")
+            f"expected 1 to 6 ASCII digits, got {echo(text)}")
     return int(text)
 
 
@@ -51,7 +50,7 @@ def _parse_range(text: str) -> range:
     m = re.fullmatch(r"([0-9]{1,6})\.\.([0-9]{1,6})", text)
     if not m:
         raise _UsageError(f"range must look like 'A..B' with A and B of at "
-                          f"most 6 digits, got {reprlib.repr(text)}")
+                          f"most 6 digits, got {echo(text)}")
     lo, hi = int(m.group(1)), int(m.group(2))
     if lo > hi:
         raise _UsageError(f"empty range {text!r}")

@@ -1,5 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and how messages quote input."""
 from __future__ import annotations
+
+import reprlib
+
+
+def echo(value: object) -> str:
+    """reprlib.repr(value), or the type's name where that raises (as for
+    an int of more than 4300 digits): never raises."""
+    try:
+        return reprlib.repr(value)
+    except Exception:
+        return f"<{type(value).__name__}>"
 
 
 class TilegateError(Exception):

@@ -9,6 +9,10 @@ denominator, reduced modulo the M-th cyclotomic polynomial; that
 canonical form is unique, so equality and zero tests are exact symbol
 comparisons and never rely on numerics.
 
+Every CycloReal is real: reality is checked once, in the constructor,
+and every other instance comes from an operation that keeps values real
+(ring operations, rational scaling, embedding, cos_pi and sin_pi).
+
 Numeric enclosures (used only to decide signs of provably nonzero
 values and to seed floating-point filters) are rigorous interval
 evaluations with exact rational endpoints.
@@ -17,7 +21,6 @@ from __future__ import annotations
 
 import math
 import re
-import reprlib
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -26,7 +29,7 @@ import mpmath
 import numpy as np
 from mpmath.libmp import to_rational
 
-from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError
+from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -121,7 +124,7 @@ class _Field:
         # trial division, whose cost grows with sqrt(M)
         if modulus > 2 * PHI_LIMIT ** 2:
             raise ResourceLimitError(
-                f"modulus {reprlib.repr(modulus)} exceeds {2 * PHI_LIMIT ** 2}, "
+                f"modulus {echo(modulus)} exceeds {2 * PHI_LIMIT ** 2}, "
                 f"so phi exceeds the limit {PHI_LIMIT}"
             )
         degree = euler_phi(modulus)
@@ -201,7 +204,7 @@ class _Field:
 def _field(modulus: int) -> _Field:
     if modulus < 4 or modulus % 4:
         raise ModulusError(
-            f"modulus {reprlib.repr(modulus)} is not a positive multiple of 4")
+            f"modulus {echo(modulus)} is not a positive multiple of 4")
     return _Field(modulus)
 
 
@@ -252,7 +255,7 @@ def parse_fraction(text: object, what: str) -> Fraction:
     if not m:
         raise FormatError(
             f"{what} must be 'u' or 'u/v' with at most 300 ASCII digits "
-            f"a part and v nonzero, got {reprlib.repr(text)}")
+            f"a part and v nonzero, got {echo(text)}")
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
@@ -266,10 +269,9 @@ class CycloReal:
     elements of the same modulus are equal iff their fields are equal.
     """
 
-    __slots__ = ("modulus", "num", "den", "_box", "_sign", "_real")
+    __slots__ = ("modulus", "num", "den", "_box", "_sign")
 
-    def __init__(self, modulus: int, coeffs: Sequence[Fraction | int],
-                 *, check_real: bool = True) -> None:
+    def __init__(self, modulus: int, coeffs: Sequence[Fraction | int]) -> None:
         field = _field(modulus)
         if len(coeffs) != field.degree:
             raise DomainError(
@@ -277,13 +279,13 @@ class CycloReal:
                 f"got {len(coeffs)}"
             )
         den = math.lcm(*(c.denominator for c in coeffs))
-        num = [c.numerator * (den // c.denominator) for c in coeffs]
-        self._init_raw(modulus, *_normalize(num, den))
-        if check_real and not self.is_real():
+        num, den = _normalize([c.numerator * (den // c.denominator) for c in coeffs], den)
+        if field.conj(num) != num:
             raise NonRealError(
                 f"coefficient vector is not fixed by conjugation in "
                 f"Q(zeta_{modulus})"
             )
+        self._init_raw(modulus, num, den)
 
     def _init_raw(self, modulus: int, num: tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "modulus", modulus)
@@ -291,16 +293,15 @@ class CycloReal:
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_box", None)
         object.__setattr__(self, "_sign", None)
-        object.__setattr__(self, "_real", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycloReal is immutable")
 
     @classmethod
     def _make(cls, modulus: int, num: tuple[int, ...], den: int) -> "CycloReal":
+        # for results of operations that keep values real, so unchecked
         obj = object.__new__(cls)
         obj._init_raw(modulus, num, den)
-        object.__setattr__(obj, "_real", True)
         return obj
 
     @classmethod
@@ -336,19 +337,6 @@ class CycloReal:
         a = _field(self.modulus).embed(self.num, field)
         b = _field(other.modulus).embed(other.num, field)
         return field, a, self.den, b, other.den
-
-    def rescaled(self, modulus: int) -> "CycloReal":
-        """The same value viewed in Q(zeta_modulus); modulus must be a
-        multiple of the current one (and of 4)."""
-        if modulus == self.modulus:
-            return self
-        if modulus % self.modulus:
-            raise ModulusError(
-                f"cannot rescale modulus {self.modulus} to non-multiple {modulus}"
-            )
-        field = _field(modulus)
-        num = _field(self.modulus).embed(self.num, field)
-        return CycloReal._make(modulus, *_normalize(num, self.den))
 
     def _plus(self, other: "CycloReal", sign: int) -> "CycloReal":
         # self + sign * other in one pass over the coefficients
@@ -425,19 +413,6 @@ class CycloReal:
             raise DomainError("value is irrational")
         return Fraction(self.num[0], self.den)
 
-    def conjugate(self) -> "CycloReal":
-        field = _field(self.modulus)
-        num = field.conj(self.num)
-        out = object.__new__(CycloReal)
-        out._init_raw(self.modulus, *_normalize(num, self.den))
-        return out
-
-    def is_real(self) -> bool:
-        if self._real is None:
-            field = _field(self.modulus)
-            object.__setattr__(self, "_real", field.conj(self.num) == self.num)
-        return self._real
-
     def __eq__(self, other: object) -> bool:
         rhs = self._coerce(other)
         if rhs is None:
@@ -456,12 +431,9 @@ class CycloReal:
     # -- numerics --------------------------------------------------------
 
     def enclosure(self, prec: int = 64) -> tuple[Fraction, Fraction]:
-        """A rigorous rational interval containing the value.
-
-        Requires the value to be real.  Width shrinks as ``prec`` grows.
-        """
-        if not self.is_real():
-            raise NonRealError("enclosure of a non-real value")
+        """A rigorous rational interval containing the value, which is
+        real (checked once, at construction).  Width shrinks as ``prec``
+        grows."""
         table = _cos_table(self.modulus, prec)
         lo = hi = Fraction(0)
         for c, (tl, th) in zip(self.num, table):
@@ -479,12 +451,8 @@ class CycloReal:
         terminates because the true value is nonzero."""
         if self._sign is not None:
             return self._sign
-        if not self.is_real():
-            raise NonRealError("sign of a non-real value")
-        if self.is_zero():
-            s = 0
-        else:
-            s = 0
+        s = 0
+        if not self.is_zero():
             prec = 64
             while prec <= _PREC_CEILING:
                 lo, hi = self.enclosure(prec)
@@ -496,9 +464,7 @@ class CycloReal:
                     break
                 prec *= 2
             else:
-                raise ResourceLimitError(
-                    f"sign not separated at {_PREC_CEILING} bits"
-                )
+                raise ResourceLimitError(f"sign not separated at {_PREC_CEILING} bits")
         object.__setattr__(self, "_sign", s)
         return s
 

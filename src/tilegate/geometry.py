@@ -123,17 +123,6 @@ def on_open_segment(p: Point, a: Point, b: Point) -> bool:
     return orientation(a, b, p) == 0 and sign_dot(p, a, b) < 0
 
 
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff open segments ab and cd cross at a single interior point."""
-    o1 = orientation(a, b, c)
-    o2 = orientation(a, b, d)
-    if o1 * o2 >= 0:
-        return False
-    o3 = orientation(c, d, a)
-    o4 = orientation(c, d, b)
-    return o3 * o4 < 0
-
-
 class Triangle:
     """Three exact vertices; the verifier requires counterclockwise order."""
 
@@ -171,18 +160,6 @@ class Triangle:
 
     def __repr__(self) -> str:
         return f"Triangle({', '.join(map(repr, self.vertices))})"
-
-
-def point_in_triangle(p: Point, t: Triangle, *, strict: bool) -> bool:
-    """Membership in a counterclockwise triangle; strict means the open
-    interior, otherwise the closed triangle."""
-    a, b, c = t.vertices
-    low = 1 if strict else 0
-    return (
-        orientation(a, b, p) >= low
-        and orientation(b, c, p) >= low
-        and orientation(c, a, p) >= low
-    )
 
 
 def _boxes_disjoint(t: Triangle, u: Triangle) -> bool:

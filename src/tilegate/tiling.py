@@ -16,12 +16,11 @@ from __future__ import annotations
 
 import json
 import math
-import reprlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, FormatError, ModulusError, StructuralError
+from .errors import DomainError, FormatError, ModulusError, StructuralError, echo
 from .exact import CycloReal, cos_pi, parse_fraction, sin_pi
 from .geometry import (
     Point,
@@ -68,6 +67,7 @@ def polygon_vertices(n: int, modulus: int) -> tuple[Point, ...]:
     )
 
 
+@dataclass(frozen=True)
 class Tiling:
     """n, alpha (units of pi/2), modulus, and the triangle list.
 
@@ -78,25 +78,30 @@ class Tiling:
     offending triangle.
     """
 
-    __slots__ = ("n", "alpha", "modulus", "triangles")
+    n: int
+    alpha: Fraction
+    modulus: int
+    triangles: tuple[Triangle, ...]
 
-    def __init__(self, n: int, alpha: Fraction, modulus: int,
-                 triangles: "list[Triangle] | tuple[Triangle, ...]") -> None:
+    __hash__ = None  # type: ignore[assignment]
+
+    def __post_init__(self) -> None:
+        n, modulus = self.n, self.modulus
         if not isinstance(n, int) or isinstance(n, bool) or n < 5:
             raise StructuralError(
-                f"polygon parameter must be an integer >= 5, got {reprlib.repr(n)}")
-        alpha = Fraction(alpha)
+                f"polygon parameter must be an integer >= 5, got {echo(n)}")
+        alpha = Fraction(self.alpha)
         if not 0 < alpha <= Fraction(1, 2):
             raise StructuralError(
                 f"smaller acute angle must lie in (0, 1/2] right angles, got {alpha}")
         if not isinstance(modulus, int) or isinstance(modulus, bool):
             raise StructuralError(
-                f"modulus must be an integer, got {reprlib.repr(modulus)}")
+                f"modulus must be an integer, got {echo(modulus)}")
         for req in (4, 2 * n, 2 * alpha.denominator):
             if modulus % req:
-                raise StructuralError(f"modulus {reprlib.repr(modulus)} "
-                                      f"is not divisible by {reprlib.repr(req)}")
-        triangles = tuple(triangles)
+                raise StructuralError(f"modulus {echo(modulus)} "
+                                      f"is not divisible by {echo(req)}")
+        triangles = tuple(self.triangles)
         for i, tri in enumerate(triangles):
             if not isinstance(tri, Triangle):
                 raise StructuralError(f"triangle {i} is not a Triangle")
@@ -109,19 +114,8 @@ class Tiling:
                 raise StructuralError(f"triangle {i} is degenerate")
             if s < 0:
                 raise StructuralError(f"triangle {i} is not counterclockwise")
-        self.n = n
-        self.alpha = alpha
-        self.modulus = modulus
-        self.triangles = triangles
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Tiling):
-            return NotImplemented
-        return (self.n == other.n and self.alpha == other.alpha
-                and self.modulus == other.modulus
-                and self.triangles == other.triangles)
-
-    __hash__ = None  # type: ignore[assignment]
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "triangles", triangles)
 
     def __repr__(self) -> str:
         return (f"Tiling(n={self.n}, alpha={self.alpha}, "
@@ -151,15 +145,15 @@ class Tiling:
         if missing:
             raise FormatError(f"missing keys: {sorted(missing)}")
         if unknown:
-            raise FormatError(f"unknown keys: {reprlib.repr(sorted(unknown))}")
+            raise FormatError(f"unknown keys: {echo(sorted(unknown))}")
         if obj["format"] != FORMAT_TAG:
             raise FormatError(
-                f"unsupported format tag {reprlib.repr(obj['format'])}")
+                f"unsupported format tag {echo(obj['format'])}")
         n, modulus = obj["n"], obj["modulus"]
         for label, value in (("n", n), ("modulus", modulus)):
             if not isinstance(value, int) or isinstance(value, bool):
                 raise FormatError(
-                    f"{label} must be an integer, got {reprlib.repr(value)}")
+                    f"{label} must be an integer, got {echo(value)}")
         alpha = parse_fraction(obj["alpha"], "alpha")
         raw = obj["triangles"]
         if not isinstance(raw, list):
@@ -180,7 +174,7 @@ class Tiling:
                 if x.modulus != modulus or y.modulus != modulus:
                     raise FormatError(
                         f"triangle {i} vertex {j}: coordinate modulus differs "
-                        f"from file modulus {reprlib.repr(modulus)}")
+                        f"from file modulus {echo(modulus)}")
                 points.append(Point(x, y))
             triangles.append(Triangle(*points))
         return cls(n, alpha, modulus, triangles)

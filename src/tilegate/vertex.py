@@ -20,16 +20,17 @@ counting facts the classification rests on:
 from __future__ import annotations
 
 import math
-import reprlib
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, echo
 
-# Largest max_den the L3, L4 and L5 audits accept.
+# Largest max_den the L3, L4 and L5 audits accept, and largest
+# len(ns) * max_den**2 the L5 audit accepts.
 MAX_DEN_LIMIT = 2000
+L5_SIZE_LIMIT = 2 * 10 ** 7
 
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
 # each audit exhibits a violating solution to prove membership).
@@ -42,9 +43,9 @@ def check_polygon_n(n: int) -> None:
     """Reject a polygon parameter that is not an int (bool included) or
     is below 5, which no statement here covers."""
     if not isinstance(n, int) or isinstance(n, bool):
-        raise DomainError(f"n must be an integer, got {reprlib.repr(n)}")
+        raise DomainError(f"n must be an integer, got {echo(n)}")
     if n < 5:
-        raise DomainError(f"n must be at least 5, got {reprlib.repr(n)}")
+        raise DomainError(f"n must be at least 5, got {echo(n)}")
 
 
 class VertexSolution(NamedTuple):
@@ -185,7 +186,11 @@ def corner_has_only_p_gt_q(n: int, a: Fraction) -> CornerOutcome:
     check_polygon_n(n)
     if not 0 < a < Fraction(1, 2):
         raise DomainError(f"a must lie in (0, 1/2), got {a}")
-    sols = enumerate_solutions(Fraction(2) - Fraction(4, n), a)
+    return _corner_outcome(enumerate_solutions(Fraction(2) - Fraction(4, n), a))
+
+
+def _corner_outcome(sols: tuple[VertexSolution, ...]) -> CornerOutcome:
+    # classify the already enumerated solutions of the corner equation
     if not sols:
         return CornerOutcome.NO_SOLUTIONS
     if all(s.p > s.q for s in sols):
@@ -240,8 +245,9 @@ class AuditReport:
 
 def _check_max_den(max_den: int) -> None:
     # _reduced_angles builds about 0.3 * max_den**2 pairs, so the audits
-    # grow about fourfold per doubling; at the limit L4 takes about 6 s on
-    # a 2-vCPU Xeon VM
+    # grow about fourfold per doubling, and L5 tests them once per n.  On
+    # a 2-vCPU Xeon VM, L4 takes about 6 s at MAX_DEN_LIMIT, and L5 0.4 s
+    # at 196 * 100**2 and 3.3 s at L5_SIZE_LIMIT (5 * 2000**2).
     if max_den < 3:
         raise DomainError(f"max_den {max_den} admits no angles in (0, 1/2)")
     if max_den > MAX_DEN_LIMIT:
@@ -328,8 +334,7 @@ def _audit_l4(max_den: int) -> AuditReport:
     )
 
 
-def _audit_l5(ns: Iterable[int], max_den: int) -> AuditReport:
-    ns = _n_range(ns)
+def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
     pairs = _reduced_angles(max_den)
     bad: list[AuditCase] = []
     for n in ns:
@@ -410,6 +415,11 @@ def audit_lemma(
         if ns is None or max_den is None:
             raise DomainError("L5 audit needs both ns and max_den")
         _check_max_den(max_den)
+        ns = _n_range(ns)
+        size = len(ns) * max_den ** 2
+        if size > L5_SIZE_LIMIT:
+            raise ResourceLimitError(f"L5 audit size len(ns) * max_den**2 = {size} "
+                                     f"exceeds the limit {L5_SIZE_LIMIT}")
         return _audit_l5(ns, max_den)
     if key in ("6", "L6"):
         if ns is None:

@@ -82,6 +82,17 @@ def test_lemmas_max_den_is_capped(capsys):
         assert len(err.splitlines()) == 1 and len(err) < 300
 
 
+def test_lemmas_l5_size_is_capped(capsys):
+    # the L5 audit costs about |n range| * max_den**2; each cap alone
+    # admits this pair, which would run for weeks
+    args = ["lemmas", "--which", "5", "--max-den", "2000", "--n-range", "5..999999"]
+    err = _exit_two_in_one_line(args, capsys)
+    assert len(err) < 300
+    # 196 n values at max_den 320 is just over the limit
+    args = ["lemmas", "--which", "5", "--max-den", "320", "--n-range", "5..200"]
+    assert "exceeds the limit" in _exit_two_in_one_line(args, capsys)
+
+
 def test_audit_impossible_exits_zero(run_cli):
     result = run_cli(["audit", "--n", "8", "--alpha", "1/5"])
     assert result.returncode == 0
@@ -147,6 +158,8 @@ def test_hostile_files_exit_two_quickly(tmp_path, capsys):
                 coord["modulus"] = huge
     overflow = copy.deepcopy(doc)
     overflow["triangles"][0]["v"][1][0]["coeffs"][0] = "1e100000"
+    non_real = copy.deepcopy(doc)  # the coordinate zeta_20
+    non_real["triangles"][0]["v"][1][0]["coeffs"] = ["0", "1"] + ["0"] * 6
     payloads = [
         b"[" * 100_000,
         b'{"format": "\xff"}',
@@ -155,6 +168,7 @@ def test_hostile_files_exit_two_quickly(tmp_path, capsys):
         json.dumps({**doc, "modulus": huge, "triangles": []}).encode(),
         json.dumps(overflow).encode(),
         json.dumps({**doc, "alpha": "1/" + "9" * 5000}).encode(),
+        json.dumps(non_real).encode(),
     ]
     path = tmp_path / "hostile.json"
     for payload in payloads:

@@ -23,8 +23,6 @@ from tilegate.geometry import (
     midpoint,
     on_open_segment,
     orientation,
-    point_in_triangle,
-    segments_properly_cross,
     sign_dot,
     triangles_interior_disjoint,
 )
@@ -206,17 +204,6 @@ def test_on_open_segment_irrational_midpoint():
     assert not on_open_segment(v0, m, v1)
 
 
-def test_segments_properly_cross():
-    assert segments_properly_cross(rp(0, 0), rp(2, 2), rp(0, 2), rp(2, 0))
-    # shared endpoint is not a proper crossing
-    assert not segments_properly_cross(rp(0, 0), rp(2, 2), rp(0, 0), rp(2, 0))
-    # T-joint touch is not proper
-    assert not segments_properly_cross(rp(0, 0), rp(2, 0), rp(1, 0), rp(1, 2))
-    # collinear overlap is not proper
-    assert not segments_properly_cross(rp(0, 0), rp(2, 0), rp(1, 0), rp(3, 0))
-    assert not segments_properly_cross(rp(0, 0), rp(1, 0), rp(0, 1), rp(1, 1))
-
-
 # -- triangles -------------------------------------------------------------------
 
 
@@ -244,16 +231,6 @@ def test_twice_area_matches_shoelace_oracle(ax, ay, bx, by, cx, cy):
         assert got.is_zero()
     else:
         assert got.as_fraction() == ref
-
-
-def test_point_in_triangle():
-    t = ccw_triangle(0, 0, 4, 0, 0, 4)
-    assert point_in_triangle(rp(1, 1), t, strict=True)
-    assert not point_in_triangle(rp(2, 0), t, strict=True)
-    assert point_in_triangle(rp(2, 0), t, strict=False)
-    assert point_in_triangle(rp(0, 0), t, strict=False)
-    assert not point_in_triangle(rp(5, 5), t, strict=False)
-    assert not point_in_triangle(rp(-1, 1), t, strict=True)
 
 
 # -- interior disjointness ---------------------------------------------------------

@@ -19,9 +19,10 @@ from tilegate.errors import (
     DomainError,
     FormatError,
     ModulusError,
+    ResourceLimitError,
     StructuralError,
 )
-from tilegate.exact import CycloReal
+from tilegate.exact import CycloReal, field_degree
 from tilegate.geometry import Point, Triangle
 from tilegate.tiling import (
     CHECK_ORDER,
@@ -37,7 +38,7 @@ from tilegate.tiling import (
     save_tiling,
     verify,
 )
-from tilegate.vertex import PointKind, VertexSolution, point_target
+from tilegate.vertex import PointKind, VertexSolution, check_polygon_n, point_target
 
 
 def rp(x, y, modulus) -> Point:
@@ -144,6 +145,19 @@ def test_tiling_structural_errors():
         Tiling(5, Fraction(2, 5), 20, [clockwise])
     with pytest.raises(StructuralError):
         Tiling(5, Fraction(2, 5), 20, ["nope"])
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: field_degree(4 * 10**5000), ResourceLimitError),
+    (lambda: check_polygon_n(-10**5000), DomainError),
+    (lambda: Tiling(-10**5000, Fraction(2, 5), 20, []), StructuralError),
+], ids=["field_degree", "check_polygon_n", "Tiling"])
+def test_errors_on_huge_ints_stay_short(call, error):
+    # repr of an int over 4300 digits raises ValueError; the messages
+    # name such a value by its type instead
+    with pytest.raises(error) as info:
+        call()
+    assert len(str(info.value)) < 300
 
 
 # -- angle predicate -------------------------------------------------------------

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from tilegate.errors import DomainError, ResourceLimitError
 from tilegate.vertex import (
+    L5_SIZE_LIMIT,
     LEMMA4_EXCEPTIONS,
     MAX_DEN_LIMIT,
     AngleFamily,
@@ -319,6 +320,17 @@ def test_audit_max_den_limit():
             with pytest.raises(ResourceLimitError):
                 audit_lemma(lemma, max_den=max_den, ns=ns)
             assert time.perf_counter() - start < 1.0
+
+
+def test_audit_l5_size_limit():
+    # six n values at the max_den cap are over len(ns) * max_den**2 <=
+    # L5_SIZE_LIMIT, and are refused before any angle is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match=str(L5_SIZE_LIMIT)):
+        audit_lemma("L5", max_den=MAX_DEN_LIMIT, ns=range(5, 11))
+    assert time.perf_counter() - start < 1.0
+    # repeated n values count once
+    assert audit_lemma("L5", max_den=100, ns=[8] * 5000).passed
 
 
 def test_audit_report_serialization():
