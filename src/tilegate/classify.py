@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, echo
+from .exact import FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
     CornerOutcome,
@@ -61,9 +62,6 @@ class CandidateSet:
     def angles(self) -> tuple[Fraction, ...]:
         return tuple(c.a for c in self.candidates)
 
-    def feasible_angles(self) -> tuple[Fraction, ...]:
-        return tuple(c.a for c in self.candidates if c.feasible)
-
     def to_obj(self) -> dict:
         return {
             "n": self.n,
@@ -96,6 +94,8 @@ def candidates(n: int) -> CandidateSet:
 
 
 # -- the impossibility auditor ---------------------------------------------
+
+_A_DENOMINATOR_BOUND = 10 ** FRACTION_DIGITS_LIMIT  # the trace prints a
 
 
 class Outcome(Enum):
@@ -145,7 +145,9 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     a = Fraction(a)
     check_polygon_n(n)
     if not 0 < a <= Fraction(1, 2):
-        raise DomainError(f"a must lie in (0, 1/2], got {a}")
+        raise DomainError(f"a must lie in (0, 1/2], got {echo(a)}")
+    if a.denominator >= _A_DENOMINATOR_BOUND:
+        raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
     corner_target = 2 - Fraction(4, n)
     allowed = allowed_angles(n)

@@ -2,11 +2,15 @@
 from __future__ import annotations
 
 import reprlib
+from fractions import Fraction
 
 
 def echo(value: object) -> str:
     """reprlib.repr(value), or the type's name where that raises (as for
     an int of more than 4300 digits): never raises."""
+    if isinstance(value, Fraction):  # as str() writes it, parts shortened
+        den = value.denominator
+        return echo(value.numerator) + (f"/{echo(den)}" if den != 1 else "")
     try:
         return reprlib.repr(value)
     except Exception:

@@ -39,6 +39,11 @@ PHI_LIMIT = 4096
 # per reduction, see _Field._dtype).
 _INT64_SAFE = 1 << 62
 
+# Most digits a part of a fraction read from text or printed in a trace.
+FRACTION_DIGITS_LIMIT = 300
+_DIGITS = f"[0-9]{{1,{FRACTION_DIGITS_LIMIT}}}"
+_FRACTION_TEXT = re.compile(rf"(-?{_DIGITS})(?:/(?!0*\Z)({_DIGITS}))?")
+
 # Hard ceiling for sign-refinement precision, in bits.  Signs are only
 # refined for symbolically nonzero values, so this is never reached in
 # correct use; it bounds the damage of a bug.
@@ -250,12 +255,11 @@ def parse_fraction(text: object, what: str) -> Fraction:
     what ``str(Fraction)`` writes: ``u`` or ``u/v``, 1 to 300 ASCII digits
     a part, u signed, v nonzero.  The cap keeps any loaded value below
     PHI_LIMIT * 10**300 < 1.7e308, so float_box stays finite."""
-    m = isinstance(text, str) and re.fullmatch(
-        r"(-?[0-9]{1,300})(?:/(?!0*\Z)([0-9]{1,300}))?", text)
+    m = isinstance(text, str) and _FRACTION_TEXT.fullmatch(text)
     if not m:
         raise FormatError(
-            f"{what} must be 'u' or 'u/v' with at most 300 ASCII digits "
-            f"a part and v nonzero, got {echo(text)}")
+            f"{what} must be 'u' or 'u/v' with at most {FRACTION_DIGITS_LIMIT} "
+            f"ASCII digits a part and v nonzero, got {echo(text)}")
     return Fraction(int(m[1]), int(m[2] or 1))
 
 
@@ -269,7 +273,7 @@ class CycloReal:
     elements of the same modulus are equal iff their fields are equal.
     """
 
-    __slots__ = ("modulus", "num", "den", "_box", "_sign")
+    __slots__ = ("modulus", "num", "den", "_box")
 
     def __init__(self, modulus: int, coeffs: Sequence[Fraction | int]) -> None:
         field = _field(modulus)
@@ -292,7 +296,6 @@ class CycloReal:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_box", None)
-        object.__setattr__(self, "_sign", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycloReal is immutable")
@@ -449,24 +452,17 @@ class CycloReal:
         """Sign in {-1, 0, 1}.  Zero is decided symbolically; nonzero
         values are separated from zero by interval refinement, which
         terminates because the true value is nonzero."""
-        if self._sign is not None:
-            return self._sign
-        s = 0
-        if not self.is_zero():
-            prec = 64
-            while prec <= _PREC_CEILING:
-                lo, hi = self.enclosure(prec)
-                if lo > 0:
-                    s = 1
-                    break
-                if hi < 0:
-                    s = -1
-                    break
-                prec *= 2
-            else:
-                raise ResourceLimitError(f"sign not separated at {_PREC_CEILING} bits")
-        object.__setattr__(self, "_sign", s)
-        return s
+        if self.is_zero():
+            return 0
+        prec = 64
+        while prec <= _PREC_CEILING:
+            lo, hi = self.enclosure(prec)
+            if lo > 0:
+                return 1
+            if hi < 0:
+                return -1
+            prec *= 2
+        raise ResourceLimitError(f"sign not separated at {_PREC_CEILING} bits")
 
     def float_box(self) -> tuple[float, float]:
         """A float interval guaranteed to contain the value."""

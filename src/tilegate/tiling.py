@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError, FormatError, ModulusError, StructuralError, echo
-from .exact import CycloReal, cos_pi, parse_fraction, sin_pi
+from .errors import DomainError, FormatError, StructuralError, echo
+from .exact import CycloReal, cos_pi, field_degree, parse_fraction, sin_pi
 from .geometry import (
     Point,
     Triangle,
@@ -43,17 +43,11 @@ FORMAT_TAG = "tilegate-tiling/1"
 _KIND_SLOT = {"alpha": 0, "beta": 1, "right": 2}
 
 
-def _angle_modulus(gamma: Fraction) -> int:
-    # smallest valid modulus whose field contains cos and sin of gamma*pi/2
-    half = Fraction(gamma) / 2
-    return math.lcm(4, 2 * half.denominator)
-
-
 def default_modulus(n: int, alpha: Fraction) -> int:
-    """Smallest modulus that holds the n-gon vertices and the rotation
-    entries for the angles alpha, 1-alpha and the right angle."""
-    alpha = Fraction(alpha)
-    return math.lcm(4, 2 * n, _angle_modulus(alpha), _angle_modulus(1 - alpha))
+    """The field rule, stated only here: Q(zeta_M) holds the n-gon's
+    vertices and the rotations by alpha, 1-alpha and the right angle
+    exactly when M is a multiple of lcm(2n, 4 * denominator(alpha))."""
+    return math.lcm(2 * n, 4 * Fraction(alpha).denominator)
 
 
 @lru_cache(maxsize=64)
@@ -71,11 +65,11 @@ def polygon_vertices(n: int, modulus: int) -> tuple[Point, ...]:
 class Tiling:
     """n, alpha (units of pi/2), modulus, and the triangle list.
 
-    Construction validates the structural invariants: n >= 5, alpha in
-    (0, 1/2], modulus divisible by 4, by 2n and by 2*denominator(alpha),
-    and every triangle counterclockwise with all coordinates in the
-    stated modulus.  Violations raise StructuralError naming the
-    offending triangle.
+    Construction checks n >= 5, alpha in (0, 1/2], a modulus that is a
+    multiple of default_modulus(n, alpha) within the field degree limit,
+    and every triangle counterclockwise with coordinates in that modulus,
+    raising StructuralError (ResourceLimitError past the degree limit)
+    naming any offending triangle.  So verify reports on every Tiling.
     """
 
     n: int
@@ -93,14 +87,15 @@ class Tiling:
         alpha = Fraction(self.alpha)
         if not 0 < alpha <= Fraction(1, 2):
             raise StructuralError(
-                f"smaller acute angle must lie in (0, 1/2] right angles, got {alpha}")
-        if not isinstance(modulus, int) or isinstance(modulus, bool):
+                f"smaller acute angle must lie in (0, 1/2] right angles, got {echo(alpha)}")
+        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 1:
             raise StructuralError(
-                f"modulus must be an integer, got {echo(modulus)}")
-        for req in (4, 2 * n, 2 * alpha.denominator):
-            if modulus % req:
-                raise StructuralError(f"modulus {echo(modulus)} "
-                                      f"is not divisible by {echo(req)}")
+                f"modulus must be a positive integer, got {echo(modulus)}")
+        req = default_modulus(n, alpha)
+        if modulus % req:
+            raise StructuralError(f"modulus {echo(modulus)} "
+                                  f"is not divisible by {echo(req)}")
+        field_degree(modulus)  # refuses a field over the degree limit
         triangles = tuple(self.triangles)
         for i, tri in enumerate(triangles):
             if not isinstance(tri, Triangle):
@@ -218,12 +213,8 @@ def gen_trivial(n: int) -> Tiling:
 
 @lru_cache(maxsize=256)
 def _rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal]:
-    # entries of the exact rotation by gamma*pi/2; reduce the half-angle
-    # fraction before the 2m | modulus precondition of cos_pi/sin_pi
+    # entries of the exact rotation by gamma*pi/2 = (gamma/2)*pi
     half = gamma / 2
-    if modulus % (2 * half.denominator):
-        raise ModulusError(
-            f"modulus {modulus} cannot express the angle {gamma} right angles")
     return (
         cos_pi(half.numerator, half.denominator, modulus),
         sin_pi(half.numerator, half.denominator, modulus),
@@ -239,10 +230,10 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     cross(R u, v) = 0 and dot(R u, v) > 0.
     """
     if corner_index not in (0, 1, 2):
-        raise DomainError(f"corner index must be 0, 1 or 2, got {corner_index!r}")
+        raise DomainError(f"corner index must be 0, 1 or 2, got {echo(corner_index)}")
     gamma = Fraction(gamma)
     if not 0 < gamma < 2:
-        raise DomainError(f"angle must lie in (0, 2) right angles, got {gamma}")
+        raise DomainError(f"angle must lie in (0, 2) right angles, got {echo(gamma)}")
     a = tri.vertices[corner_index]
     b = tri.vertices[(corner_index + 1) % 3]
     c = tri.vertices[(corner_index + 2) % 3]
@@ -382,10 +373,7 @@ def _check_similarity(run: _VerifyRun) -> "str | None":
     # on pass, also fills in the certificate and the points' incident corners
     counts = [0, 0, 0]
     for idx, tri in enumerate(run.tiling.triangles):
-        try:
-            kinds = _corner_kinds(tri, run.tiling.alpha)
-        except ModulusError as exc:
-            raise StructuralError(f"triangle {idx}: {exc}") from None
+        kinds = _corner_kinds(tri, run.tiling.alpha)
         if isinstance(kinds, str):
             return f"triangle {idx}: {kinds}"
         for v, kind in zip(tri.vertices, kinds):
@@ -474,7 +462,7 @@ def verify(tiling: Tiling) -> VerificationReport:
 
     Later checks are reported as skipped once one fails.  The certificate
     counts (alpha, beta, right) corners over all triangles whenever
-    similarity passes.
+    similarity passes.  Every constructed Tiling gets a report.
     """
     run = _VerifyRun(tiling, polygon_vertices(tiling.n, tiling.modulus))
     checks = dict.fromkeys(CHECK_ORDER, CheckResult("skipped"))

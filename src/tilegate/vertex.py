@@ -71,9 +71,9 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
     a = Fraction(a)
     target = Fraction(target)
     if not 0 < a < 1:
-        raise DomainError(f"a must lie in (0, 1), got {a}")
+        raise DomainError(f"a must lie in (0, 1), got {echo(a)}")
     if target < 0:
-        raise DomainError(f"target must be non-negative, got {target}")
+        raise DomainError(f"target must be non-negative, got {echo(target)}")
     scale = math.lcm(a.denominator, target.denominator)
     sols = _solutions_scaled(
         int(a * scale), int((1 - a) * scale), scale, int(target * scale)
@@ -185,7 +185,7 @@ def corner_has_only_p_gt_q(n: int, a: Fraction) -> CornerOutcome:
     a = Fraction(a)
     check_polygon_n(n)
     if not 0 < a < Fraction(1, 2):
-        raise DomainError(f"a must lie in (0, 1/2), got {a}")
+        raise DomainError(f"a must lie in (0, 1/2), got {echo(a)}")
     return _corner_outcome(enumerate_solutions(Fraction(2) - Fraction(4, n), a))
 
 

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from tilegate.cli import main
+from tilegate.exact import CycloReal
 from tilegate.tiling import Tiling, gen_trivial, save_tiling
 
 
@@ -192,6 +193,25 @@ def test_hostile_files_exit_two_quickly(tmp_path, capsys):
     for obj in echoes:
         path.write_text(json.dumps(obj))
         assert len(_exit_two_in_one_line(["verify", str(path)], capsys)) < 300
+
+
+def test_field_rule_is_decided_at_load(tmp_path, capsys):
+    # n = 5, alpha 1/2 and modulus 20, which cannot express the rotation
+    # by pi/4: whatever the triangles, the file exits 2 at load
+    def rational(x):
+        return CycloReal.from_rational(x, 20).to_obj()
+
+    header = {"format": "tilegate-tiling/1", "n": 5, "alpha": "1/2", "modulus": 20}
+    non_right = [(0, 0), (2, 0), (1, 2)]
+    right = [(0, 0), (1, 0), (0, 1)]
+    path = tmp_path / "t.json"
+    for corners in ([], [non_right], [right]):
+        triangles = [{"v": [[rational(x), rational(y)] for x, y in tri]}
+                     for tri in corners]
+        path.write_text(json.dumps({**header, "triangles": triangles}))
+        for args in (["verify", str(path)], ["verify", str(path), "--json"]):
+            err = _exit_two_in_one_line(args, capsys)
+            assert err == "tilegate: modulus 20 is not divisible by 40\n"
 
 
 def test_lemmas_pass_and_json_stability(run_cli):

@@ -7,6 +7,7 @@ mutation oracles (deletions, vertex moves) that must never pass.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from tilegate.errors import (
     ResourceLimitError,
     StructuralError,
 )
-from tilegate.exact import CycloReal, field_degree
+from tilegate.exact import PHI_LIMIT, CycloReal, _field, euler_phi, field_degree
 from tilegate.geometry import Point, Triangle
 from tilegate.tiling import (
     CHECK_ORDER,
@@ -38,7 +39,13 @@ from tilegate.tiling import (
     save_tiling,
     verify,
 )
-from tilegate.vertex import PointKind, VertexSolution, check_polygon_n, point_target
+from tilegate.vertex import (
+    PointKind,
+    VertexSolution,
+    check_polygon_n,
+    enumerate_solutions,
+    point_target,
+)
 
 
 def rp(x, y, modulus) -> Point:
@@ -147,14 +154,70 @@ def test_tiling_structural_errors():
         Tiling(5, Fraction(2, 5), 20, ["nope"])
 
 
+@st.composite
+def _modulus_cases(draw):
+    # a shape, and a modulus built from one part of the field rule, from
+    # the whole rule, or from the weaker lcm(4, 2n, 2 * denominator(alpha))
+    n = draw(st.integers(5, 40))
+    v = draw(st.integers(2, 40))
+    alpha = Fraction(draw(st.integers(1, v // 2)), v)
+    den = alpha.denominator
+    base = draw(st.sampled_from(
+        [default_modulus(n, alpha), 2 * n, 4 * den, math.lcm(4, 2 * n, 2 * den)]))
+    return n, alpha, base * draw(st.integers(1, 2))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_modulus_cases())
+def test_tiling_accepts_exactly_the_moduli_of_the_field_rule(case):
+    n, alpha, modulus = case
+    if modulus % default_modulus(n, alpha):
+        with pytest.raises(StructuralError, match="is not divisible by"):
+            Tiling(n, alpha, modulus, [])
+        return
+    if euler_phi(modulus) > PHI_LIMIT:
+        with pytest.raises(ResourceLimitError):
+            Tiling(n, alpha, modulus, [])
+        return
+    try:
+        Tiling(n, alpha, modulus, [])
+        # what verify needs of the field: the vertices and the rotations
+        polygon_vertices(n, modulus)
+        for gamma in (alpha, 1 - alpha, Fraction(1)):
+            tiling_module._rotation(gamma, modulus)
+    finally:
+        # fields up to degree PHI_LIMIT are large; keep memory flat
+        _field.cache_clear()
+        polygon_vertices.cache_clear()
+        tiling_module._rotation.cache_clear()
+
+
+def test_tiling_refuses_moduli_without_a_field():
+    # each passes the divisibility rule, but verify could build no field
+    with pytest.raises(StructuralError, match="positive integer"):
+        Tiling(5, Fraction(2, 5), 0, [])
+    with pytest.raises(StructuralError, match="positive integer"):
+        Tiling(5, Fraction(2, 5), -20, [])
+    with pytest.raises(ResourceLimitError):
+        Tiling(5, Fraction(2, 5), 20 * (10**16 + 61), [])
+
+
 @pytest.mark.parametrize("call, error", [
     (lambda: field_degree(4 * 10**5000), ResourceLimitError),
     (lambda: check_polygon_n(-10**5000), DomainError),
     (lambda: Tiling(-10**5000, Fraction(2, 5), 20, []), StructuralError),
-], ids=["field_degree", "check_polygon_n", "Tiling"])
+    (lambda: Tiling(5, Fraction(10**5000), 20, []), StructuralError),
+    (lambda: enumerate_solutions(1, Fraction(10**5000)), DomainError),
+    (lambda: impossibility_audit(8, Fraction(1, 10**5000)), DomainError),
+    (lambda: impossibility_audit(8, Fraction(10**5000)), DomainError),
+    (lambda: angle_matches(gen_trivial(8).triangles[0], 0, Fraction(10**5000)),
+     DomainError),
+], ids=["field_degree", "check_polygon_n", "Tiling", "Tiling_alpha",
+        "enumerate_solutions", "audit_in_range", "audit_out_of_range",
+        "angle_matches"])
 def test_errors_on_huge_ints_stay_short(call, error):
-    # repr of an int over 4300 digits raises ValueError; the messages
-    # name such a value by its type instead
+    # str and repr of an int over 4300 digits raise ValueError; the
+    # messages name such a value by its type instead
     with pytest.raises(error) as info:
         call()
     assert len(str(info.value)) < 300
@@ -433,11 +496,10 @@ def test_regularity_errors():
 
 def test_verify_modulus_cannot_express_alpha():
     # modulus 20 holds the coordinates but not cos(pi/4), so similarity
-    # cannot even be tested: structural abort naming the triangle
+    # could not be tested: the tiling is refused at construction
     tri = Triangle(rp(0, 0, 20), rp(1, 0, 20), rp(0, 1, 20))
-    t = Tiling(5, Fraction(1, 2), 20, [tri])
-    with pytest.raises(StructuralError, match="triangle 0"):
-        verify(t)
+    with pytest.raises(StructuralError, match="modulus 20 is not divisible by 40"):
+        Tiling(5, Fraction(1, 2), 20, [tri])
 
 
 # -- file format strictness ----------------------------------------------------------
