@@ -15,12 +15,16 @@ and every other instance comes from an operation that keeps values real
 
 Numeric enclosures (used only to decide signs of provably nonzero
 values and to seed floating-point filters) are rigorous interval
-evaluations with exact rational endpoints.
+evaluations with exact rational endpoints.  The cosine enclosures they
+sum come from mpmath intervals, whose endpoints are binary floats; stored
+as integers over one power of two they are exact, so an enclosure is an
+integer sum and one Fraction per endpoint.
 """
 from __future__ import annotations
 
 import math
 import re
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -34,6 +38,10 @@ from .errors import DomainError, FormatError, ModulusError, NonRealError, Resour
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
 PHI_LIMIT = 4096
+
+# Most reduction-table entries the field cache holds: one field at the
+# degree limit, about 130 MB of int64.
+FIELD_CACHE_ENTRIES = PHI_LIMIT * (PHI_LIMIT - 1)
 
 # Bound under which int64 reduction is provably overflow-free (checked
 # per reduction, see _Field._dtype).
@@ -125,18 +133,7 @@ class _Field:
     """
 
     def __init__(self, modulus: int) -> None:
-        # phi(M) >= sqrt(M/2): refuse a larger M before euler_phi's
-        # trial division, whose cost grows with sqrt(M)
-        if modulus > 2 * PHI_LIMIT ** 2:
-            raise ResourceLimitError(
-                f"modulus {echo(modulus)} exceeds {2 * PHI_LIMIT ** 2}, "
-                f"so phi exceeds the limit {PHI_LIMIT}"
-            )
-        degree = euler_phi(modulus)
-        if degree > PHI_LIMIT:
-            raise ResourceLimitError(
-                f"phi({modulus}) = {degree} exceeds the limit {PHI_LIMIT}"
-            )
+        degree = _checked_degree(modulus)
         self.modulus = modulus
         self.degree = degree
         # int64 holds Phi_M: phi <= PHI_LIMIT leaves M at most four odd
@@ -205,31 +202,75 @@ class _Field:
         return target.reduce((j * step, c) for j, c in enumerate(a) if c)
 
 
-@lru_cache(maxsize=None)
+def _checked_degree(modulus: int) -> int:
+    """phi(modulus), refusing a field over the degree limit."""
+    # phi(M) >= sqrt(M/2): refuse a larger M before euler_phi's
+    # trial division, whose cost grows with sqrt(M)
+    if modulus > 2 * PHI_LIMIT ** 2:
+        raise ResourceLimitError(
+            f"modulus {echo(modulus)} exceeds {2 * PHI_LIMIT ** 2}, "
+            f"so phi exceeds the limit {PHI_LIMIT}"
+        )
+    degree = euler_phi(modulus)
+    if degree > PHI_LIMIT:
+        raise ResourceLimitError(
+            f"phi({modulus}) = {degree} exceeds the limit {PHI_LIMIT}"
+        )
+    return degree
+
+
+_fields: OrderedDict[int, _Field] = OrderedDict()
+
+
 def _field(modulus: int) -> _Field:
+    """Q(zeta_modulus), from a least-recently-used cache that holds at
+    most FIELD_CACHE_ENTRIES reduction-table entries, phi * (phi - 1) a
+    field.  Any one field fits, so the newest is always kept.  The
+    oldest are dropped before a new one is built, so a large table is
+    never built beside a cached one it would evict."""
+    field = _fields.get(modulus)
+    if field is not None:
+        _fields.move_to_end(modulus)
+        return field
     if modulus < 4 or modulus % 4:
         raise ModulusError(
             f"modulus {echo(modulus)} is not a positive multiple of 4")
-    return _Field(modulus)
+    degree = _checked_degree(modulus)
+    held = sum(f.red.size for f in _fields.values())
+    while _fields and held + degree * (degree - 1) > FIELD_CACHE_ENTRIES:
+        held -= _fields.popitem(last=False)[1].red.size
+    field = _fields[modulus] = _Field(modulus)
+    return field
+
+
+_field.cache_clear = _fields.clear  # type: ignore[attr-defined]
 
 
 @lru_cache(maxsize=None)
-def _cos_table(modulus: int, prec: int) -> tuple[tuple[Fraction, Fraction], ...]:
-    """Rigorous enclosures of cos(2*pi*j/M) for j < phi(M)."""
+def _cos_table(modulus: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
+    for j < phi(M), as two integer vectors over one power of two.
+
+    Every endpoint of an mpmath interval is a binary float, an integer
+    times a power of two, so scaling all of them to the smallest power
+    among them loses nothing: the enclosures are exactly mpmath's.
+    """
     field = _field(modulus)
     iv = mpmath.iv
     saved = iv.prec
-    out = []
+    ends = []
     try:
         iv.prec = prec
         two_pi = 2 * iv.pi
         for j in range(field.degree):
-            x = iv.cos(two_pi * j / modulus)
-            lo, hi = x._mpi_
-            out.append((Fraction(*to_rational(lo)), Fraction(*to_rational(hi))))
+            ends.append([to_rational(e) for e in iv.cos(two_pi * j / modulus)._mpi_])
     finally:
         iv.prec = saved
-    return tuple(out)
+    # each denominator q is a power of two, 2**(q.bit_length() - 1)
+    shift = max(q.bit_length() for pair in ends for _, q in pair) - 1
+    lo, hi = (tuple(p << (shift + 1 - q.bit_length()) for p, q in side)
+              for side in zip(*ends))
+    return lo, hi, shift
 
 
 def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
@@ -436,17 +477,20 @@ class CycloReal:
     def enclosure(self, prec: int = 64) -> tuple[Fraction, Fraction]:
         """A rigorous rational interval containing the value, which is
         real (checked once, at construction).  Width shrinks as ``prec``
-        grows."""
-        table = _cos_table(self.modulus, prec)
-        lo = hi = Fraction(0)
-        for c, (tl, th) in zip(self.num, table):
+        grows.  The endpoints are integer sums over the dyadic cosine
+        table, so each costs one Fraction and they are exactly the sums
+        of the table's rational endpoints."""
+        table_lo, table_hi, shift = _cos_table(self.modulus, prec)
+        lo = hi = 0
+        for c, tl, th in zip(self.num, table_lo, table_hi):
             if c > 0:
                 lo += c * tl
                 hi += c * th
             elif c < 0:
                 lo += c * th
                 hi += c * tl
-        return lo / self.den, hi / self.den
+        den = self.den << shift
+        return Fraction(lo, den), Fraction(hi, den)
 
     def sign(self) -> int:
         """Sign in {-1, 0, 1}.  Zero is decided symbolically; nonzero
@@ -480,16 +524,22 @@ class CycloReal:
         return (lo + hi) / 2
 
     def __repr__(self) -> str:
-        coeffs = [str(Fraction(v, self.den)) for v in self.num]
-        return f"CycloReal(mod={self.modulus}, [{', '.join(coeffs)}] ~ {float(self):.6g})"
+        return (f"CycloReal(mod={self.modulus}, [{', '.join(self._coeff_texts())}] "
+                f"~ {float(self):.6g})")
 
     # -- serialization ---------------------------------------------------
 
+    def _coeff_texts(self) -> list[str]:
+        # str(Fraction(v, den)) for each coefficient, from one gcd
+        den = self.den
+        out = []
+        for v in self.num:
+            g = math.gcd(v, den)
+            out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        return out
+
     def to_obj(self) -> dict:
-        return {
-            "modulus": self.modulus,
-            "coeffs": [str(Fraction(v, self.den)) for v in self.num],
-        }
+        return {"modulus": self.modulus, "coeffs": self._coeff_texts()}
 
     @classmethod
     def from_obj(cls, obj: object) -> "CycloReal":

@@ -117,21 +117,34 @@ class Tiling:
                 f"modulus={self.modulus}, triangles=<{len(self.triangles)}>)")
 
     def to_obj(self) -> dict:
-        """JSON-ready document in the tilegate-tiling/1 format."""
+        """JSON-ready document in the tilegate-tiling/1 format.  Each
+        distinct Point object is serialized once, so a point that several
+        triangles share is one list object at each of its places."""
+        pairs: dict[int, list] = {}
+        for tri in self.triangles:
+            for v in tri.vertices:
+                if id(v) not in pairs:
+                    pairs[id(v)] = [v.x.to_obj(), v.y.to_obj()]
         return {
             "format": FORMAT_TAG,
             "n": self.n,
             "alpha": str(self.alpha),
             "modulus": self.modulus,
             "triangles": [
-                {"v": [[v.x.to_obj(), v.y.to_obj()] for v in tri.vertices]}
+                {"v": [pairs[id(v)] for v in tri.vertices]}
                 for tri in self.triangles
             ],
         }
 
     @classmethod
     def from_obj(cls, obj: object) -> "Tiling":
-        """Parse a tilegate-tiling/1 document; strict about keys."""
+        """Parse a tilegate-tiling/1 document; strict about keys.
+
+        Repeated coordinate pairs share one Point: a pair whose text
+        matches an earlier one's (see _pair_text) reuses that Point, so it
+        is parsed, checked and boxed once.  Every check runs on the first
+        occurrence, so an error names the same triangle and vertex as if
+        each pair were parsed on its own."""
         if not isinstance(obj, dict):
             raise FormatError("tiling document must be a JSON object")
         expected = {"format", "n", "alpha", "modulus", "triangles"}
@@ -154,6 +167,7 @@ class Tiling:
         if not isinstance(raw, list):
             raise FormatError("triangles must be a list")
         triangles = []
+        shared: dict[tuple, Point] = {}
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or set(item) != {"v"}:
                 raise FormatError(f"triangle {i}: expected an object with key 'v'")
@@ -165,14 +179,36 @@ class Tiling:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise FormatError(
                         f"triangle {i} vertex {j}: expected [x, y]")
-                x, y = CycloReal.from_obj(pair[0]), CycloReal.from_obj(pair[1])
-                if x.modulus != modulus or y.modulus != modulus:
-                    raise FormatError(
-                        f"triangle {i} vertex {j}: coordinate modulus differs "
-                        f"from file modulus {echo(modulus)}")
-                points.append(Point(x, y))
+                text = _pair_text(pair)
+                point = shared.get(text)
+                if point is None:
+                    x, y = CycloReal.from_obj(pair[0]), CycloReal.from_obj(pair[1])
+                    if x.modulus != modulus or y.modulus != modulus:
+                        raise FormatError(
+                            f"triangle {i} vertex {j}: coordinate modulus differs "
+                            f"from file modulus {echo(modulus)}")
+                    point = Point(x, y)
+                    if text is not None:
+                        shared[text] = point
+                points.append(point)
             triangles.append(Triangle(*points))
         return cls(n, alpha, modulus, triangles)
+
+
+def _pair_text(pair: list) -> "tuple | None":
+    # the moduli and coefficient strings of a pair of scalars made of
+    # plain JSON types, else None.  Equal texts parse to equal Points and
+    # pass or fail the same checks.
+    text = []
+    for obj in pair:
+        if type(obj) is not dict or obj.keys() != {"modulus", "coeffs"}:
+            return None
+        modulus, coeffs = obj["modulus"], obj["coeffs"]
+        if (type(modulus) is not int or type(coeffs) is not list
+                or not all(type(c) is str for c in coeffs)):
+            return None
+        text.append((modulus, *coeffs))
+    return tuple(text)
 
 
 def save_tiling(tiling: Tiling, path: str) -> None:

@@ -32,6 +32,11 @@ from .errors import DomainError, ResourceLimitError, echo
 MAX_DEN_LIMIT = 2000
 L5_SIZE_LIMIT = 2 * 10 ** 7
 
+# Most (q, r) pairs enumerate_solutions tries; about 0.1 s at the limit
+# on a 2-vCPU Xeon VM (target 257, a = 1/3).  classify and vertex call
+# it with target below 2 and a <= 1/2, at most 15 pairs.
+SOLUTIONS_LIMIT = 10 ** 5
+
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
 # each audit exhibits a violating solution to prove membership).
 LEMMA4_EXCEPTIONS: frozenset[Fraction] = frozenset(
@@ -75,9 +80,13 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
     if target < 0:
         raise DomainError(f"target must be non-negative, got {echo(target)}")
     scale = math.lcm(a.denominator, target.denominator)
-    sols = _solutions_scaled(
-        int(a * scale), int((1 - a) * scale), scale, int(target * scale)
-    )
+    a_coef, b_coef, total = int(a * scale), int((1 - a) * scale), int(target * scale)
+    pairs = (total // b_coef + 1) * (total // scale + 1)
+    if pairs > SOLUTIONS_LIMIT:
+        raise ResourceLimitError(
+            f"enumeration would try {echo(pairs)} (q, r) pairs, over the "
+            f"limit {SOLUTIONS_LIMIT}")
+    sols = _solutions_scaled(a_coef, b_coef, scale, total)
     return tuple(sorted(VertexSolution(*s) for s in sols))
 
 

@@ -7,6 +7,7 @@ Oracles:
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from fractions import Fraction
@@ -35,6 +36,7 @@ from tilegate.errors import (
     NonRealError,
     ResourceLimitError,
 )
+from tilegate.tiling import default_modulus, gen_trivial, verify
 
 MODULI = [4, 8, 12, 16, 20, 24, 28, 36, 40, 48, 60]
 
@@ -91,6 +93,43 @@ def test_large_field_builds_quickly():
     start = time.perf_counter()
     assert field_degree(18060) == 4032
     assert time.perf_counter() - start < 8.0
+
+
+def _table_entries():
+    return sum(f.red.size for f in exact._fields.values())
+
+
+def test_field_cache_stays_within_its_budget():
+    exact._field.cache_clear()
+    try:
+        # degrees 4032, 3456 and 2880: any two exceed the budget
+        for m in (18060, 15540, 13860):
+            field = exact._field(m)
+            assert exact._fields[m] is field
+            assert _table_entries() <= exact.FIELD_CACHE_ENTRIES
+        assert list(exact._fields) == [13860]
+    finally:
+        exact._field.cache_clear()
+
+
+def test_field_cache_builds_each_small_field_once(monkeypatch):
+    built = []
+
+    class Counted(exact._Field):
+        def __init__(self, modulus):
+            built.append(modulus)
+            super().__init__(modulus)
+
+    exact._field.cache_clear()
+    monkeypatch.setattr(exact, "_Field", Counted)
+    try:
+        for _ in range(2):
+            for n in range(5, 13):
+                assert verify(gen_trivial(n)).verdict
+        assert sorted(built) == sorted(set(built))
+        assert set(built) >= {default_modulus(n, Fraction(2, n)) for n in range(5, 13)}
+    finally:
+        exact._field.cache_clear()
 
 
 def _reduction_table(m):
@@ -415,6 +454,71 @@ def test_total_order_witness():
         assert (b - a).sign() == -1
     for v in vals:
         assert (v - v).sign() == 0
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_table(m, prec):
+    # rational endpoints of mpmath's interval cosines, term by term
+    iv = mpmath.iv
+    saved = iv.prec
+    try:
+        iv.prec = prec
+        return [
+            tuple(Fraction(*mpmath.libmp.to_rational(e))
+                  for e in iv.cos(2 * iv.pi * j / m)._mpi_)
+            for j in range(field_degree(m))
+        ]
+    finally:
+        iv.prec = saved
+
+
+def _reference_enclosure(x, prec):
+    lo = hi = Fraction(0)
+    for c, (tl, th) in zip(x.num, _reference_table(x.modulus, prec)):
+        lo += c * (tl if c > 0 else th)
+        hi += c * (th if c > 0 else tl)
+    return lo / x.den, hi / x.den
+
+
+def _reference_sign(x):
+    if x.is_zero():
+        return 0
+    prec = 64
+    while True:
+        lo, hi = _reference_enclosure(x, prec)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        prec *= 2
+
+
+@st.composite
+def wide_elements(draw):
+    # sums of cosines with coefficients up to 10**200, some shifted by a
+    # dyadic approximation of their value so that sign() must refine
+    m = 4 * draw(st.integers(2, 97))
+    big = st.integers(-10**200, 10**200) | st.integers(-9, 9)
+    terms = draw(st.lists(st.tuples(st.integers(0, m - 1), big), min_size=1, max_size=6))
+    x = CycloReal.zero(m)
+    for k, c in terms:
+        x = x + cos_pi(k, m // 2, m) * c
+    x = x / draw(st.integers(1, 10**200) | st.integers(1, 9))
+    bits = draw(st.sampled_from([None, 60, 100, 200]))
+    if bits:
+        with mpmath.workdps(400):
+            approx = int(mpmath.nint(numeric(x, dps=400) * 2**bits))
+        x = x - Fraction(approx, 2**bits)
+    return x
+
+
+@settings(max_examples=60, deadline=None)
+@given(x=wide_elements())
+def test_enclosures_equal_the_term_by_term_reference(x):
+    for prec in (64, 128, 256):
+        assert x.enclosure(prec) == _reference_enclosure(x, prec)
+    lo, hi = _reference_enclosure(x, 64)
+    assert x.float_box() == (math.nextafter(float(lo), -math.inf),
+                             math.nextafter(float(hi), math.inf))
+    assert x.sign() == _reference_sign(x)
 
 
 # -- serialization --------------------------------------------------------

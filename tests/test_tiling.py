@@ -6,6 +6,7 @@ mutation oracles (deletions, vertex moves) that must never pass.
 """
 from __future__ import annotations
 
+import copy
 import json
 import math
 from fractions import Fraction
@@ -567,6 +568,55 @@ def test_from_obj_structural_violation():
     doc = good_doc()
     doc["alpha"] = "3/5"
     with pytest.raises(StructuralError):
+        Tiling.from_obj(doc)
+
+
+@pytest.mark.parametrize("n", [5, 8, 47])
+def test_from_obj_builds_one_point_per_distinct_pair(n):
+    # the centre, n polygon vertices and n apothem feet
+    doc = json.loads(json.dumps(gen_trivial(n).to_obj()))
+    t = Tiling.from_obj(doc)
+    assert len({id(v) for tri in t.triangles for v in tri.vertices}) == 2 * n + 1
+    assert t == gen_trivial(n)
+
+
+def test_to_obj_writes_every_coefficient_as_str_fraction():
+    t = gen_trivial(9)
+    expected = [
+        [[{"modulus": c.modulus, "coeffs": [str(Fraction(v, c.den)) for v in c.num]}
+          for c in (p.x, p.y)] for p in tri.vertices]
+        for tri in t.triangles
+    ]
+    assert [tri["v"] for tri in t.to_obj()["triangles"]] == expected
+
+
+def _malform_repeated_pair(doc, i, j, coord):
+    # put coord in place of x at every occurrence of triangle i vertex j's
+    # pair; return how many there are
+    pair = copy.deepcopy(doc["triangles"][i]["v"][j])
+    count = 0
+    for tri in doc["triangles"]:
+        for k, v in enumerate(tri["v"]):
+            if v == pair:
+                tri["v"][k] = [coord, pair[1]]
+                count += 1
+    return count
+
+
+def test_repeated_malformed_pair_is_reported_at_its_first_occurrence():
+    # polygon vertex 1 first occurs as vertex 2 of triangle 1, then again
+    # in triangle 2
+    doc = json.loads(json.dumps(gen_trivial(5).to_obj()))
+    other_field = {"modulus": 40, "coeffs": ["0"] * 16}
+    assert _malform_repeated_pair(doc, 1, 2, other_field) == 2
+    with pytest.raises(FormatError) as info:
+        Tiling.from_obj(doc)
+    assert str(info.value) == ("triangle 1 vertex 2: coordinate modulus "
+                               "differs from file modulus 20")
+    doc = json.loads(json.dumps(gen_trivial(5).to_obj()))
+    bad_coeff = {"modulus": 20, "coeffs": ["1/0"] + ["0"] * 7}
+    assert _malform_repeated_pair(doc, 1, 2, bad_coeff) == 2
+    with pytest.raises(FormatError, match="^coefficient must be .* got '1/0'$"):
         Tiling.from_obj(doc)
 
 

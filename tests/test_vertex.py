@@ -19,6 +19,7 @@ from tilegate.vertex import (
     L5_SIZE_LIMIT,
     LEMMA4_EXCEPTIONS,
     MAX_DEN_LIMIT,
+    SOLUTIONS_LIMIT,
     AngleFamily,
     AuditReport,
     CornerOutcome,
@@ -86,6 +87,20 @@ def test_solutions_satisfy_their_equation(a, target):
     for p, q, r in enumerate_solutions(target, a):
         assert p * a + q * (1 - a) + r == target
         assert p >= 0 and q >= 0 and r >= 0
+
+
+def test_enumeration_refuses_a_target_over_the_limit():
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="over the limit"):
+        enumerate_solutions(Fraction(3000), Fraction(1, 3))
+    assert time.perf_counter() - start < 1.0
+    # the widest call the tests make: target 5 at a = 19/20
+    assert (5 * 20 + 1) * (5 + 1) <= SOLUTIONS_LIMIT
+    assert enumerate_solutions(Fraction(5), Fraction(19, 20))
+    # a 5000-digit target fails short, not on printing the count
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_solutions(Fraction(10**5000), Fraction(1, 3))
+    assert len(str(info.value)) < 300
 
 
 def test_enumeration_domain_errors():
