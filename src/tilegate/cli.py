@@ -199,7 +199,11 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"tilegate: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
-        print(f"tilegate: {exc}", file=sys.stderr)
+        # the path is echoed shortened, as every other input is
+        text = exc.strerror or type(exc).__name__
+        if exc.filename is not None:
+            text += f": {echo(exc.filename)}"
+        print(f"tilegate: {text}", file=sys.stderr)
         return 2
 
 

@@ -7,12 +7,17 @@ difference vectors; only when the enclosure of that value contains zero
 do they compute it exactly in CycloReal arithmetic.  The dot product
 needs no routine of its own: u . v is the cross product of u with v
 turned by +90 degrees, (-v_y, v_x), and turning only negates, which is
-exact.  Every difference and product is rounded outward by one ulp, and
-the two products of the cross product are compared rather than
-subtracted.  A bound may overflow to inf, and then 0 * inf gives NaN.
-Comparisons with NaN are false, so a NaN that reaches a test sends the
-case to exact arithmetic; one that min or max passes over stands for 0
-times a finite value, which the other products already bound.
+exact.  The angle test of :mod:`tilegate.tiling` asks the same routine,
+passing an optional rotation, the float boxes of the cosine and sine of
+the angle: u is turned by it in interval arithmetic before the cross or
+dot product is taken.  Every difference, sum and product is rounded
+outward by one ulp, and the two products of the cross product are
+compared rather than subtracted.  A bound may overflow to inf, and then
+0 * inf gives NaN.  Comparisons with NaN are false, so a NaN that
+reaches a test sends the case to exact arithmetic; one that min or max
+passes over stands for 0 times a finite value, which the other products
+already bound.  A turned u whose bounds are not all finite leaves the
+sign undecided.
 """
 from __future__ import annotations
 
@@ -67,9 +72,13 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
-def _box_sign(a: Point, b: Point, c: Point, turn: bool) -> int | None:
+def _box_sign(
+    a: Point, b: Point, c: Point, turn: bool,
+    rot: tuple[Interval, Interval] | None = None,
+) -> int | None:
     """Sign of u x v, u = b - a and v = c - a, or of u . v when turn is
-    set, if the float boxes of a, b and c decide it; None otherwise."""
+    set, if the float boxes of a, b and c decide it; None otherwise.
+    With rot = (cos box, sin box), u is first turned by that angle."""
     (axl, axh), (ayl, ayh) = a._box or a.box()
     (bxl, bxh), (byl, byh) = b._box or b.box()
     (cxl, cxh), (cyl, cyh) = c._box or c.box()
@@ -77,6 +86,20 @@ def _box_sign(a: Point, b: Point, c: Point, turn: bool) -> int | None:
     uyl, uyh = nextafter(byl - ayh, -inf), nextafter(byh - ayl, inf)
     vxl, vxh = nextafter(cxl - axh, -inf), nextafter(cxh - axl, inf)
     vyl, vyh = nextafter(cyl - ayh, -inf), nextafter(cyh - ayl, inf)
+    if rot is not None:
+        # R u = (cos*ux - sin*uy, sin*ux + cos*uy)
+        (cl, ch), (sl, sh) = rot
+        cx = (cl * uxl, cl * uxh, ch * uxl, ch * uxh)
+        sy = (sl * uyl, sl * uyh, sh * uyl, sh * uyh)
+        sx = (sl * uxl, sl * uxh, sh * uxl, sh * uxh)
+        cy = (cl * uyl, cl * uyh, ch * uyl, ch * uyh)
+        uxl = nextafter(nextafter(min(cx), -inf) - nextafter(max(sy), inf), -inf)
+        uxh = nextafter(nextafter(max(cx), inf) - nextafter(min(sy), -inf), inf)
+        uyl = nextafter(nextafter(min(sx), -inf) + nextafter(min(cy), -inf), -inf)
+        uyh = nextafter(nextafter(max(sx), inf) + nextafter(max(cy), inf), inf)
+        # inf - inf and inf + -inf give NaN, which fails this test too
+        if not (-inf < uxl <= uxh < inf and -inf < uyl <= uyh < inf):
+            return None
     if turn:
         vxl, vxh, vyl, vyh = -vyh, -vyl, vxl, vxh
     # u x v = ux*vy - uy*vx

@@ -25,6 +25,7 @@ from .exact import CycloReal, cos_pi, field_degree, parse_fraction, sin_pi
 from .geometry import (
     Point,
     Triangle,
+    _box_sign,
     midpoint,
     on_open_segment,
     orientation,
@@ -248,13 +249,13 @@ def gen_trivial(n: int) -> Tiling:
 
 
 @lru_cache(maxsize=256)
-def _rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal]:
-    # entries of the exact rotation by gamma*pi/2 = (gamma/2)*pi
+def _rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal, tuple]:
+    # entries of the exact rotation by gamma*pi/2 = (gamma/2)*pi, and
+    # their float boxes for the filter
     half = gamma / 2
-    return (
-        cos_pi(half.numerator, half.denominator, modulus),
-        sin_pi(half.numerator, half.denominator, modulus),
-    )
+    cosg = cos_pi(half.numerator, half.denominator, modulus)
+    sing = sin_pi(half.numerator, half.denominator, modulus)
+    return cosg, sing, (cosg.float_box(), sing.float_box())
 
 
 def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
@@ -264,6 +265,15 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     Square-root-free: with u, v the edge vectors out of the corner, the
     counterclockwise rotation R by gamma*pi/2 must satisfy
     cross(R u, v) = 0 and dot(R u, v) > 0.
+
+    Filter first: the float boxes of the three vertices, u turned by the
+    boxes of cos and sin, decide most corners that do not match, and
+    then nothing exact is computed.  Only a corner whose boxes cannot
+    exclude cross(R u, v) = 0 takes the exact zero test, and the sign of
+    dot(R u, v) is asked of the boxes before it is computed exactly.
+    The right angle turns nothing: R u = (-u_y, u_x), so
+    cross(R u, v) = -(u . v) and dot(R u, v) = u x v, two exact products
+    each instead of eight.
     """
     if corner_index not in (0, 1, 2):
         raise DomainError(f"corner index must be 0, 1 or 2, got {echo(corner_index)}")
@@ -273,14 +283,27 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     a = tri.vertices[corner_index]
     b = tri.vertices[(corner_index + 1) % 3]
     c = tri.vertices[(corner_index + 2) % 3]
-    cosg, sing = _rotation(gamma, a.modulus)
+    cosg, sing, rot = _rotation(gamma, a.modulus)
+    right = gamma == 1
+    if right:
+        rot = None
+    # is cross(R u, v) nonzero?  For the right angle that is u . v, which
+    # _box_sign gives when turn is set
+    if _box_sign(a, b, c, right, rot) is not None:
+        return False
     ux, uy = b.x - a.x, b.y - a.y
     vx, vy = c.x - a.x, c.y - a.y
-    rx = cosg * ux - sing * uy
-    ry = sing * ux + cosg * uy
+    if right:
+        rx, ry = -uy, ux
+    else:
+        rx = cosg * ux - sing * uy
+        ry = sing * ux + cosg * uy
     if not (rx * vy - ry * vx).is_zero():
         return False
-    return (rx * vx + ry * vy).sign() > 0
+    s = _box_sign(a, b, c, not right, rot)
+    if s is None:
+        s = (rx * vx + ry * vy).sign()
+    return s > 0
 
 
 def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str":

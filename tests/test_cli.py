@@ -62,7 +62,9 @@ def test_candidates_usage_errors(run_cli):
                  ["audit", "--n", "1" + "0" * 4999, "--alpha", "1/5"],
                  ["gen-trivial", "--n", "x" * 100_000, "--out", "unused.json"],
                  ["lemmas", "--which", "3", "--max-den", "x" * 100_000],
-                 ["lemmas", "--which", "3", "--max-den", "9" * 5000]):
+                 ["lemmas", "--which", "3", "--max-den", "9" * 5000],
+                 ["verify", "a" * 100_000],
+                 ["gen-trivial", "--n", "8", "--out", "d" * 5000 + "/t.json"]):
         result = run_cli(args)
         assert result.returncode == 2, args
         assert result.stdout == ""

@@ -26,6 +26,7 @@ from tilegate.geometry import (
     sign_dot,
     triangles_interior_disjoint,
 )
+from tilegate.tiling import angle_matches
 
 
 def rp(x, y, modulus=4) -> Point:
@@ -181,6 +182,14 @@ def test_overflowing_boxes_fall_through_to_exact():
     a, b, c = rp(0, 0), rp(tiny, 0), rp(2 * tiny, tiny)
     assert _box_sign(a, b, c, False) is None
     assert orientation(a, b, c) == 1 and sign_dot(b, a, c) == -1
+    # a turned u with a bound past the float range is left undecided:
+    # u = (2, 2) * 10**308 turned by 3*pi/4 is (-inf, +-inf) in floats
+    huge = Fraction(10) ** 308
+    a, b, c = rp(-huge, -huge, 8), rp(huge, huge, 8), rp(-huge - 1, -huge, 8)
+    turn = (cos_pi(3, 4, 8).float_box(), sin_pi(3, 4, 8).float_box())
+    assert _box_sign(a, b, c, False, turn) is None
+    assert _box_sign(a, b, c, True, turn) is None
+    assert angle_matches(Triangle(a, b, c), 0, Fraction(3, 2))
 
 
 # -- segments ------------------------------------------------------------------

@@ -10,6 +10,7 @@ import copy
 import json
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +25,15 @@ from tilegate.errors import (
     ResourceLimitError,
     StructuralError,
 )
-from tilegate.exact import PHI_LIMIT, CycloReal, _field, euler_phi, field_degree
+from tilegate.exact import (
+    PHI_LIMIT,
+    CycloReal,
+    _field,
+    cos_pi,
+    euler_phi,
+    field_degree,
+    sin_pi,
+)
 from tilegate.geometry import Point, Triangle
 from tilegate.tiling import (
     CHECK_ORDER,
@@ -241,6 +250,105 @@ def test_angle_matches_trivial_corners():
         ]
         assert sum(hits) <= 1
     assert not angle_matches(tri, 0, Fraction(1, 2))
+
+
+def _exact_angle_matches(tri, corner_index, gamma):
+    # angle_matches before the interval filter: rotation and exact
+    # arithmetic only
+    a = tri.vertices[corner_index]
+    b = tri.vertices[(corner_index + 1) % 3]
+    c = tri.vertices[(corner_index + 2) % 3]
+    half = gamma / 2
+    cosg = cos_pi(half.numerator, half.denominator, a.modulus)
+    sing = sin_pi(half.numerator, half.denominator, a.modulus)
+    ux, uy = b.x - a.x, b.y - a.y
+    vx, vy = c.x - a.x, c.y - a.y
+    rx = cosg * ux - sing * uy
+    ry = sing * ux + cosg * uy
+    if not (rx * vy - ry * vx).is_zero():
+        return False
+    return (rx * vx + ry * vy).sign() > 0
+
+
+@lru_cache(maxsize=None)
+def _trivial(n):
+    return gen_trivial(n)
+
+
+def _tiny_offset(modulus, j, bits):
+    # (cos t - x, sin t - y), t = 2*pi*j/modulus and x, y its roundings to
+    # bits bits: irrational unless cos t and sin t are rational, and
+    # shorter than 2**-bits, so no float box separates it from zero
+    def rounding_error(value):
+        lo, _ = value.enclosure(256)
+        return value - round(lo * 2**bits) / Fraction(2**bits)
+
+    return (rounding_error(cos_pi(j, modulus // 2, modulus)),
+            rounding_error(sin_pi(j, modulus // 2, modulus)))
+
+
+_small = st.fractions(min_value=-4, max_value=4, max_denominator=8)
+
+
+@st.composite
+def _angle_cases(draw):
+    """(triangle, alpha, the angle each corner must match or None).
+
+    Either a triangle of the trivial 5-, 12- or 47-gon tiling, or a right
+    triangle built with corners exactly at alpha, the right angle and
+    1 - alpha in Q(zeta_24) or the phi = 92 field of the 47-gon, at a
+    scale of 10**-200, 1 or 10**200 where the float boxes underflow or
+    overflow; then perhaps one vertex moved by an irrational offset below
+    2**-60 of the scale, or put on the corner before it, and the vertex
+    order perhaps reversed."""
+    if draw(st.booleans()):
+        t = _trivial(draw(st.sampled_from([5, 12, 47])))
+        tri = t.triangles[draw(st.integers(0, len(t.triangles) - 1))]
+        return tri, t.alpha, None
+    modulus, alpha = draw(st.sampled_from([
+        (24, Fraction(1, 3)), (24, Fraction(1, 6)), (24, Fraction(1, 2)),
+        (188, Fraction(2, 47)), (188, Fraction(23, 47))]))
+    scale = Fraction(10) ** draw(st.sampled_from([-200, 0, 200]))
+    base = [CycloReal.from_rational(draw(_small) * scale, modulus) for _ in range(2)]
+    # from a, the leg ab points along theta = 2*pi*k/modulus and the
+    # hypotenuse ac, of length h, along theta + alpha*pi/2; ab has length
+    # cos(alpha*pi/2) * h, so the right corner is b
+    k = draw(st.integers(0, modulus - 1))
+    h = draw(st.fractions(min_value=Fraction(1, 8), max_value=8, max_denominator=8)) * scale
+    dx, dy = cos_pi(k, modulus // 2, modulus), sin_pi(k, modulus // 2, modulus)
+    ca = cos_pi(alpha.numerator, 2 * alpha.denominator, modulus)
+    sa = sin_pi(alpha.numerator, 2 * alpha.denominator, modulus)
+    ex, ey = ca * dx - sa * dy, sa * dx + ca * dy
+    a = Point(*base)
+    b = Point(base[0] + dx * ca * h, base[1] + dy * ca * h)
+    c = Point(base[0] + ex * h, base[1] + ey * h)
+    vertices = [a, b, c]
+    change = draw(st.sampled_from(["none", "move", "coincide"]))
+    if change != "none":
+        i = draw(st.integers(0, 2))
+        if change == "move":
+            ox, oy = _tiny_offset(modulus, draw(st.integers(0, modulus - 1)),
+                                  draw(st.integers(61, 110)))
+            vertices[i] = Point(vertices[i].x + ox * scale, vertices[i].y + oy * scale)
+        else:
+            vertices[i] = vertices[i - 1]
+    expected = (alpha, Fraction(1), 1 - alpha) if change == "none" else None
+    if draw(st.booleans()):
+        vertices.reverse()
+        expected = None
+    return Triangle(*vertices), alpha, expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(_angle_cases())
+def test_filtered_angle_matches_equal_the_exact_predicate(case):
+    tri, alpha, expected = case
+    gammas = {Fraction(1), alpha, 1 - alpha}
+    for i in range(3):
+        for gamma in gammas:
+            assert angle_matches(tri, i, gamma) == _exact_angle_matches(tri, i, gamma)
+    if expected is not None:  # the built counterclockwise right triangle
+        assert all(angle_matches(tri, i, g) for i, g in enumerate(expected))
 
 
 def test_angle_matches_errors():
