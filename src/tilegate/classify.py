@@ -17,8 +17,6 @@ from .errors import DomainError, echo
 from .exact import FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
-    CornerOutcome,
-    _corner_outcome,
     allowed_angles,
     check_polygon_n,
     corner_families,
@@ -178,9 +176,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         return verdict(Outcome.IMPOSSIBLE)
 
     sols = enumerate_solutions(corner_target, a)
-    outcome = _corner_outcome(sols)
-
-    if outcome is CornerOutcome.NO_SOLUTIONS:
+    if not sols:
         steps.append(TraceStep(
             "corner_unsolvable",
             f"no (p, q, r) solves p*a + q*(1-a) + r = {corner_target} at a = {a}",
@@ -189,8 +185,8 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         ))
         return verdict(Outcome.IMPOSSIBLE)
 
-    if outcome is CornerOutcome.VIOLATION_EXISTS:
-        violating = next(s for s in sols if s.p <= s.q)
+    violating = next((s for s in sols if s.p <= s.q), None)
+    if violating is not None:
         steps.append(TraceStep(
             "corner_violation",
             f"corner solution {tuple(violating)} has p <= q; the counting "
@@ -200,21 +196,18 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         ))
         return verdict(Outcome.NOT_EXCLUDED)
 
-    # AllStrict: Lemma 5 pins a to a corner family
-    family_hits = [
-        (fam, fam.parameter_for(a))
-        for fam in corner_families(n)
-        if fam.parameter_for(a) is not None
-    ]
+    # every corner solution has p > q: Lemma 5 pins a to a corner family
+    families = [fam.instance_label(s) for fam in corner_families(n)
+                if (s := fam.parameter_for(a)) is not None]
     steps.append(TraceStep(
         "corner_strict",
         f"every corner solution has p > q, and a = {a} lies in "
-        f"{[f.instance_label(s) for f, s in family_hits] or 'no corner family'}",
+        f"{families or 'no corner family'}",
         lemma="L5",
         point_class="PolygonVertex",
         data={
             "solutions": [list(s) for s in sols],
-            "families": [f.instance_label(s) for f, s in family_hits],
+            "families": families,
         },
     ))
 
@@ -252,7 +245,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             data={
                 "allowed": [str(v) for v in allowed],
                 "complement": str(1 - a),
-                "families": [f.instance_label(s) for f, s in family_hits],
+                "families": families,
             },
         ))
         return verdict(Outcome.IMPOSSIBLE)
@@ -264,7 +257,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         lemma="L6",
         data={
             "allowed": [str(v) for v in allowed],
-            "families": [f.instance_label(s) for f, s in family_hits],
+            "families": families,
         },
     ))
     return verdict(Outcome.NOT_EXCLUDED)

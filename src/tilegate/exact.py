@@ -24,9 +24,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import OrderedDict
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import mpmath
@@ -82,7 +82,6 @@ def euler_phi(m: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
     """Coefficients of the m-th cyclotomic polynomial, ascending degree.
 
@@ -118,7 +117,7 @@ class _Field:
     x^(phi-1).
 
     Every reduction is one routine, :meth:`_divide`: division by the
-    monic Phi_M from the top, phi - 1 degrees a step.  The only table is
+    monic Phi_M from the top, phi - 1 degrees a step.  Its only table is
     ``red``, whose column i is x^(phi+i) mod Phi_M for i < phi - 1.
     Those are the degrees a product of two reduced elements reaches, so
     :meth:`mul` takes one step; a longer vector takes one step per
@@ -129,7 +128,8 @@ class _Field:
     runs in int64 when a bound on every partial sum proves it cannot
     overflow, and on Python ints otherwise.  The table is built in int64
     as well, a column at a time, and on Python ints from the first column
-    whose bound would reach 2**62.
+    whose bound would reach 2**62.  The field also keeps its cosine tables
+    (:meth:`cos_table`), so a field dropped from the cache takes them along.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -153,6 +153,33 @@ class _Field:
             col = np.concatenate(([0], col[:-1])) - top * low
             col_max = int(abs(col).max())
         self.red = red
+        self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+
+    def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
+        for j < phi(M), as two integer vectors over one power of two.
+
+        Every endpoint of an mpmath interval is a binary float, an integer
+        times a power of two, so scaling all of them to the smallest power
+        among them loses nothing: the enclosures are exactly mpmath's.
+        """
+        if prec not in self.cos:
+            iv = mpmath.iv
+            saved = iv.prec
+            ends = []
+            try:
+                iv.prec = prec
+                two_pi = 2 * iv.pi
+                for j in range(self.degree):
+                    ends.append([to_rational(e) for e in iv.cos(two_pi * j / self.modulus)._mpi_])
+            finally:
+                iv.prec = saved
+            # each denominator q is a power of two, 2**(q.bit_length() - 1)
+            shift = max(q.bit_length() for pair in ends for _, q in pair) - 1
+            lo, hi = (tuple(p << (shift + 1 - q.bit_length()) for p, q in side)
+                      for side in zip(*ends))
+            self.cos[prec] = lo, hi, shift
+        return self.cos[prec]
 
     def _dtype(self, bound: int, length: int) -> type:
         # int64 when no partial sum can overflow: the coefficients of a
@@ -246,33 +273,6 @@ def _field(modulus: int) -> _Field:
 _field.cache_clear = _fields.clear  # type: ignore[attr-defined]
 
 
-@lru_cache(maxsize=None)
-def _cos_table(modulus: int, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-    """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
-    for j < phi(M), as two integer vectors over one power of two.
-
-    Every endpoint of an mpmath interval is a binary float, an integer
-    times a power of two, so scaling all of them to the smallest power
-    among them loses nothing: the enclosures are exactly mpmath's.
-    """
-    field = _field(modulus)
-    iv = mpmath.iv
-    saved = iv.prec
-    ends = []
-    try:
-        iv.prec = prec
-        two_pi = 2 * iv.pi
-        for j in range(field.degree):
-            ends.append([to_rational(e) for e in iv.cos(two_pi * j / modulus)._mpi_])
-    finally:
-        iv.prec = saved
-    # each denominator q is a power of two, 2**(q.bit_length() - 1)
-    shift = max(q.bit_length() for pair in ends for _, q in pair) - 1
-    lo, hi = (tuple(p << (shift + 1 - q.bit_length()) for p, q in side)
-              for side in zip(*ends))
-    return lo, hi, shift
-
-
 def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     num = tuple(num)
     if den <= 0:
@@ -302,6 +302,15 @@ def parse_fraction(text: object, what: str) -> Fraction:
             f"{what} must be 'u' or 'u/v' with at most {FRACTION_DIGITS_LIMIT} "
             f"ASCII digits a part and v nonzero, got {echo(text)}")
     return Fraction(int(m[1]), int(m[2] or 1))
+
+
+def _float_outward(q: Fraction, toward: float) -> float:
+    # q rounded one step toward the infinity `toward`, from the largest
+    # float of q's sign when q lies past the float range
+    try:
+        return math.nextafter(float(q), toward)
+    except OverflowError:
+        return math.nextafter(sys.float_info.max if q > 0 else -sys.float_info.max, toward)
 
 
 class CycloReal:
@@ -480,7 +489,7 @@ class CycloReal:
         grows.  The endpoints are integer sums over the dyadic cosine
         table, so each costs one Fraction and they are exactly the sums
         of the table's rational endpoints."""
-        table_lo, table_hi, shift = _cos_table(self.modulus, prec)
+        table_lo, table_hi, shift = _field(self.modulus).cos_table(prec)
         lo = hi = 0
         for c, tl, th in zip(self.num, table_lo, table_hi):
             if c > 0:
@@ -509,13 +518,10 @@ class CycloReal:
         raise ResourceLimitError(f"sign not separated at {_PREC_CEILING} bits")
 
     def float_box(self) -> tuple[float, float]:
-        """A float interval guaranteed to contain the value."""
+        """A float interval guaranteed to contain the value; an end may be infinite."""
         if self._box is None:
             lo, hi = self.enclosure(64)
-            box = (
-                math.nextafter(float(lo), -math.inf),
-                math.nextafter(float(hi), math.inf),
-            )
+            box = (_float_outward(lo, -math.inf), _float_outward(hi, math.inf))
             object.__setattr__(self, "_box", box)
         return self._box
 

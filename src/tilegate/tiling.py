@@ -159,11 +159,8 @@ class Tiling:
             raise FormatError(
                 f"unsupported format tag {echo(obj['format'])}")
         n, modulus = obj["n"], obj["modulus"]
-        for label, value in (("n", n), ("modulus", modulus)):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise FormatError(
-                    f"{label} must be an integer, got {echo(value)}")
         alpha = parse_fraction(obj["alpha"], "alpha")
+        cls(n, alpha, modulus, ())  # refuse a bad header before any coordinate
         raw = obj["triangles"]
         if not isinstance(raw, list):
             raise FormatError("triangles must be a list")
@@ -314,9 +311,10 @@ def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str
     because the angles of a triangle sum to pi.  For alpha = 1/2 the two
     acute corners coincide in size; the first one found counts as alpha.
     """
+    # a triangle, which Tiling keeps non-degenerate, has at most one right corner
     right = [i for i in range(3) if angle_matches(tri, i, Fraction(1))]
-    if len(right) != 1:
-        return "no right corner" if not right else "several right corners"
+    if not right:
+        return "no right corner"
     kinds = [""] * 3
     kinds[right[0]] = "right"
     j, k = [i for i in range(3) if i != right[0]]

@@ -148,21 +148,12 @@ class AngleFamily:
     numerator: Fraction
     label: str
 
-    def member(self, s: int) -> Fraction:
-        if s < 1:
-            raise DomainError(f"family parameter must be positive, got {s}")
-        return self.numerator / s
-
     def parameter_for(self, a: Fraction) -> int | None:
-        """The s with member(s) == a, or None if a is not a member."""
+        """The s with numerator/s == a, or None if a is not a member."""
         if a <= 0:
             return None
         s = self.numerator / a
         return int(s) if s.denominator == 1 and s >= 1 else None
-
-    def min_feasible_s(self) -> int:
-        """Smallest s whose member is a valid smaller angle (<= 1/2)."""
-        return math.ceil(2 * self.numerator)
 
     def instance_label(self, s: int) -> str:
         return f"{self.label}/{s}"
@@ -181,30 +172,6 @@ def allowed_angles(n: int) -> tuple[Fraction, Fraction, Fraction]:
     """The three-angle set {2/n, 4/n, 1/3 + 4/(3n)} in right-angle units."""
     check_polygon_n(n)
     return (Fraction(2, n), Fraction(4, n), Fraction(1, 3) + Fraction(4, 3 * n))
-
-
-class CornerOutcome(Enum):
-    ALL_STRICT = "AllStrict"
-    VIOLATION_EXISTS = "ViolationExists"
-    NO_SOLUTIONS = "NoSolutions"
-
-
-def corner_has_only_p_gt_q(n: int, a: Fraction) -> CornerOutcome:
-    """Classify the corner equation S = 2 - 4/n at angle a."""
-    a = Fraction(a)
-    check_polygon_n(n)
-    if not 0 < a < Fraction(1, 2):
-        raise DomainError(f"a must lie in (0, 1/2), got {echo(a)}")
-    return _corner_outcome(enumerate_solutions(Fraction(2) - Fraction(4, n), a))
-
-
-def _corner_outcome(sols: tuple[VertexSolution, ...]) -> CornerOutcome:
-    # classify the already enumerated solutions of the corner equation
-    if not sols:
-        return CornerOutcome.NO_SOLUTIONS
-    if all(s.p > s.q for s in sols):
-        return CornerOutcome.ALL_STRICT
-    return CornerOutcome.VIOLATION_EXISTS
 
 
 # -- audits --------------------------------------------------------------

@@ -15,10 +15,8 @@ from tilegate.classify import (
 )
 from tilegate.errors import DomainError
 from tilegate.vertex import (
-    CornerOutcome,
     allowed_angles,
     corner_families,
-    corner_has_only_p_gt_q,
     enumerate_solutions,
 )
 
@@ -188,12 +186,12 @@ def test_audit_traces_are_replayable():
              (17, Fraction(3, 17)), (12, Fraction(1, 7))]
     for n, a in cases:
         verdict = impossibility_audit(n, a)
+        sols = enumerate_solutions(2 - Fraction(4, n), a)
         for step in verdict.trace:
             if step.kind == "corner_unsolvable":
-                assert corner_has_only_p_gt_q(n, a) is CornerOutcome.NO_SOLUTIONS
+                assert not sols
             if step.kind == "corner_strict":
-                assert corner_has_only_p_gt_q(n, a) is CornerOutcome.ALL_STRICT
-                sols = enumerate_solutions(2 - Fraction(4, n), a)
+                assert sols and all(s.p > s.q for s in sols)
                 assert [list(s) for s in sols] == step.data["solutions"]
                 hits = [
                     fam.instance_label(fam.parameter_for(a))

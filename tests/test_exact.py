@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 import time
+import weakref
 from fractions import Fraction
 
 import mpmath
@@ -128,6 +130,22 @@ def test_field_cache_builds_each_small_field_once(monkeypatch):
                 assert verify(gen_trivial(n)).verdict
         assert sorted(built) == sorted(set(built))
         assert set(built) >= {default_modulus(n, Fraction(2, n)) for n in range(5, 13)}
+    finally:
+        exact._field.cache_clear()
+
+
+def test_evicted_field_leaves_no_cosine_table(monkeypatch):
+    exact._field.cache_clear()
+    # a budget of nothing keeps only the newest field
+    monkeypatch.setattr(exact, "FIELD_CACHE_ENTRIES", 0)
+    try:
+        x = cos_pi(1, 5, 20)
+        boxes = x.enclosure(64), x.enclosure(128)
+        field = weakref.ref(exact._fields[20])
+        assert set(field().cos) == {64, 128}
+        cos_pi(1, 7, 28)
+        assert list(exact._fields) == [28] and field() is None
+        assert (x.enclosure(64), x.enclosure(128)) == boxes
     finally:
         exact._field.cache_clear()
 
@@ -444,6 +462,16 @@ def test_float_box_contains_value():
     val = float(numeric(x))
     assert lo <= val <= hi
     assert hi - lo < 1e-12
+
+
+def test_float_box_of_a_value_past_the_float_range():
+    # the upper endpoint rounds outward to inf, the lower to a float
+    # below the largest one
+    big = CycloReal.from_rational(10 ** 400, 4)
+    assert big.float_box() == (math.nextafter(sys.float_info.max, 0), math.inf)
+    assert (-big).float_box() == (-math.inf, -math.nextafter(sys.float_info.max, 0))
+    assert float(big) == math.inf and float(-big) == -math.inf
+    assert repr(big).endswith("~ inf)")
 
 
 def test_total_order_witness():

@@ -6,6 +6,7 @@ and 60-digit numeric evaluation for irrational polygon points.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from tilegate.geometry import (
     sign_dot,
     triangles_interior_disjoint,
 )
-from tilegate.tiling import angle_matches
+from tilegate.tiling import angle_matches, gen_trivial
 
 
 def rp(x, y, modulus=4) -> Point:
@@ -190,6 +191,27 @@ def test_overflowing_boxes_fall_through_to_exact():
     assert _box_sign(a, b, c, False, turn) is None
     assert _box_sign(a, b, c, True, turn) is None
     assert angle_matches(Triangle(a, b, c), 0, Fraction(3, 2))
+
+
+def test_coordinates_past_the_float_range_are_decided_exactly():
+    # a box with an infinite endpoint decides nothing, so each case goes to
+    # exact arithmetic instead of raising from the float conversion
+    big = Fraction(10) ** 400
+    assert orientation(rp(0, 0), rp(big, 0), rp(0, 1)) == 1
+    s = cos_pi(1, 12, MOD) * big
+    pts = [rp(0, 0, MOD), rp(big, 0, MOD), rp(0, 1, MOD), rp(-big, big, MOD),
+           Point(s, s * 2), Point(-s, CycloReal.from_rational(3, MOD))]
+    for a, b, c in itertools.permutations(pts, 3):
+        ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+        assert orientation(a, b, c) == (ux * vy - uy * vx).sign()
+        assert sign_dot(a, b, c) == (ux * vx + uy * vy).sign()
+    # the trivial 5-gon's first triangle, blown up by 10**400: same angles
+    tri = gen_trivial(5).triangles[0]
+    scaled = Triangle(*(Point(v.x * big, v.y * big) for v in tri.vertices))
+    for i in range(3):
+        for gamma in (Fraction(2, 5), Fraction(3, 5), Fraction(1)):
+            assert angle_matches(scaled, i, gamma) == angle_matches(tri, i, gamma)
+    assert [angle_matches(scaled, i, Fraction(1)) for i in range(3)] == [False, False, True]
 
 
 # -- segments ------------------------------------------------------------------

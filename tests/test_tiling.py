@@ -648,7 +648,7 @@ def test_from_obj_rejects_bad_documents():
         Tiling.from_obj(doc)
     doc = good_doc()
     doc["n"] = "5"
-    with pytest.raises(FormatError):
+    with pytest.raises(StructuralError, match="polygon parameter"):
         Tiling.from_obj(doc)
     doc = good_doc()
     doc["triangles"] = {}
@@ -669,6 +669,18 @@ def test_from_obj_rejects_bad_documents():
     doc = good_doc()
     doc["modulus"] = 40
     with pytest.raises(FormatError, match="modulus"):
+        Tiling.from_obj(doc)
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("n", 4, "polygon parameter must be an integer >= 5"),
+    ("modulus", 30, "modulus 30 is not divisible by 20"),
+])
+def test_from_obj_refuses_a_bad_header_before_any_coordinate(key, value, message):
+    doc = good_doc()
+    doc[key] = value
+    doc["triangles"][0]["v"][0][0] = "not a scalar"
+    with pytest.raises(StructuralError, match=message):
         Tiling.from_obj(doc)
 
 
