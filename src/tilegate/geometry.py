@@ -18,11 +18,24 @@ reaches a test sends the case to exact arithmetic; one that min or max
 passes over stands for 0 times a finite value, which the other products
 already bound.  A turned u whose bounds are not all finite leaves the
 sign undecided.
+
+A triangle's float box encloses its exact bounding box.  Two triangles
+whose boxes are disjoint have disjoint interiors, so
+``triangles_interior_disjoint`` answers them from the boxes alone.  For
+many boxes at once, ``box_columns`` lays them out as four numpy rows,
+and ``boxes_meeting`` gives the indices of those that meet one box.  It
+tests exactly the negation of the disjointness test, with closed
+comparisons, so boxes that only touch meet.  The verifier's pair loop
+and point ledger use it to skip triangles whose boxes prove them
+irrelevant.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import inf, nextafter
+from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError
 from .exact import CycloReal
@@ -185,10 +198,24 @@ class Triangle:
         return f"Triangle({', '.join(map(repr, self.vertices))})"
 
 
-def _boxes_disjoint(t: Triangle, u: Triangle) -> bool:
-    (txl, txh), (tyl, tyh) = t.box()
-    (uxl, uxh), (uyl, uyh) = u.box()
+def _boxes_disjoint(t: tuple[Interval, Interval], u: tuple[Interval, Interval]) -> bool:
+    (txl, txh), (tyl, tyh) = t
+    (uxl, uxh), (uyl, uyh) = u
     return txh < uxl or uxh < txl or tyh < uyl or uyh < tyl
+
+
+def box_columns(boxes: Sequence[tuple[Interval, Interval]]) -> np.ndarray:
+    """The boxes as four rows xl, xh, yl, yh, one column per box."""
+    return np.array(boxes, dtype=float).reshape(-1, 4).T
+
+
+def boxes_meeting(columns: np.ndarray, box: tuple[Interval, Interval]) -> list[int]:
+    """Indices, ascending, of the boxes in ``columns`` (see box_columns)
+    that meet ``box``: exactly those that _boxes_disjoint does not
+    separate from it, so boxes that only touch meet."""
+    xl, xh, yl, yh = columns
+    (bxl, bxh), (byl, byh) = box
+    return np.flatnonzero((bxl <= xh) & (xl <= bxh) & (byl <= yh) & (yl <= byh)).tolist()
 
 
 def _separated_by_edge(t: Triangle, u: Triangle) -> bool:
@@ -206,6 +233,6 @@ def triangles_interior_disjoint(t: Triangle, u: Triangle) -> bool:
     """True iff the open interiors of two counterclockwise triangles do
     not meet (touching along points or edges is allowed).  Convexity
     makes the edge lines a complete set of separating-axis candidates."""
-    if _boxes_disjoint(t, u):
+    if _boxes_disjoint(t.box(), u.box()):
         return True
     return _separated_by_edge(t, u) or _separated_by_edge(u, t)

@@ -18,7 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, FormatError, StructuralError, echo
 from .exact import CycloReal, cos_pi, field_degree, parse_fraction, sin_pi
@@ -26,6 +26,8 @@ from .geometry import (
     Point,
     Triangle,
     _box_sign,
+    box_columns,
+    boxes_meeting,
     midpoint,
     on_open_segment,
     orientation,
@@ -379,7 +381,12 @@ class VerificationReport:
         }
 
 
-def _classify(pt: Point, tiling: Tiling, polygon: tuple[Point, ...]) -> PointClass:
+def _classify(pt: Point, tiling: Tiling, polygon: tuple[Point, ...],
+              boxes) -> PointClass:
+    # boxes holds the triangles' float boxes, as box_columns gives them.
+    # A point on an open side lies in the side's exact bounding box,
+    # which the triangle's float box encloses, so only the triangles
+    # whose boxes meet the point's can count it
     n = tiling.n
     key = pt.key()
     if any(key == v.key() for v in polygon):
@@ -387,8 +394,8 @@ def _classify(pt: Point, tiling: Tiling, polygon: tuple[Point, ...]) -> PointCla
     if any(on_open_segment(pt, polygon[i], polygon[(i + 1) % n]) for i in range(n)):
         return PointClass(PointKind.POLYGON_SIDE_INTERIOR)
     flat = 0
-    for tri in tiling.triangles:
-        vs = tri.vertices
+    for k in boxes_meeting(boxes, pt.box()):
+        vs = tiling.triangles[k].vertices
         for i in range(3):
             if on_open_segment(pt, vs[i], vs[(i + 1) % 3]):
                 flat += 1
@@ -409,7 +416,8 @@ def classify_point(pt: Point, tiling: Tiling) -> PointClass:
     if not any(key == v.key() for tri in tiling.triangles for v in tri.vertices):
         raise DomainError("point is not a vertex of any triangle in the tiling")
     polygon = polygon_vertices(tiling.n, tiling.modulus)
-    return _classify(pt, tiling, polygon)
+    boxes = box_columns([tri.box() for tri in tiling.triangles])
+    return _classify(pt, tiling, polygon, boxes)
 
 
 @dataclass
@@ -424,6 +432,11 @@ class _VerifyRun:
     # first owning triangle, incident (alpha, beta, right) corner counts)
     points: dict = field(default_factory=dict)
     ledger: tuple[LedgerEntry, ...] = ()
+
+    @cached_property
+    def boxes(self):
+        """The triangles' float boxes, as box_columns gives them."""
+        return box_columns([tri.box() for tri in self.tiling.triangles])
 
 
 def _check_similarity(run: _VerifyRun) -> "str | None":
@@ -452,10 +465,13 @@ def _check_containment(run: _VerifyRun) -> "str | None":
 
 
 def _check_non_overlap(run: _VerifyRun) -> "str | None":
+    # a pair whose float boxes are disjoint has disjoint interiors, so
+    # testing only the pairs whose boxes meet, in (i, j) order, finds
+    # the same first overlapping pair as testing them all
     tris = run.tiling.triangles
-    for i in range(len(tris)):
-        for j in range(i + 1, len(tris)):
-            if not triangles_interior_disjoint(tris[i], tris[j]):
+    for i, tri in enumerate(tris):
+        for j in boxes_meeting(run.boxes, tri.box()):
+            if j > i and not triangles_interior_disjoint(tri, tris[j]):
                 return f"triangles {i} and {j} have overlapping interiors"
     return None
 
@@ -482,7 +498,7 @@ def _check_point_ledger(run: _VerifyRun) -> "str | None":
     entries = []
     detail = None
     for pt, _, (p, q, r) in run.points.values():
-        pclass = _classify(pt, run.tiling, run.polygon)
+        pclass = _classify(pt, run.tiling, run.polygon, run.boxes)
         entries.append(LedgerEntry(pt, pclass, VertexSolution(p, q, r)))
         total = p * alpha + q * (1 - alpha) + r
         target = point_target(pclass, n)
@@ -520,6 +536,16 @@ def verify(tiling: Tiling) -> VerificationReport:
     Later checks are reported as skipped once one fails.  The certificate
     counts (alpha, beta, right) corners over all triangles whenever
     similarity passes.  Every constructed Tiling gets a report.
+
+    The two stages that look at many triangles at once first filter by
+    float box.  The boxes are computed once per call, and
+    geometry.boxes_meeting gives, for one box, the triangles whose boxes
+    meet it, touching included.  non_overlap tests only the pairs whose
+    boxes meet, in the same (i, j) order, so it reports the same first
+    overlapping pair.  point_ledger looks for a point on the open sides
+    of only the triangles whose boxes meet the point's.  Both filters
+    are exact: triangles with disjoint boxes have disjoint interiors,
+    and a point on a side lies in the side's box.
     """
     run = _VerifyRun(tiling, polygon_vertices(tiling.n, tiling.modulus))
     checks = dict.fromkeys(CHECK_ORDER, CheckResult("skipped"))

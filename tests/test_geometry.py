@@ -21,6 +21,9 @@ from tilegate.geometry import (
     Point,
     Triangle,
     _box_sign,
+    _boxes_disjoint,
+    box_columns,
+    boxes_meeting,
     midpoint,
     on_open_segment,
     orientation,
@@ -347,6 +350,25 @@ def test_interior_disjoint_irrational_wedges():
         for j in range(k + 1, n):
             assert triangles_interior_disjoint(wedges[k], wedges[j])
         assert not triangles_interior_disjoint(wedges[k], wedges[k])
+
+
+# a few endpoints, so that drawn boxes often share one and only touch
+_ends = st.sampled_from([-math.inf, -1.0, -5e-324, 0.0, 5e-324, 1.0, 2.0, math.inf])
+
+
+@st.composite
+def _boxes(draw):
+    xl, xh = sorted((draw(_ends), draw(_ends)))
+    yl, yh = sorted((draw(_ends), draw(_ends)))
+    return (xl, xh), (yl, yh)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_boxes(), max_size=12), _boxes())
+def test_boxes_meeting_is_the_negation_of_boxes_disjoint(boxes, probe):
+    # touching boxes, at a finite or an infinite end, meet
+    expected = [j for j, box in enumerate(boxes) if not _boxes_disjoint(box, probe)]
+    assert boxes_meeting(box_columns(boxes), probe) == expected
 
 
 def test_triangle_modulus_mismatch():

@@ -9,11 +9,13 @@ from __future__ import annotations
 import copy
 import json
 import math
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilegate import tiling as tiling_module
@@ -34,7 +36,7 @@ from tilegate.exact import (
     field_degree,
     sin_pi,
 )
-from tilegate.geometry import Point, Triangle
+from tilegate.geometry import Point, Triangle, on_open_segment, triangles_interior_disjoint
 from tilegate.tiling import (
     CHECK_ORDER,
     Tiling,
@@ -50,6 +52,7 @@ from tilegate.tiling import (
     verify,
 )
 from tilegate.vertex import (
+    PointClass,
     PointKind,
     VertexSolution,
     check_polygon_n,
@@ -82,15 +85,35 @@ def replace_vertex(t: Tiling, tri_idx: int, v_idx: int, pt: Point) -> Tiling:
     return Tiling(t.n, t.alpha, t.modulus, tris)
 
 
-def altitude_split(t: Tiling, idx: int) -> Tiling:
-    # split (O, V, F) at the foot of the altitude from the right corner F
-    # onto the hypotenuse OV; V has unit length, so the foot is (F.V) V
-    o, v, f = t.triangles[idx].vertices
-    d = f.x * v.x + f.y * v.y
-    h = Point(d * v.x, d * v.y)
+def altitude_split(t: Tiling, indices) -> Tiling:
+    # split each listed triangle, in place, at the foot of the altitude
+    # from its right corner R: with A the alpha corner and B the other
+    # end of the hypotenuse, the foot is A + cos^2(alpha) (B - A), and
+    # both halves are similar to the triangle
+    cos_a = cos_pi(t.alpha.numerator, 2 * t.alpha.denominator, t.modulus)
+    cos2 = cos_a * cos_a
     tris = list(t.triangles)
-    tris[idx : idx + 1] = [Triangle(o, h, f), Triangle(h, v, f)]
+    for idx in sorted(set(indices), reverse=True):
+        vs = tris[idx].vertices
+        kinds = tiling_module._corner_kinds(tris[idx], t.alpha)
+        ia, ib, ir = (kinds.index(k) for k in ("alpha", "beta", "right"))
+        a, b, r = vs[ia], vs[ib], vs[ir]
+        h = Point(a.x + cos2 * (b.x - a.x), a.y + cos2 * (b.y - a.y))
+        if (ib - ia) % 3 == 1:  # (A, B, R) is counterclockwise
+            tris[idx : idx + 1] = [Triangle(a, h, r), Triangle(h, b, r)]
+        else:
+            tris[idx : idx + 1] = [Triangle(a, r, h), Triangle(h, r, b)]
     return Tiling(t.n, t.alpha, t.modulus, tris)
+
+
+def refined(n: int, size: int, seed: int) -> Tiling:
+    # the trivial tiling split at random triangles until it has `size`
+    t = gen_trivial(n)
+    rng = random.Random(seed)
+    while len(t.triangles) < size:
+        count = min(size - len(t.triangles), len(t.triangles))
+        t = altitude_split(t, rng.sample(range(len(t.triangles)), count))
+    return t
 
 
 # -- generator ---------------------------------------------------------------
@@ -399,7 +422,7 @@ def test_verify_report_serialization():
 
 
 def test_altitude_split_creates_t_joint():
-    t = altitude_split(gen_trivial(8), 0)
+    t = altitude_split(gen_trivial(8), [0])
     assert len(t.triangles) == 17
     rep = verify(t)
     assert rep.verdict
@@ -567,6 +590,105 @@ def test_classify_point_two_flat_sides():
     pc = classify_point(rp(Fraction(1, 2), 0, m), t)
     assert pc.kind is PointKind.TRIANGLE_SIDE_INTERIOR
     assert pc.flat_sides == 2
+
+
+def test_classify_point_equals_the_ledger_class():
+    t = refined(8, 100, 1)
+    rep = verify(t)
+    assert rep.verdict
+    kinds = Counter(e.point_class.kind for e in rep.ledger)
+    assert kinds[PointKind.TRIANGLE_SIDE_INTERIOR] > 0  # T-junctions
+    for entry in rep.ledger:
+        assert classify_point(entry.point, t) == entry.point_class
+
+
+# -- the box filter of the two quadratic stages --------------------------------------
+
+
+def _quadratic_non_overlap(t: Tiling) -> "str | None":
+    # the non_overlap stage without the box filter: every pair, in (i, j) order
+    tris = t.triangles
+    for i in range(len(tris)):
+        for j in range(i + 1, len(tris)):
+            if not triangles_interior_disjoint(tris[i], tris[j]):
+                return f"triangles {i} and {j} have overlapping interiors"
+    return None
+
+
+def _quadratic_classify(pt: Point, t: Tiling, polygon) -> PointClass:
+    # the ledger's point class without the box filter: every triangle's sides
+    n = t.n
+    if any(pt.key() == v.key() for v in polygon):
+        return PointClass(PointKind.POLYGON_VERTEX)
+    if any(on_open_segment(pt, polygon[i], polygon[(i + 1) % n]) for i in range(n)):
+        return PointClass(PointKind.POLYGON_SIDE_INTERIOR)
+    flat = 0
+    for tri in t.triangles:
+        vs = tri.vertices
+        if any(on_open_segment(pt, vs[i], vs[(i + 1) % 3]) for i in range(3)):
+            flat += 1
+    if flat:
+        return PointClass(PointKind.TRIANGLE_SIDE_INTERIOR, flat)
+    return PointClass(PointKind.FREE_INTERIOR)
+
+
+@st.composite
+def _filter_cases(draw):
+    # the trivial tiling split at drawn triangles, which leaves
+    # T-junctions, perhaps with one triangle duplicated or moved onto
+    # others, or with some moved past the float range, where their boxes
+    # get infinite ends
+    t = gen_trivial(draw(st.sampled_from([5, 8, 12])))
+    for _ in range(draw(st.integers(0, 2))):
+        size = len(t.triangles)
+        t = altitude_split(t, draw(st.lists(st.integers(0, size - 1), max_size=size)))
+    tris = list(t.triangles)
+    k = draw(st.integers(0, len(tris) - 1))
+    mutant = draw(st.sampled_from(["none", "duplicate", "shift", "far"]))
+    if mutant == "duplicate":
+        tris.insert(draw(st.integers(0, len(tris))), tris[k])
+    elif mutant == "shift":
+        d = [Fraction(draw(st.integers(-8, 8)), 64) for _ in range(2)]
+        tris[k] = Triangle(*(shifted(v, *d) for v in tris[k].vertices))
+    elif mutant == "far":
+        d = [Fraction(draw(st.sampled_from([-1, 0, 1])) * 10**400) for _ in range(2)]
+        moved = draw(st.sets(st.integers(0, len(tris) - 1), min_size=1))
+        tris = [Triangle(*(shifted(v, *d) for v in tri.vertices)) if i in moved else tri
+                for i, tri in enumerate(tris)]
+    return Tiling(t.n, t.alpha, t.modulus, tris)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_filter_cases())
+# a T-junction on the x-axis, where zero coordinates make thin boxes
+@example(altitude_split(gen_trivial(8), [0]))
+def test_box_filter_equals_the_quadratic_stages(t):
+    run = tiling_module._VerifyRun(t, polygon_vertices(t.n, t.modulus))
+    assert tiling_module._check_non_overlap(run) == _quadratic_non_overlap(t)
+    points = {v.key(): v for tri in t.triangles for v in tri.vertices}
+    for pt in points.values():
+        assert (tiling_module._classify(pt, t, run.polygon, run.boxes)
+                == _quadratic_classify(pt, t, run.polygon))
+
+
+def test_verify_makes_a_linear_number_of_pair_and_side_tests(monkeypatch):
+    # a quadratic pair loop makes T(T - 1)/2 = 130,816 disjointness tests
+    # here, and a quadratic ledger scan more side tests still
+    t = refined(8, 512, 1)
+    calls = Counter()
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return wrapper
+
+    for fn in (triangles_interior_disjoint, on_open_segment):
+        monkeypatch.setattr(tiling_module, fn.__name__, counted(fn))
+    assert verify(t).verdict
+    size = len(t.triangles)
+    assert 0 < calls["triangles_interior_disjoint"] <= 25 * size
+    assert 0 < calls["on_open_segment"] <= 25 * size
 
 
 # -- regularity --------------------------------------------------------------------
