@@ -14,10 +14,11 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError, echo
-from .exact import FRACTION_DIGITS_LIMIT
+from .text import FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
     allowed_angles,
+    as_fraction,
     check_polygon_n,
     corner_families,
     enumerate_solutions,
@@ -27,12 +28,18 @@ from .vertex import (
 def alpha_str(a: Fraction) -> str:
     """Render the angle a (in right-angle units) as a multiple of pi,
     e.g. a = 2/5 -> 'pi/5'."""
-    f = Fraction(a) / 2
-    if f == 1:
+    a = a if isinstance(a, Fraction) else Fraction(a)
+    num, den = a.numerator, a.denominator
+    # num/den = a/2 in lowest terms
+    if num % 2:
+        den *= 2
+    else:
+        num //= 2
+    if num == den == 1:
         return "pi"
-    if f.numerator == 1:
-        return f"pi/{f.denominator}"
-    return f"{f.numerator}pi/{f.denominator}"
+    if num == 1:
+        return f"pi/{den}"
+    return f"{num}pi/{den}"
 
 
 class Provenance(Enum):
@@ -68,9 +75,11 @@ class CandidateSet:
         }
 
 
+_HALF = Fraction(1, 2)
+
+
 def _candidate_set(n: int, values, provenance: Provenance) -> CandidateSet:
-    half = Fraction(1, 2)
-    out = tuple(Candidate(a, a <= half) for a in sorted(set(values)))
+    out = tuple(Candidate(a, a <= _HALF) for a in sorted(set(values)))
     return CandidateSet(n, provenance, out)
 
 
@@ -140,21 +149,20 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     """Replay the counting argument for smaller angle a in a regular
     n-gon.  Impossible means the argument rules a tiling out;
     NotExcluded means it does not apply (and says nothing more)."""
-    a = Fraction(a)
+    a = as_fraction(a, "a")
     check_polygon_n(n)
-    if not 0 < a <= Fraction(1, 2):
+    if not 0 < 2 * a.numerator <= a.denominator:  # 0 < a <= 1/2
         raise DomainError(f"a must lie in (0, 1/2], got {echo(a)}")
     if a.denominator >= _A_DENOMINATOR_BOUND:
         raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
-    corner_target = 2 - Fraction(4, n)
-    allowed = allowed_angles(n)
+    corner_target = Fraction(2 * n - 4, n)
     steps: list[TraceStep] = []
 
     def verdict(outcome: Outcome) -> Verdict:
         return Verdict(n, a, outcome, tuple(steps))
 
-    if a == Fraction(1, 2):
+    if a == _HALF:
         # right isosceles tiles: every angle is a multiple of pi/4, so
         # the polygon corner 2-4/n must be a multiple of 1/2
         if (2 * corner_target).denominator == 1:
@@ -235,6 +243,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
 
     # exceptional a: the interior counts can fail, fall back to the
     # family analysis of the exceptional values
+    allowed = allowed_angles(n)
     if (1 - a) in allowed:
         steps.append(TraceStep(
             "exceptional_complement",

@@ -17,8 +17,7 @@ import sys
 
 from .classify import alpha_str, candidates, impossibility_audit
 from .errors import TilegateError, echo
-from .exact import parse_fraction
-from .tiling import gen_trivial, load_tiling, save_tiling, verify
+from .text import parse_fraction
 from .vertex import audit_lemma
 
 
@@ -115,6 +114,8 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_gen_trivial(args) -> int:
+    from .tiling import gen_trivial, save_tiling  # loads numpy and mpmath
+
     tiling = gen_trivial(args.n)
     save_tiling(tiling, args.out)
     if args.json:
@@ -131,6 +132,8 @@ def _cmd_gen_trivial(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .tiling import load_tiling, verify  # loads numpy and mpmath
+
     report = verify(load_tiling(args.file))
     if args.json:
         _emit_json(report.to_obj())

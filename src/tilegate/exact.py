@@ -23,7 +23,6 @@ integer sum and one Fraction per endpoint.
 from __future__ import annotations
 
 import math
-import re
 import sys
 from collections import OrderedDict
 from fractions import Fraction
@@ -34,6 +33,7 @@ import numpy as np
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
+from .text import parse_fraction
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -46,11 +46,6 @@ FIELD_CACHE_ENTRIES = PHI_LIMIT * (PHI_LIMIT - 1)
 # Bound under which int64 reduction is provably overflow-free (checked
 # per reduction, see _Field._dtype).
 _INT64_SAFE = 1 << 62
-
-# Most digits a part of a fraction read from text or printed in a trace.
-FRACTION_DIGITS_LIMIT = 300
-_DIGITS = f"[0-9]{{1,{FRACTION_DIGITS_LIMIT}}}"
-_FRACTION_TEXT = re.compile(rf"(-?{_DIGITS})(?:/(?!0*\Z)({_DIGITS}))?")
 
 # Hard ceiling for sign-refinement precision, in bits.  Signs are only
 # refined for symbolically nonzero values, so this is never reached in
@@ -289,19 +284,6 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
         num = tuple(v // g for v in num)
         den //= g
     return num, den
-
-
-def parse_fraction(text: object, what: str) -> Fraction:
-    """Read fraction text in the one grammar tilegate accepts, which is
-    what ``str(Fraction)`` writes: ``u`` or ``u/v``, 1 to 300 ASCII digits
-    a part, u signed, v nonzero.  The cap keeps any loaded value below
-    PHI_LIMIT * 10**300 < 1.7e308, so float_box stays finite."""
-    m = isinstance(text, str) and _FRACTION_TEXT.fullmatch(text)
-    if not m:
-        raise FormatError(
-            f"{what} must be 'u' or 'u/v' with at most {FRACTION_DIGITS_LIMIT} "
-            f"ASCII digits a part and v nonzero, got {echo(text)}")
-    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 def _float_outward(q: Fraction, toward: float) -> float:

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DomainError, FormatError, StructuralError, echo
-from .exact import CycloReal, cos_pi, field_degree, parse_fraction, sin_pi
+from .exact import CycloReal, cos_pi, field_degree, sin_pi
 from .geometry import (
     Point,
     Triangle,
@@ -33,6 +33,7 @@ from .geometry import (
     orientation,
     triangles_interior_disjoint,
 )
+from .text import parse_fraction
 from .vertex import (
     PointClass,
     PointKind,

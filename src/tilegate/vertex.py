@@ -53,6 +53,17 @@ def check_polygon_n(n: int) -> None:
         raise DomainError(f"n must be at least 5, got {echo(n)}")
 
 
+def as_fraction(value: object, what: str) -> Fraction:
+    """value as a Fraction, or DomainError where Fraction() refuses it
+    (nan, an infinity, a non-number)."""
+    if isinstance(value, Fraction):
+        return value
+    try:
+        return Fraction(value)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DomainError(f"{what} must be a rational number, got {echo(value)}") from None
+
+
 class VertexSolution(NamedTuple):
     p: int
     q: int
@@ -73,14 +84,16 @@ def _solutions_scaled(a_coef: int, b_coef: int, c_coef: int, total: int) -> list
 
 def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, ...]:
     """All (p, q, r) with p*a + q*(1-a) + r = target, lexicographic."""
-    a = Fraction(a)
-    target = Fraction(target)
-    if not 0 < a < 1:
+    a = as_fraction(a, "a")
+    target = as_fraction(target, "target")
+    u, v = a.numerator, a.denominator
+    if not 0 < u < v:
         raise DomainError(f"a must lie in (0, 1), got {echo(a)}")
-    if target < 0:
+    if target.numerator < 0:
         raise DomainError(f"target must be non-negative, got {echo(target)}")
-    scale = math.lcm(a.denominator, target.denominator)
-    a_coef, b_coef, total = int(a * scale), int((1 - a) * scale), int(target * scale)
+    scale = math.lcm(v, target.denominator)
+    a_coef, b_coef = u * (scale // v), (v - u) * (scale // v)
+    total = target.numerator * (scale // target.denominator)
     pairs = (total // b_coef + 1) * (total // scale + 1)
     if pairs > SOLUTIONS_LIMIT:
         raise ResourceLimitError(
@@ -152,8 +165,9 @@ class AngleFamily:
         """The s with numerator/s == a, or None if a is not a member."""
         if a <= 0:
             return None
-        s = self.numerator / a
-        return int(s) if s.denominator == 1 and s >= 1 else None
+        s, rest = divmod(self.numerator.numerator * a.denominator,
+                         self.numerator.denominator * a.numerator)
+        return s if rest == 0 and s >= 1 else None
 
     def instance_label(self, s: int) -> str:
         return f"{self.label}/{s}"
@@ -163,8 +177,8 @@ def corner_families(n: int) -> tuple[AngleFamily, AngleFamily]:
     """The two families that corner solutions confine a to."""
     check_polygon_n(n)
     return (
-        AngleFamily(2 - Fraction(4, n), f"(2-4/{n})"),
-        AngleFamily(1 - Fraction(4, n), f"(1-4/{n})"),
+        AngleFamily(Fraction(2 * n - 4, n), f"(2-4/{n})"),
+        AngleFamily(Fraction(n - 4, n), f"(1-4/{n})"),
     )
 
 
@@ -221,11 +235,15 @@ class AuditReport:
 
 def _check_max_den(max_den: int) -> None:
     # _reduced_angles builds about 0.3 * max_den**2 pairs, so the audits
-    # grow about fourfold per doubling, and L5 tests them once per n.  On
-    # a 2-vCPU Xeon VM, L4 takes about 6 s at MAX_DEN_LIMIT, and L5 0.4 s
-    # at 196 * 100**2 and 3.3 s at L5_SIZE_LIMIT (5 * 2000**2).
+    # grow about fourfold per doubling.  L5 tests, per n, the pairs whose v
+    # is a multiple of n // gcd(n, 4), at most half of them.  On a 2-vCPU
+    # Xeon VM, L4 takes about 6 s at MAX_DEN_LIMIT, and L5 0.02 s at
+    # 196 * 100**2 and about 2 s at L5_SIZE_LIMIT with n = 5, 6, 8, 12, 16,
+    # the five n with the most such pairs.
+    if not isinstance(max_den, int) or isinstance(max_den, bool):
+        raise DomainError(f"max_den must be an integer, got {echo(max_den)}")
     if max_den < 3:
-        raise DomainError(f"max_den {max_den} admits no angles in (0, 1/2)")
+        raise DomainError(f"max_den {echo(max_den)} admits no angles in (0, 1/2)")
     if max_den > MAX_DEN_LIMIT:
         raise ResourceLimitError(f"max_den exceeds the limit {MAX_DEN_LIMIT}")
 
@@ -311,36 +329,42 @@ def _audit_l4(max_den: int) -> AuditReport:
 
 
 def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
-    pairs = _reduced_angles(max_den)
+    numerators: dict[int, list[int]] = {}
+    for u, v in _reduced_angles(max_den):
+        numerators.setdefault(v, []).append(u)
     bad: list[AuditCase] = []
     for n in ns:
-        for u, v in pairs:
-            # skip the allowed set {2/n, 4/n, (n+4)/(3n)}
-            if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
-                continue
-            # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
-            total = (2 * n - 4) * v
-            a_coef = n * u
-            b_coef = n * (v - u)
-            c_coef = n * v
-            any_sol = False
-            for q in range(total // b_coef + 1):
-                rem = total - b_coef * q
-                for r in range(rem // c_coef + 1):
-                    rest = rem - c_coef * r
-                    if rest % a_coef == 0:
-                        any_sol = True
-                        p = rest // a_coef
-                        if p <= q:
-                            bad.append(
-                                AuditCase(Fraction(u, v), n, VertexSolution(p, q, r), "p <= q")
-                            )
-            in_family_1 = total % a_coef == 0          # a = (2-4/n)/s
-            in_family_2 = ((n - 4) * v) % a_coef == 0   # a = (1-4/n)/s
-            if any_sol and not in_family_1 and not in_family_2:
-                bad.append(
-                    AuditCase(Fraction(u, v), n, None, "a is in neither corner family")
-                )
+        # every coefficient of n*(p*u + q*(v-u) + r*v) = (2n-4)*v is a
+        # multiple of n, so a solution needs n | 4v: visit only those v
+        step = n // math.gcd(n, 4)
+        for v in range(step, max_den + 1, step):
+            for u in numerators.get(v, ()):
+                # skip the allowed set {2/n, 4/n, (n+4)/(3n)}
+                if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
+                    continue
+                # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
+                total = (2 * n - 4) * v
+                a_coef = n * u
+                b_coef = n * (v - u)
+                c_coef = n * v
+                any_sol = False
+                for q in range(total // b_coef + 1):
+                    rem = total - b_coef * q
+                    for r in range(rem // c_coef + 1):
+                        rest = rem - c_coef * r
+                        if rest % a_coef == 0:
+                            any_sol = True
+                            p = rest // a_coef
+                            if p <= q:
+                                bad.append(
+                                    AuditCase(Fraction(u, v), n, VertexSolution(p, q, r), "p <= q")
+                                )
+                in_family_1 = total % a_coef == 0          # a = (2-4/n)/s
+                in_family_2 = ((n - 4) * v) % a_coef == 0   # a = (1-4/n)/s
+                if any_sol and not in_family_1 and not in_family_2:
+                    bad.append(
+                        AuditCase(Fraction(u, v), n, None, "a is in neither corner family")
+                    )
     return AuditReport(
         "L5",
         {"n": [ns[0], ns[-1]], "max_den": max_den, "target": "2-4/n"},

@@ -4,13 +4,18 @@ from __future__ import annotations
 import copy
 import json
 import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from tilegate.cli import main
 from tilegate.exact import CycloReal
 from tilegate.tiling import Tiling, gen_trivial, save_tiling
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_candidates_single_json(run_cli):
@@ -295,3 +300,46 @@ def test_gen_trivial_rejects_small_n(run_cli, tmp_path):
     result = run_cli(["gen-trivial", "--n", "4", "--out", str(tmp_path / "x.json")])
     assert result.returncode == 2
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+CLASSIFY_ONLY = """
+import contextlib, io, sys
+import tilegate.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["candidates", "--range", "5..30", "--json"],
+                 ["audit", "--n", "8", "--alpha", "1/5"],
+                 ["lemmas", "--which", "3", "--max-den", "30"],
+                 ["lemmas", "--which", "4", "--max-den", "30"],
+                 ["lemmas", "--which", "5", "--max-den", "30", "--n-range", "5..40"],
+                 ["lemmas", "--which", "6", "--n-range", "5..27"]):
+        assert tilegate.cli.main(argv) == 0, argv
+loaded = {"numpy", "mpmath"} & set(sys.modules)
+assert not loaded, loaded
+for name in tilegate.__all__:
+    getattr(tilegate, name)
+assert {"numpy", "mpmath"} <= set(sys.modules)
+"""
+
+
+def test_classify_commands_load_neither_numpy_nor_mpmath():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", CLASSIFY_ONLY], capture_output=True,
+                            text=True, check=False, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+
+
+def test_tiling_side_names_are_looked_up_on_every_access(monkeypatch):
+    # a wrapper patched into tilegate.tiling and taken out again is never
+    # left behind in the package namespace
+    import tilegate
+    from tilegate import tiling
+
+    assert tilegate.verify is tiling.verify
+    original = tiling.verify
+    monkeypatch.setattr(tiling, "verify", lambda t: None)
+    assert tilegate.verify is tiling.verify
+    monkeypatch.undo()
+    assert tilegate.verify is original
+    assert "verify" not in vars(tilegate)
+    with pytest.raises(AttributeError):
+        tilegate.no_such_name

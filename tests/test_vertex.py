@@ -15,13 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tilegate.classify import impossibility_audit
-from tilegate.errors import DomainError, ResourceLimitError
+from tilegate.errors import DomainError, ResourceLimitError, TilegateError
 from tilegate.vertex import (
     L5_SIZE_LIMIT,
     LEMMA4_EXCEPTIONS,
     MAX_DEN_LIMIT,
     SOLUTIONS_LIMIT,
     AngleFamily,
+    AuditCase,
     AuditReport,
     PointClass,
     PointKind,
@@ -32,6 +33,7 @@ from tilegate.vertex import (
     enumerate_solutions,
     point_target,
 )
+from tilegate.vertex import _audit_l5
 
 
 def oracle_solutions(target: Fraction, a: Fraction) -> set[tuple[int, int, int]]:
@@ -356,3 +358,146 @@ def test_audit_report_serialization():
     obj = report.to_obj()
     assert obj["passed"] is True and obj["counterexamples"] == []
     assert obj["witnesses"][0]["solution"] == [0, 2, 0]
+
+
+# -- the integer arithmetic against the Fraction forms it replaced ----------
+
+
+def fraction_enumerate_solutions(target, a):
+    # enumerate_solutions as it stood with Fraction products
+    a = Fraction(a)
+    target = Fraction(target)
+    if not 0 < a < 1:
+        raise DomainError("a")
+    if target < 0:
+        raise DomainError("target")
+    scale = math.lcm(a.denominator, target.denominator)
+    a_coef, b_coef, total = int(a * scale), int((1 - a) * scale), int(target * scale)
+    if (total // b_coef + 1) * (total // scale + 1) > SOLUTIONS_LIMIT:
+        raise ResourceLimitError("pairs")
+    out = []
+    for q in range(total // b_coef + 1):
+        rem = total - b_coef * q
+        for r in range(rem // scale + 1):
+            rest = rem - scale * r
+            if rest % a_coef == 0:
+                out.append(VertexSolution(rest // a_coef, q, r))
+    return tuple(sorted(out))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except TilegateError as exc:
+        return type(exc)
+
+
+HUGE = st.integers(min_value=1, max_value=10 ** 60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    target=st.one_of(
+        st.fractions(min_value=-1, max_value=6, max_denominator=30),
+        st.builds(Fraction, st.integers(min_value=-(10 ** 60), max_value=10 ** 60), HUGE),
+        st.builds(lambda k, d: Fraction(k, d), st.integers(0, 40), HUGE),
+    ),
+    a=st.one_of(angles(), st.builds(lambda u, w: Fraction(u, u + w), HUGE, HUGE)),
+)
+def test_integer_enumeration_matches_the_fraction_form(target, a):
+    assert outcome(enumerate_solutions, target, a) == outcome(fraction_enumerate_solutions, target, a)
+
+
+def test_non_numbers_raise_domain_error():
+    with pytest.raises(DomainError):
+        impossibility_audit(7, float("nan"))
+    with pytest.raises(DomainError):
+        enumerate_solutions(float("inf"), Fraction(1, 3))
+    with pytest.raises(DomainError):
+        enumerate_solutions(Fraction(1), None)
+    with pytest.raises(DomainError):
+        impossibility_audit(7, "1/0")
+    for lemma, ns, max_den in (("3", None, 100.0), ("5", [5], "7"), ("4", None, True)):
+        with pytest.raises(DomainError):
+            audit_lemma(lemma, ns=ns, max_den=max_den)
+    # a short message, not a ValueError from printing 5000 digits
+    with pytest.raises(DomainError) as info:
+        audit_lemma("3", max_den=-(10 ** 5000))
+    assert len(str(info.value)) < 100
+
+
+# -- L5 visits only the denominators that can carry a corner solution ------
+
+
+def test_corner_equation_needs_n_to_divide_4v():
+    # independent of the audit loop: every coefficient of
+    # n*(p*u + q*(v-u) + r*v) = (2n-4)*v is a multiple of n
+    for n in range(5, 61):
+        target = 2 - Fraction(4, n)
+        for v in range(2, 61):
+            if 4 * v % n == 0:
+                continue
+            for u in range(1, v):
+                if math.gcd(u, v) == 1:
+                    assert enumerate_solutions(target, Fraction(u, v)) == ()
+
+
+def full_sweep_audit_l5(ns, max_den):
+    # the L5 sweep as it stood before it skipped denominators: every
+    # reduced u/v < 1/2 for every n
+    pairs = [(u, v) for v in range(3, max_den + 1) for u in range(1, (v - 1) // 2 + 1)
+             if math.gcd(u, v) == 1]
+    bad = []
+    for n in ns:
+        for u, v in pairs:
+            if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
+                continue
+            total = (2 * n - 4) * v
+            a_coef = n * u
+            b_coef = n * (v - u)
+            c_coef = n * v
+            any_sol = False
+            for q in range(total // b_coef + 1):
+                rem = total - b_coef * q
+                for r in range(rem // c_coef + 1):
+                    rest = rem - c_coef * r
+                    if rest % a_coef == 0:
+                        any_sol = True
+                        p = rest // a_coef
+                        if p <= q:
+                            bad.append(AuditCase(Fraction(u, v), n, VertexSolution(p, q, r), "p <= q"))
+            in_family_1 = total % a_coef == 0
+            in_family_2 = ((n - 4) * v) % a_coef == 0
+            if any_sol and not in_family_1 and not in_family_2:
+                bad.append(AuditCase(Fraction(u, v), n, None, "a is in neither corner family"))
+    return AuditReport(
+        "L5",
+        {"n": [ns[0], ns[-1]], "max_den": max_den, "target": "2-4/n"},
+        tuple(sorted(bad, key=AuditCase.sort_key)),
+        (),
+    )
+
+
+@pytest.mark.parametrize("ns, max_den", [
+    (range(5, 201), 100),
+    ([28], 400),
+    (range(8, 41, 4), 400),
+    ([2 ** 52 + 3, 2 ** 61 + 1, 10 ** 30], 60),
+])
+def test_audit_l5_matches_the_full_sweep(ns, max_den):
+    start = time.perf_counter()
+    report = audit_lemma("L5", ns=ns, max_den=max_den)
+    assert time.perf_counter() - start < 1.0
+    assert report.to_obj() == full_sweep_audit_l5(sorted(set(ns)), max_den).to_obj()
+
+
+def test_audit_l5_skips_only_unsolvable_denominators_below_5():
+    # Lemma 5 holds from n = 5 on, so its reports there are empty.  Below 5
+    # the corner equation has solutions with p <= q at many u/v, odd and
+    # even v alike, so these reports are long and show every v the sweep
+    # visits (n = 4 and 2 take every v, n = 3 every third).
+    for n in (1, 2, 3, 4):
+        report = _audit_l5([n], 60)
+        assert report.to_obj() == full_sweep_audit_l5([n], 60).to_obj()
+        if n > 1:
+            assert report.counterexamples
