@@ -14,7 +14,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .errors import DomainError, echo
-from .text import FRACTION_DIGITS_LIMIT
+from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
     allowed_angles,
@@ -102,8 +102,6 @@ def candidates(n: int) -> CandidateSet:
 
 # -- the impossibility auditor ---------------------------------------------
 
-_A_DENOMINATOR_BOUND = 10 ** FRACTION_DIGITS_LIMIT  # the trace prints a
-
 
 class Outcome(Enum):
     IMPOSSIBLE = "Impossible"
@@ -153,7 +151,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     check_polygon_n(n)
     if not 0 < 2 * a.numerator <= a.denominator:  # 0 < a <= 1/2
         raise DomainError(f"a must lie in (0, 1/2], got {echo(a)}")
-    if a.denominator >= _A_DENOMINATOR_BOUND:
+    if a.denominator >= FRACTION_DIGITS_BOUND:  # the trace prints a
         raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
     corner_target = Fraction(2 * n - 4, n)

@@ -33,7 +33,7 @@ import numpy as np
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
-from .text import parse_fraction
+from .text import FractionTexts, parse_fraction
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -530,7 +530,12 @@ class CycloReal:
         return {"modulus": self.modulus, "coeffs": self._coeff_texts()}
 
     @classmethod
-    def from_obj(cls, obj: object) -> "CycloReal":
+    def from_obj(cls, obj: object, *, _texts: "FractionTexts | None" = None) -> "CycloReal":
+        """Read ``{"modulus": M, "coeffs": [text, ...]}``, each text in
+        parse_fraction's grammar.  A reader of many scalars passes one
+        ``FractionTexts("coefficient")`` for all of them, so a coefficient
+        text is parsed once however often it occurs; every scalar still
+        gets its own length, modulus and realness checks."""
         if not isinstance(obj, dict) or set(obj) != {"modulus", "coeffs"}:
             raise FormatError(
                 "scalar must be an object with exactly the keys 'modulus' and 'coeffs'"
@@ -541,8 +546,10 @@ class CycloReal:
             raise FormatError("scalar modulus must be an integer")
         if not isinstance(coeffs, list):
             raise FormatError("scalar coeffs must be a list of fraction strings")
+        texts = FractionTexts("coefficient") if _texts is None else _texts
         try:
-            return cls(modulus, [parse_fraction(c, "coefficient") for c in coeffs])
+            return cls(modulus, [texts[c] if type(c) is str else parse_fraction(c, "coefficient")
+                                 for c in coeffs])
         except (DomainError, ModulusError, NonRealError, ResourceLimitError) as exc:
             raise FormatError(str(exc)) from None
 

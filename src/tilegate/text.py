@@ -10,6 +10,8 @@ from .errors import FormatError, echo
 
 # Most digits a part of a fraction read from text or printed in a trace.
 FRACTION_DIGITS_LIMIT = 300
+# The least integer with more digits than that.
+FRACTION_DIGITS_BOUND = 10 ** FRACTION_DIGITS_LIMIT
 _DIGITS = f"[0-9]{{1,{FRACTION_DIGITS_LIMIT}}}"
 _FRACTION_TEXT = re.compile(rf"(-?{_DIGITS})(?:/(?!0*\Z)({_DIGITS}))?")
 
@@ -25,3 +27,19 @@ def parse_fraction(text: object, what: str) -> Fraction:
             f"{what} must be 'u' or 'u/v' with at most {FRACTION_DIGITS_LIMIT} "
             f"ASCII digits a part and v nonzero, got {echo(text)}")
     return Fraction(int(m[1]), int(m[2] or 1))
+
+
+class FractionTexts(dict):
+    """Texts already read by parse_fraction, each mapped to its value.
+    Looking up a new text parses it under the label ``what`` and keeps
+    the value only if that succeeds, so a bad text raises each time it is
+    looked up.  A reader keeps one per document: a text that repeats is
+    parsed once, and nothing outlives the document."""
+
+    def __init__(self, what: str) -> None:
+        super().__init__()
+        self.what = what
+
+    def __missing__(self, text: str) -> Fraction:
+        value = self[text] = parse_fraction(text, self.what)
+        return value

@@ -33,7 +33,7 @@ from .geometry import (
     orientation,
     triangles_interior_disjoint,
 )
-from .text import parse_fraction
+from .text import FractionTexts, parse_fraction
 from .vertex import (
     PointClass,
     PointKind,
@@ -146,9 +146,12 @@ class Tiling:
 
         Repeated coordinate pairs share one Point: a pair whose text
         matches an earlier one's (see _pair_text) reuses that Point, so it
-        is parsed, checked and boxed once.  Every check runs on the first
-        occurrence, so an error names the same triangle and vertex as if
-        each pair were parsed on its own."""
+        is parsed, checked and boxed once.  A coefficient text is parsed
+        once per document: the scalars look their texts up in one
+        FractionTexts, and each still gets its own length, modulus and
+        realness checks.  Every check runs on the first occurrence, so an
+        error names the same triangle and vertex, in the same words, as
+        if each coefficient were parsed on its own."""
         if not isinstance(obj, dict):
             raise FormatError("tiling document must be a JSON object")
         expected = {"format", "n", "alpha", "modulus", "triangles"}
@@ -169,6 +172,7 @@ class Tiling:
             raise FormatError("triangles must be a list")
         triangles = []
         shared: dict[tuple, Point] = {}
+        texts = FractionTexts("coefficient")
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or set(item) != {"v"}:
                 raise FormatError(f"triangle {i}: expected an object with key 'v'")
@@ -183,7 +187,7 @@ class Tiling:
                 text = _pair_text(pair)
                 point = shared.get(text)
                 if point is None:
-                    x, y = CycloReal.from_obj(pair[0]), CycloReal.from_obj(pair[1])
+                    x, y = (CycloReal.from_obj(c, _texts=texts) for c in pair)
                     if x.modulus != modulus or y.modulus != modulus:
                         raise FormatError(
                             f"triangle {i} vertex {j}: coordinate modulus differs "
@@ -212,10 +216,26 @@ def _pair_text(pair: list) -> "tuple | None":
     return tuple(text)
 
 
+# json.dump streams through the pure-Python encoder; only a one-shot
+# encode runs in C
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def save_tiling(tiling: Tiling, path: str) -> None:
+    """Write the canonical text of tiling.to_obj(): sorted keys, no
+    spaces, one trailing newline, the bytes of json.dumps(obj,
+    sort_keys=True, separators=(",", ":")) + "\n".  The C encoder writes
+    the header and then one triangle at a time ("triangles" sorts last),
+    so the whole text is never held in memory at once."""
+    obj = tiling.to_obj()
+    triangles = obj.pop("triangles")
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tiling.to_obj(), fh, sort_keys=True, separators=(",", ":"))
-        fh.write("\n")
+        fh.write(_ENCODE(obj)[:-1] + ',"triangles":[')
+        for i, tri in enumerate(triangles):
+            if i:
+                fh.write(",")
+            fh.write(_ENCODE(tri))
+        fh.write("]}\n")
 
 
 def load_tiling(path: str) -> Tiling:

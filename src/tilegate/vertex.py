@@ -26,6 +26,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ResourceLimitError, echo
+from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 
 # Largest max_den the L3, L4 and L5 audits accept, and largest
 # len(ns) * max_den**2 the L5 audit accepts.
@@ -45,12 +46,17 @@ LEMMA4_EXCEPTIONS: frozenset[Fraction] = frozenset(
 
 
 def check_polygon_n(n: int) -> None:
-    """Reject a polygon parameter that is not an int (bool included) or
-    is below 5, which no statement here covers."""
+    """Reject a polygon parameter that is not an int (bool included),
+    is below 5, which no statement here covers, or has more than
+    FRACTION_DIGITS_LIMIT digits, the cap on a: reports print n and
+    fractions built from it, and str() refuses an int of more than 4300
+    digits.  The bound is compared as an int, so no n is printed whole."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise DomainError(f"n must be an integer, got {echo(n)}")
     if n < 5:
         raise DomainError(f"n must be at least 5, got {echo(n)}")
+    if n >= FRACTION_DIGITS_BOUND:
+        raise DomainError(f"n has over {FRACTION_DIGITS_LIMIT} digits, got {echo(n)}")
 
 
 def as_fraction(value: object, what: str) -> Fraction:

@@ -1,6 +1,7 @@
 """Tests for the candidate classification and the impossibility audit."""
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tilegate.classify import (
 from tilegate.errors import DomainError
 from tilegate.vertex import (
     allowed_angles,
+    audit_lemma,
     corner_families,
     enumerate_solutions,
 )
@@ -162,6 +164,21 @@ def test_audit_domain_errors():
         impossibility_audit(8, Fraction(0))
     with pytest.raises(DomainError):
         impossibility_audit(8, Fraction(3, 5))
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: impossibility_audit(n, Fraction(1, 3)),
+    lambda n: audit_lemma("6", ns=[n]),
+    lambda n: candidates(n).to_obj(),
+], ids=["impossibility_audit", "audit_lemma", "candidates"])
+def test_n_over_300_digits_is_a_domain_error(call):
+    # reports print n, and str() refuses an int of more than 4300 digits
+    for n in (10 ** 300, 10 ** 5000):
+        start = time.perf_counter()
+        with pytest.raises(DomainError, match="n has over 300 digits"):
+            call(n)
+        assert time.perf_counter() - start < 1.0
+    call(10 ** 300 - 1)
 
 
 def test_audit_grid_matches_allowed_set():

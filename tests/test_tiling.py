@@ -7,6 +7,7 @@ mutation oracles (deletions, vertex moves) that must never pass.
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import math
 import random
@@ -37,6 +38,7 @@ from tilegate.exact import (
     sin_pi,
 )
 from tilegate.geometry import Point, Triangle, on_open_segment, triangles_interior_disjoint
+from tilegate.text import parse_fraction
 from tilegate.tiling import (
     CHECK_ORDER,
     Tiling,
@@ -450,6 +452,31 @@ def test_round_trip_through_file(tmp_path):
     assert verify(back).verdict
 
 
+# sha256 over the bytes save_tiling writes for gen_trivial(n), n = 5..50,
+# one file after another, as json.dump wrote them before save_tiling
+# encoded a triangle at a time
+TRIVIAL_5_TO_50_SHA256 = "2d413e2137c3ece6e3a1eefd06d47c15c77379d3bfdc7d2d779d973583ba14d3"
+
+
+def test_saved_trivial_files_are_pinned(tmp_path):
+    path = tmp_path / "t.json"
+    digest = hashlib.sha256()
+    for n in range(5, 51):
+        save_tiling(gen_trivial(n), str(path))
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == TRIVIAL_5_TO_50_SHA256
+
+
+@pytest.mark.parametrize("t", [refined(8, 100, 1), Tiling(8, Fraction(1, 4), 16, ())],
+                         ids=["refined", "no-triangles"])
+def test_saved_file_is_the_canonical_json_text(tmp_path, t):
+    path = tmp_path / "t.json"
+    save_tiling(t, str(path))
+    canonical = json.dumps(t.to_obj(), sort_keys=True, separators=(",", ":")) + "\n"
+    assert path.read_bytes() == canonical.encode()
+    assert load_tiling(str(path)) == t
+
+
 def test_verifier_auditor_coherence():
     for n in (5, 8, 12):
         t = gen_trivial(n)
@@ -860,6 +887,71 @@ def test_repeated_malformed_pair_is_reported_at_its_first_occurrence():
     assert _malform_repeated_pair(doc, 1, 2, bad_coeff) == 2
     with pytest.raises(FormatError, match="^coefficient must be .* got '1/0'$"):
         Tiling.from_obj(doc)
+
+
+def per_coefficient_from_obj(doc) -> Tiling:
+    # every coefficient parsed on its own, every pair its own Point
+    def scalar(obj):
+        return CycloReal(obj["modulus"], [parse_fraction(c, "coefficient") for c in obj["coeffs"]])
+    return Tiling(doc["n"], parse_fraction(doc["alpha"], "alpha"), doc["modulus"],
+                  [Triangle(*(Point(scalar(x), scalar(y)) for x, y in tri["v"]))
+                   for tri in doc["triangles"]])
+
+
+def test_load_parses_each_distinct_coefficient_text_once(tmp_path, monkeypatch):
+    path = tmp_path / "t47.json"
+    save_tiling(gen_trivial(47), str(path))
+    texts = [c for tri in json.loads(path.read_text())["triangles"]
+             for pair in tri["v"] for scalar in pair for c in scalar["coeffs"]]
+    assert (len(texts), len(set(texts))) == (51_888, 7)
+    parsed = []
+
+    def counting(text, what):
+        parsed.append(text)
+        return parse_fraction(text, what)
+
+    monkeypatch.setattr("tilegate.text.parse_fraction", counting)
+    monkeypatch.setattr("tilegate.exact.parse_fraction", counting)
+    assert load_tiling(str(path)) == gen_trivial(47)
+    assert sorted(parsed) == sorted(set(texts))
+
+
+def big_coefficient_tiling() -> Tiling:
+    # gen_trivial(5) moved by (d, -d): d's denominator has 296 digits, and
+    # the constant coefficient of every moved coordinate about as many
+    d = Fraction(1, 7 ** 350)
+    t = gen_trivial(5)
+    moved = {}
+    for tri in t.triangles:
+        for v in tri.vertices:
+            moved.setdefault(id(v), shifted(v, d, -d))
+    return Tiling(5, t.alpha, t.modulus,
+                  [Triangle(*(moved[id(v)] for v in tri.vertices)) for tri in t.triangles])
+
+
+@pytest.mark.parametrize("t", [gen_trivial(5), gen_trivial(12), gen_trivial(47),
+                               refined(8, 100, 1), big_coefficient_tiling()],
+                         ids=["trivial-5", "trivial-12", "trivial-47", "refined", "300-digit"])
+def test_from_obj_equals_a_per_coefficient_parse(t):
+    doc = json.loads(json.dumps(t.to_obj()))
+    assert Tiling.from_obj(doc) == per_coefficient_from_obj(doc) == t
+
+
+@pytest.mark.parametrize("bad", ["1/0", "0.5", "x" * 400, 0, None])
+def test_repeated_bad_coefficient_gives_the_per_coefficient_error(bad):
+    # the bad value replaces one coefficient of x at three vertices, none
+    # in triangles 0 to 2, and is reported as a parse of each would be
+    doc = json.loads(json.dumps(gen_trivial(7).to_obj()))
+    for i, j in ((3, 1), (5, 2), (9, 0)):
+        doc["triangles"][i]["v"][j][0]["coeffs"][1] = bad
+    with pytest.raises(FormatError) as ours:
+        Tiling.from_obj(copy.deepcopy(doc))
+    with pytest.raises(FormatError) as reference:
+        per_coefficient_from_obj(doc)
+    assert str(ours.value) == str(reference.value)
+    assert str(ours.value).startswith(
+        "coefficient must be 'u' or 'u/v' with at most 300 ASCII digits a part "
+        "and v nonzero, got ")
 
 
 def test_load_tiling_rejects_invalid_json(tmp_path):

@@ -442,11 +442,12 @@ def test_corner_equation_needs_n_to_divide_4v():
                     assert enumerate_solutions(target, Fraction(u, v)) == ()
 
 
-def full_sweep_audit_l5(ns, max_den):
+def full_sweep_audit_l5(ns, max_den, pairs=None):
     # the L5 sweep as it stood before it skipped denominators: every
-    # reduced u/v < 1/2 for every n
-    pairs = [(u, v) for v in range(3, max_den + 1) for u in range(1, (v - 1) // 2 + 1)
-             if math.gcd(u, v) == 1]
+    # (u, v) in pairs, by default every reduced u/v < 1/2, for every n
+    if pairs is None:
+        pairs = [(u, v) for v in range(3, max_den + 1) for u in range(1, (v - 1) // 2 + 1)
+                 if math.gcd(u, v) == 1]
     bad = []
     for n in ns:
         for u, v in pairs:
@@ -501,3 +502,19 @@ def test_audit_l5_skips_only_unsolvable_denominators_below_5():
         assert report.to_obj() == full_sweep_audit_l5([n], 60).to_obj()
         if n > 1:
             assert report.counterexamples
+
+
+def every_angle_pair(max_den):
+    return [(u, v) for v in range(2, max_den + 1) for u in range(1, v)]
+
+
+def test_audit_l5_visits_every_solvable_denominator(monkeypatch):
+    # Over every u/v < 1, reduced or not, the corner equation has
+    # solutions with p <= q from n = 5 on as well, so with the sweep fed
+    # every pair the reports show which v it visits at each n
+    monkeypatch.setattr("tilegate.vertex._reduced_angles", every_angle_pair)
+    assert {case.a.denominator for case in _audit_l5([9], 40).counterexamples} == {9, 18, 27, 36}
+    for n in range(5, 41):
+        report = _audit_l5([n], 40)
+        assert report.counterexamples
+        assert report.to_obj() == full_sweep_audit_l5([n], 40, every_angle_pair(40)).to_obj()
