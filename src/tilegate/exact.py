@@ -33,7 +33,7 @@ import numpy as np
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
-from .text import FractionTexts, parse_fraction
+from .text import parse_fraction
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -512,12 +512,12 @@ class CycloReal:
         return (lo + hi) / 2
 
     def __repr__(self) -> str:
-        return (f"CycloReal(mod={self.modulus}, [{', '.join(self._coeff_texts())}] "
+        return (f"CycloReal(mod={self.modulus}, [{', '.join(self._coeff_strings())}] "
                 f"~ {float(self):.6g})")
 
     # -- serialization ---------------------------------------------------
 
-    def _coeff_texts(self) -> list[str]:
+    def _coeff_strings(self) -> list[str]:
         # str(Fraction(v, den)) for each coefficient, from one gcd
         den = self.den
         out = []
@@ -527,15 +527,14 @@ class CycloReal:
         return out
 
     def to_obj(self) -> dict:
-        return {"modulus": self.modulus, "coeffs": self._coeff_texts()}
+        return {"modulus": self.modulus, "coeffs": self._coeff_strings()}
 
     @classmethod
-    def from_obj(cls, obj: object, *, _texts: "FractionTexts | None" = None) -> "CycloReal":
+    def from_obj(cls, obj: object) -> "CycloReal":
         """Read ``{"modulus": M, "coeffs": [text, ...]}``, each text in
-        parse_fraction's grammar.  A reader of many scalars passes one
-        ``FractionTexts("coefficient")`` for all of them, so a coefficient
-        text is parsed once however often it occurs; every scalar still
-        gets its own length, modulus and realness checks."""
+        parse_fraction's grammar.  A text that repeats within the list is
+        parsed once; the first bad coefficient in list order is the one
+        reported."""
         if not isinstance(obj, dict) or set(obj) != {"modulus", "coeffs"}:
             raise FormatError(
                 "scalar must be an object with exactly the keys 'modulus' and 'coeffs'"
@@ -546,10 +545,12 @@ class CycloReal:
             raise FormatError("scalar modulus must be an integer")
         if not isinstance(coeffs, list):
             raise FormatError("scalar coeffs must be a list of fraction strings")
-        texts = FractionTexts("coefficient") if _texts is None else _texts
+        values: dict = {}
+        for c in coeffs:
+            if type(c) is not str or c not in values:
+                values[c] = parse_fraction(c, "coefficient")
         try:
-            return cls(modulus, [texts[c] if type(c) is str else parse_fraction(c, "coefficient")
-                                 for c in coeffs])
+            return cls(modulus, [values[c] for c in coeffs])
         except (DomainError, ModulusError, NonRealError, ResourceLimitError) as exc:
             raise FormatError(str(exc)) from None
 

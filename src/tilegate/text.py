@@ -1,6 +1,7 @@
 """The one grammar tilegate reads fractions in, for tiling files and the
-command line alike.  It imports neither numpy nor mpmath, so the classify
-side of the command line can use it without loading them."""
+command line alike, and nothing else: no state, no memo.  It imports
+neither numpy nor mpmath, so the classify side of the command line can
+use it without loading them."""
 from __future__ import annotations
 
 import re
@@ -28,18 +29,3 @@ def parse_fraction(text: object, what: str) -> Fraction:
             f"ASCII digits a part and v nonzero, got {echo(text)}")
     return Fraction(int(m[1]), int(m[2] or 1))
 
-
-class FractionTexts(dict):
-    """Texts already read by parse_fraction, each mapped to its value.
-    Looking up a new text parses it under the label ``what`` and keeps
-    the value only if that succeeds, so a bad text raises each time it is
-    looked up.  A reader keeps one per document: a text that repeats is
-    parsed once, and nothing outlives the document."""
-
-    def __init__(self, what: str) -> None:
-        super().__init__()
-        self.what = what
-
-    def __missing__(self, text: str) -> Fraction:
-        value = self[text] = parse_fraction(text, self.what)
-        return value

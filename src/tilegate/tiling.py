@@ -33,11 +33,12 @@ from .geometry import (
     orientation,
     triangles_interior_disjoint,
 )
-from .text import FractionTexts, parse_fraction
+from .text import parse_fraction
 from .vertex import (
     PointClass,
     PointKind,
     VertexSolution,
+    as_fraction,
     check_polygon_n,
     point_target,
 )
@@ -88,7 +89,7 @@ class Tiling:
         if not isinstance(n, int) or isinstance(n, bool) or n < 5:
             raise StructuralError(
                 f"polygon parameter must be an integer >= 5, got {echo(n)}")
-        alpha = Fraction(self.alpha)
+        alpha = as_fraction(self.alpha, "smaller acute angle")
         if not 0 < alpha <= Fraction(1, 2):
             raise StructuralError(
                 f"smaller acute angle must lie in (0, 1/2] right angles, got {echo(alpha)}")
@@ -144,14 +145,13 @@ class Tiling:
     def from_obj(cls, obj: object) -> "Tiling":
         """Parse a tilegate-tiling/1 document; strict about keys.
 
-        Repeated coordinate pairs share one Point: a pair whose text
-        matches an earlier one's (see _pair_text) reuses that Point, so it
-        is parsed, checked and boxed once.  A coefficient text is parsed
-        once per document: the scalars look their texts up in one
-        FractionTexts, and each still gets its own length, modulus and
-        realness checks.  Every check runs on the first occurrence, so an
-        error names the same triangle and vertex, in the same words, as
-        if each coefficient were parsed on its own."""
+        One CycloReal per distinct scalar text, its modulus plus its
+        coefficient strings: a scalar whose text matches an earlier one's
+        reuses that CycloReal, so it is parsed, checked and boxed once.
+        A pair of such shared scalars is one shared Point.  Every check
+        runs on the first occurrence, so an error names the same triangle
+        and vertex, in the same words, as if each scalar were read on
+        its own."""
         if not isinstance(obj, dict):
             raise FormatError("tiling document must be a JSON object")
         expected = {"format", "n", "alpha", "modulus", "triangles"}
@@ -171,8 +171,8 @@ class Tiling:
         if not isinstance(raw, list):
             raise FormatError("triangles must be a list")
         triangles = []
-        shared: dict[tuple, Point] = {}
-        texts = FractionTexts("coefficient")
+        scalars: dict[tuple, CycloReal] = {}
+        shared: dict[tuple[int, int], Point] = {}
         for i, item in enumerate(raw):
             if not isinstance(item, dict) or set(item) != {"v"}:
                 raise FormatError(f"triangle {i}: expected an object with key 'v'")
@@ -184,36 +184,36 @@ class Tiling:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise FormatError(
                         f"triangle {i} vertex {j}: expected [x, y]")
-                text = _pair_text(pair)
-                point = shared.get(text)
+                x, y = (_load_scalar(c, scalars) for c in pair)
+                # the pair's Point holds x and y, so their ids stay unique
+                point = shared.get((id(x), id(y)))
                 if point is None:
-                    x, y = (CycloReal.from_obj(c, _texts=texts) for c in pair)
                     if x.modulus != modulus or y.modulus != modulus:
                         raise FormatError(
                             f"triangle {i} vertex {j}: coordinate modulus differs "
                             f"from file modulus {echo(modulus)}")
-                    point = Point(x, y)
-                    if text is not None:
-                        shared[text] = point
+                    point = shared[id(x), id(y)] = Point(x, y)
                 points.append(point)
             triangles.append(Triangle(*points))
         return cls(n, alpha, modulus, triangles)
 
 
-def _pair_text(pair: list) -> "tuple | None":
-    # the moduli and coefficient strings of a pair of scalars made of
-    # plain JSON types, else None.  Equal texts parse to equal Points and
-    # pass or fail the same checks.
-    text = []
-    for obj in pair:
-        if type(obj) is not dict or obj.keys() != {"modulus", "coeffs"}:
-            return None
-        modulus, coeffs = obj["modulus"], obj["coeffs"]
-        if (type(modulus) is not int or type(coeffs) is not list
-                or not all(type(c) is str for c in coeffs)):
-            return None
-        text.append((modulus, *coeffs))
-    return tuple(text)
+def _load_scalar(obj: object, scalars: dict) -> CycloReal:
+    # CycloReal.from_obj(obj), shared through scalars by text: (modulus,
+    # *coeffs).  A text is stored only once its scalar has loaded, when
+    # every coefficient was a str, and only a str equals a str, so the
+    # coefficients need no type test here
+    if (type(obj) is dict and obj.keys() == {"modulus", "coeffs"}
+            and type(obj["modulus"]) is int and type(obj["coeffs"]) is list):
+        text = (obj["modulus"], *obj["coeffs"])
+        try:
+            scalar = scalars.get(text)
+        except TypeError:  # an unhashable coefficient, which cannot load
+            return CycloReal.from_obj(obj)
+        if scalar is None:
+            scalar = scalars[text] = CycloReal.from_obj(obj)
+        return scalar
+    return CycloReal.from_obj(obj)
 
 
 # json.dump streams through the pure-Python encoder; only a one-shot
@@ -295,9 +295,9 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     cross(R u, v) = -(u . v) and dot(R u, v) = u x v, two exact products
     each instead of eight.
     """
-    if corner_index not in (0, 1, 2):
+    if type(corner_index) is not int or corner_index not in (0, 1, 2):
         raise DomainError(f"corner index must be 0, 1 or 2, got {echo(corner_index)}")
-    gamma = Fraction(gamma)
+    gamma = as_fraction(gamma, "angle")
     if not 0 < gamma < 2:
         raise DomainError(f"angle must lie in (0, 2) right angles, got {echo(gamma)}")
     a = tri.vertices[corner_index]

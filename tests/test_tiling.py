@@ -390,6 +390,18 @@ def test_angle_matches_errors():
         angle_matches(tri20, 1, Fraction(1, 2))
 
 
+@pytest.mark.parametrize("call", [
+    lambda tri: Tiling(5, float("nan"), 20, []),
+    lambda tri: Tiling(5, None, 20, []),
+    lambda tri: Tiling(5, float("inf"), 20, []),
+    lambda tri: angle_matches(tri, 0, "x"),
+    lambda tri: angle_matches(tri, 1.0, 1),
+], ids=["alpha-nan", "alpha-none", "alpha-inf", "gamma-text", "corner-float"])
+def test_non_numbers_are_refused_with_domain_error(call):
+    with pytest.raises(DomainError):
+        call(gen_trivial(8).triangles[0])
+
+
 # -- verifier on honest tilings -----------------------------------------------------
 
 
@@ -898,22 +910,57 @@ def per_coefficient_from_obj(doc) -> Tiling:
                    for tri in doc["triangles"]])
 
 
-def test_load_parses_each_distinct_coefficient_text_once(tmp_path, monkeypatch):
+def test_load_builds_one_scalar_per_distinct_scalar_text(tmp_path, monkeypatch):
+    # 564 scalars in 95 distinct pairs, but only 140 distinct scalar texts
+    # (modulus and coefficient strings): distinct pairs share scalars,
+    # the centre's 0 among them
     path = tmp_path / "t47.json"
     save_tiling(gen_trivial(47), str(path))
-    texts = [c for tri in json.loads(path.read_text())["triangles"]
-             for pair in tri["v"] for scalar in pair for c in scalar["coeffs"]]
-    assert (len(texts), len(set(texts))) == (51_888, 7)
+    scalars = [scalar for tri in json.loads(path.read_text())["triangles"]
+               for pair in tri["v"] for scalar in pair]
+    texts = {(scalar["modulus"], *scalar["coeffs"]) for scalar in scalars}
+    assert (len(scalars), len(texts)) == (564, 140)
+    from_obj = CycloReal.from_obj.__func__
     parsed = []
+    loads = []  # (text, parses, distinct coefficient texts) per call
 
-    def counting(text, what):
+    def counting_parse(text, what):
         parsed.append(text)
         return parse_fraction(text, what)
 
-    monkeypatch.setattr("tilegate.text.parse_fraction", counting)
-    monkeypatch.setattr("tilegate.exact.parse_fraction", counting)
+    def counting_from_obj(cls, obj):
+        before = len(parsed)
+        scalar = from_obj(cls, obj)
+        loads.append(((obj["modulus"], *obj["coeffs"]), len(parsed) - before,
+                      len(set(obj["coeffs"]))))
+        return scalar
+
+    monkeypatch.setattr("tilegate.exact.parse_fraction", counting_parse)
+    monkeypatch.setattr(CycloReal, "from_obj", classmethod(counting_from_obj))
     assert load_tiling(str(path)) == gen_trivial(47)
-    assert sorted(parsed) == sorted(set(texts))
+    assert sorted(text for text, _, _ in loads) == sorted(texts)
+    assert all(parses <= distinct for _, parses, distinct in loads)
+
+
+@pytest.mark.parametrize("fault", [
+    lambda scalar: {**scalar, "modulus": 20.0},
+    lambda scalar: {**scalar, "modulus": True},
+    lambda scalar: {**scalar, "extra": 1},
+    lambda scalar: {**scalar, "coeffs": [scalar["coeffs"][:1], *scalar["coeffs"][1:]]},
+], ids=["float-modulus", "bool-modulus", "extra-key", "list-coefficient"])
+def test_look_alike_of_a_loaded_scalar_gives_its_own_error(fault):
+    # polygon vertex 0's x loads in triangle 0; its last occurrence, in
+    # triangle 9, is a copy with one fault, which the loader must not
+    # mistake for the scalar it resembles
+    doc = json.loads(json.dumps(gen_trivial(5).to_obj()))
+    good = doc["triangles"][0]["v"][1][0]
+    assert doc["triangles"][9]["v"][2][0] == good
+    bad = doc["triangles"][9]["v"][2][0] = fault(good)
+    with pytest.raises(FormatError) as ours:
+        Tiling.from_obj(doc)
+    with pytest.raises(FormatError) as alone:
+        CycloReal.from_obj(bad)
+    assert str(ours.value) == str(alone.value)
 
 
 def big_coefficient_tiling() -> Tiling:
