@@ -214,6 +214,20 @@ class _Field:
         dtype = self._dtype(bound, 2 * self.degree - 1)
         return self._divide(np.convolve(np.array(a, dtype), np.array(b, dtype)))
 
+    def det(self, a: Sequence[int], b: Sequence[int],
+            c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
+        """a*b - c*d, unnormalized: two convolutions, one subtraction and
+        one reduction, with no CycloReal built on the way."""
+        ma, mb, mc, md = (max(map(abs, x)) for x in (a, b, c, d))
+        bound = (ma * mb + mc * md) * self.degree
+        if not bound:
+            return (0,) * self.degree
+        # every factor must fit int64 too: a zero times a vector past
+        # 2**63 has a zero bound but does not convert
+        dtype = self._dtype(max(bound, ma, mb, mc, md), 2 * self.degree - 1)
+        a, b, c, d = (np.array(x, dtype) for x in (a, b, c, d))
+        return self._divide(np.convolve(a, b) - np.convolve(c, d))
+
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
         # zeta^j -> zeta^-j
         return self.reduce((-j, c) for j, c in enumerate(a) if c)
@@ -314,8 +328,10 @@ class CycloReal:
                 f"expected {field.degree} coefficients for modulus {modulus}, "
                 f"got {len(coeffs)}"
             )
-        den = math.lcm(*(c.denominator for c in coeffs))
-        num, den = _normalize([c.numerator * (den // c.denominator) for c in coeffs], den)
+        # one as_integer_ratio call reads both parts of each coefficient
+        ratios = [c.as_integer_ratio() for c in coeffs]
+        den = math.lcm(*[q for _, q in ratios])
+        num, den = _normalize([p * (den // q) for p, q in ratios], den)
         if field.conj(num) != num:
             raise NonRealError(
                 f"coefficient vector is not fixed by conjugation in "

@@ -4,13 +4,21 @@ Each point carries a float box, an outward-rounded enclosure of its two
 coordinates.  ``orientation`` and ``sign_dot`` first ask one interval
 routine, :func:`_box_sign`, for the sign of a cross product of two
 difference vectors; only when the enclosure of that value contains zero
-do they compute it exactly in CycloReal arithmetic.  The dot product
-needs no routine of its own: u . v is the cross product of u with v
-turned by +90 degrees, (-v_y, v_x), and turning only negates, which is
-exact.  The angle test of :mod:`tilegate.tiling` asks the same routine,
-passing an optional rotation, the float boxes of the cosine and sine of
-the angle: u is turned by it in interval arithmetic before the cross or
-dot product is taken.  Every difference, sum and product is rounded
+do they compute it exactly.  The dot product needs no routine of its
+own: u . v is the cross product of u with v turned by +90 degrees,
+(-v_y, v_x), and turning only negates, which is exact.
+
+Every exact predicate goes through one kernel.  ``_differences`` scales
+the six coordinates of a, b and c to one common denominator and returns
+u = b - a and v = c - a as integer coefficient vectors; ``_Field.det``
+computes a*b - c*d on such vectors with two convolutions, a subtraction
+and one reduction.  So u x v, u . v and a triangle's doubled area are one
+det each, and a CycloReal is built only for a value that leaves the
+kernel: an area, or a value whose sign is asked.  The angle test of
+:mod:`tilegate.tiling` uses the kernel too, and its filter passes
+_box_sign an optional rotation, the float boxes of the cosine and sine
+of the angle: u is turned by it in interval arithmetic before the cross
+or dot product is taken.  Every difference, sum and product is rounded
 outward by one ulp, and the two products of the cross product are
 compared rather than subtracted.  A bound may overflow to inf, and then
 0 * inf gives NaN.  Comparisons with NaN are false, so a NaN that
@@ -32,13 +40,13 @@ irrelevant.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import inf, nextafter
+from math import inf, lcm, nextafter
 from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError
-from .exact import CycloReal
+from .exact import CycloReal, _field, _Field, _normalize
 
 Interval = tuple[float, float]
 
@@ -125,6 +133,41 @@ def _box_sign(
     return None
 
 
+Vector = tuple[Sequence[int], Sequence[int]]
+
+
+def _difference(p: CycloReal, q: CycloReal, den: int) -> list[int]:
+    # the coefficients of (q - p) * den, for den a multiple of both denominators
+    fp, fq = den // p.den, den // q.den
+    return [s * fq - r * fp for r, s in zip(p.num, q.num)]
+
+
+def _differences(a: Point, b: Point, c: Point) -> tuple[_Field, Vector, Vector, int]:
+    """The field of a, b and c, and u = b - a and v = c - a as integer
+    coefficient vectors over one common denominator den, returned last."""
+    if not a.modulus == b.modulus == c.modulus:
+        raise DomainError("points must share a modulus")
+    den = lcm(a.x.den, a.y.den, b.x.den, b.y.den, c.x.den, c.y.den)
+    u = _difference(a.x, b.x, den), _difference(a.y, b.y, den)
+    v = _difference(a.x, c.x, den), _difference(a.y, c.y, den)
+    return _field(a.modulus), u, v, den
+
+
+def _cross(field: _Field, u: Vector, v: Vector) -> tuple[int, ...]:
+    # u x v = ux*vy - uy*vx
+    return field.det(u[0], v[1], u[1], v[0])
+
+
+def _turned(v: Vector) -> Vector:
+    # v turned by +90 degrees, so that u . v = u x _turned(v)
+    return [-t for t in v[1]], v[0]
+
+
+def _sign(field: _Field, num: Sequence[int]) -> int:
+    # sign of the element with coefficients num over any positive denominator
+    return CycloReal._make(field.modulus, *_normalize(num, 1)).sign()
+
+
 def orientation(a: Point, b: Point, c: Point) -> int:
     """+1 if a,b,c turn counterclockwise, -1 clockwise, 0 collinear."""
     ka, kb, kc = a._key, b._key, c._key
@@ -133,8 +176,8 @@ def orientation(a: Point, b: Point, c: Point) -> int:
     s = _box_sign(a, b, c, False)
     if s is not None:
         return s
-    cross = (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
-    return cross.sign()
+    field, u, v, _ = _differences(a, b, c)
+    return _sign(field, _cross(field, u, v))
 
 
 def sign_dot(a: Point, b: Point, c: Point) -> int:
@@ -147,8 +190,8 @@ def sign_dot(a: Point, b: Point, c: Point) -> int:
     s = _box_sign(a, b, c, True)
     if s is not None:
         return s
-    exact = (b.x - a.x) * (c.x - a.x) + (b.y - a.y) * (c.y - a.y)
-    return exact.sign()
+    field, u, v, _ = _differences(a, b, c)
+    return _sign(field, _cross(field, u, _turned(v)))
 
 
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:
@@ -175,8 +218,8 @@ class Triangle:
         return orientation(a, b, c)
 
     def twice_area(self) -> CycloReal:
-        a, b, c = self.vertices
-        return (b.x - a.x) * (c.y - a.y) - (b.y - a.y) * (c.x - a.x)
+        field, u, v, den = _differences(*self.vertices)
+        return CycloReal._make(field.modulus, *_normalize(_cross(field, u, v), den * den))
 
     def box(self) -> tuple[Interval, Interval]:
         if self._box is None:

@@ -26,6 +26,10 @@ from .geometry import (
     Point,
     Triangle,
     _box_sign,
+    _cross,
+    _differences,
+    _sign,
+    _turned,
     box_columns,
     boxes_meeting,
     midpoint,
@@ -269,13 +273,16 @@ def gen_trivial(n: int) -> Tiling:
 
 
 @lru_cache(maxsize=256)
-def _rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal, tuple]:
-    # entries of the exact rotation by gamma*pi/2 = (gamma/2)*pi, and
-    # their float boxes for the filter
+def _rotation(gamma: Fraction, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    # the cosine and sine of gamma*pi/2 = (gamma/2)*pi as integer vectors
+    # over one positive denominator, which scales every exact test alike,
+    # and their float boxes for the filter
     half = gamma / 2
     cosg = cos_pi(half.numerator, half.denominator, modulus)
     sing = sin_pi(half.numerator, half.denominator, modulus)
-    return cosg, sing, (cosg.float_box(), sing.float_box())
+    cos_n = tuple(t * sing.den for t in cosg.num)
+    sin_n = tuple(t * cosg.den for t in sing.num)
+    return cos_n, sin_n, (cosg.float_box(), sing.float_box())
 
 
 def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
@@ -291,9 +298,11 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     then nothing exact is computed.  Only a corner whose boxes cannot
     exclude cross(R u, v) = 0 takes the exact zero test, and the sign of
     dot(R u, v) is asked of the boxes before it is computed exactly.
-    The right angle turns nothing: R u = (-u_y, u_x), so
-    cross(R u, v) = -(u . v) and dot(R u, v) = u x v, two exact products
-    each instead of eight.
+    The exact tests never build R u.  With X = u x v and D = u . v, one
+    det each of the kernel in tilegate.geometry,
+    cross(R u, v) = cos*X - sin*D and dot(R u, v) = cos*D + sin*X,
+    one more det each.  The right angle needs neither identity:
+    cross(R u, v) = -D and dot(R u, v) = X.
     """
     if type(corner_index) is not int or corner_index not in (0, 1, 2):
         raise DomainError(f"corner index must be 0, 1 or 2, got {echo(corner_index)}")
@@ -303,7 +312,7 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     a = tri.vertices[corner_index]
     b = tri.vertices[(corner_index + 1) % 3]
     c = tri.vertices[(corner_index + 2) % 3]
-    cosg, sing, rot = _rotation(gamma, a.modulus)
+    cos_n, sin_n, rot = _rotation(gamma, a.modulus)
     right = gamma == 1
     if right:
         rot = None
@@ -311,18 +320,18 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     # _box_sign gives when turn is set
     if _box_sign(a, b, c, right, rot) is not None:
         return False
-    ux, uy = b.x - a.x, b.y - a.y
-    vx, vy = c.x - a.x, c.y - a.y
-    if right:
-        rx, ry = -uy, ux
-    else:
-        rx = cosg * ux - sing * uy
-        ry = sing * ux + cosg * uy
-    if not (rx * vy - ry * vx).is_zero():
+    field, u, v, _ = _differences(a, b, c)
+    dot = _cross(field, u, _turned(v))
+    if not right:
+        cross = _cross(field, u, v)
+        if any(field.det(cos_n, cross, sin_n, dot)):
+            return False
+    elif any(dot):
         return False
     s = _box_sign(a, b, c, not right, rot)
     if s is None:
-        s = (rx * vx + ry * vy).sign()
+        s = _sign(field, _cross(field, u, v) if right
+                  else field.det(cos_n, dot, [-t for t in sin_n], cross))
     return s > 0
 
 
