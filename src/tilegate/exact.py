@@ -26,6 +26,7 @@ import math
 import sys
 from collections import OrderedDict
 from fractions import Fraction
+from itertools import compress
 from typing import Iterable, Sequence
 
 import mpmath
@@ -39,13 +40,22 @@ from .text import parse_fraction
 # rather than attempted.
 PHI_LIMIT = 4096
 
-# Most reduction-table entries the field cache holds: one field at the
-# degree limit, about 130 MB of int64.
-FIELD_CACHE_ENTRIES = PHI_LIMIT * (PHI_LIMIT - 1)
-
 # Bound under which int64 reduction is provably overflow-free (checked
 # per reduction, see _Field._dtype).
 _INT64_SAFE = 1 << 62
+
+# Most multiply-adds _Field.det spends on Python ints in one call,
+# products and reduction together.  One costs about 0.1 us; numpy costs
+# 15 to 20 us a call at phi = 8 and more as phi grows, so the two paths
+# break even near 110 multiply-adds at phi = 8 (dense vectors, which
+# take at most 135), near 450 at phi = 92 and near 1200 at phi = 160
+# (Xeon, Python 3.11, numpy 2.4).
+_SPARSE_WORK = 256
+
+# Most entries the field cache holds, reduction tables and sparse rows
+# together: one field at the degree limit, about 130 MB of int64 and at
+# most _SPARSE_WORK row entries a column.
+FIELD_CACHE_ENTRIES = (PHI_LIMIT + _SPARSE_WORK) * (PHI_LIMIT - 1)
 
 # Hard ceiling for sign-refinement precision, in bits.  Signs are only
 # refined for symbolically nonzero values, so this is never reached in
@@ -125,6 +135,23 @@ class _Field:
     as well, a column at a time, and on Python ints from the first column
     whose bound would reach 2**62.  The field also keeps its cosine tables
     (:meth:`cos_table`), so a field dropped from the cache takes them along.
+
+    Every product is one routine too, :meth:`det`, a*b - c*d (:meth:`mul`
+    is a*b - 0*0), on one of two paths chosen per call from the factors'
+    nonzero counts.  The coordinates of fans and their altitude
+    refinements are sparse, 2 to 4 nonzero coefficients, and at phi = 8
+    numpy spends 15 to 20 us a call before it multiplies anything: bounds,
+    array conversions, two convolutions and _divide.  So when the nonzero
+    products number at most _SPARSE_WORK, det multiplies only the nonzero
+    coefficients, on Python ints, and reduces each nonzero coefficient of
+    degree phi + i with ``rows[i]``, the nonzero (row, coefficient) pairs
+    of column i.  Those row entries count against the same bound; past it
+    the products go to _divide.  Otherwise, for dense vectors, det takes
+    numpy: one conversion of the four factors, two convolutions, a
+    subtraction and _divide.  ``rows`` is None where some column has more
+    than _SPARSE_WORK nonzeros, as at highly composite M (445 at
+    M = 4620), since no call could use that column.  ``entries`` counts
+    the table and the rows for the field cache.
     """
 
     def __init__(self, modulus: int) -> None:
@@ -148,6 +175,11 @@ class _Field:
             col = np.concatenate(([0], col[:-1])) - top * low
             col_max = int(abs(col).max())
         self.red = red
+        self.rows = None
+        if np.count_nonzero(red, axis=0).max() <= _SPARSE_WORK:
+            self.rows = [list(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
+                         for col in red.T]
+        self.entries = red.size + sum(map(len, self.rows or ()))
         self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
 
     def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -208,25 +240,54 @@ class _Field:
         return self._divide(np.array(v, self._dtype(max(map(abs, v)), half)))
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        bound = max(map(abs, a)) * max(map(abs, b)) * self.degree
-        if not bound:
-            return (0,) * self.degree
-        dtype = self._dtype(bound, 2 * self.degree - 1)
-        return self._divide(np.convolve(np.array(a, dtype), np.array(b, dtype)))
+        zero = (0,) * self.degree
+        return self.det(a, b, zero, zero)
 
     def det(self, a: Sequence[int], b: Sequence[int],
             c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-        """a*b - c*d, unnormalized: two convolutions, one subtraction and
-        one reduction, with no CycloReal built on the way."""
-        ma, mb, mc, md = (max(map(abs, x)) for x in (a, b, c, d))
-        bound = (ma * mb + mc * md) * self.degree
-        if not bound:
-            return (0,) * self.degree
-        # every factor must fit int64 too: a zero times a vector past
-        # 2**63 has a zero bound but does not convert
-        dtype = self._dtype(max(bound, ma, mb, mc, md), 2 * self.degree - 1)
-        a, b, c, d = (np.array(x, dtype) for x in (a, b, c, d))
-        return self._divide(np.convolve(a, b) - np.convolve(c, d))
+        """a*b - c*d, unnormalized, with no CycloReal built on the way:
+        on Python ints when that takes at most _SPARSE_WORK multiply-adds,
+        with numpy otherwise (see the class docstring)."""
+        n = self.degree
+        rows = self.rows
+        work = _SPARSE_WORK + 1  # numpy, unless the field has sparse rows
+        if rows is not None:
+            # c and d are counted only if a and b leave room, so a dense
+            # product costs two counts
+            work = (n - a.count(0)) * (n - b.count(0))
+            if work <= _SPARSE_WORK:
+                work += (n - c.count(0)) * (n - d.count(0))
+        if work <= _SPARSE_WORK:
+            idx = range(n)
+            v = [0] * (2 * n - 1)
+            for x, y, s in ((a, b, 1), (c, d, -1)):
+                ys = [(j, s * q) for j, q in zip(compress(idx, y), compress(y, y))]
+                for i, p in zip(compress(idx, x), compress(x, x)):
+                    for j, q in ys:
+                        v[i + j] += p * q
+            top = v[n:]
+            cols = list(compress(idx, top))
+            if work + sum(len(rows[i]) for i in cols) <= _SPARSE_WORK:
+                for i in cols:
+                    p = top[i]
+                    for j, q in rows[i]:
+                        v[j] += p * q
+                return tuple(v[:n])
+            # too many row entries: reduce the products with numpy
+            v = np.array(v, self._dtype(max(map(abs, v)), len(v)))
+        else:
+            # one conversion and two reductions for the four factors
+            try:
+                f = np.array((a, b, c, d), np.int64)
+            except OverflowError:  # a coefficient past int64, even beside a zero
+                f = np.array((a, b, c, d), object)
+            ma, mb, mc, md = (max(hi, -lo) for hi, lo in zip(f.max(1).tolist(), f.min(1).tolist()))
+            if self._dtype((ma * mb + mc * md) * n, 2 * n - 1) is object:
+                f = f.astype(object)
+            v = np.convolve(f[0], f[1])
+            if mc and md:
+                v = v - np.convolve(f[2], f[3])
+        return self._divide(v)
 
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
         # zeta^j -> zeta^-j
@@ -260,9 +321,10 @@ _fields: OrderedDict[int, _Field] = OrderedDict()
 
 def _field(modulus: int) -> _Field:
     """Q(zeta_modulus), from a least-recently-used cache that holds at
-    most FIELD_CACHE_ENTRIES reduction-table entries, phi * (phi - 1) a
-    field.  Any one field fits, so the newest is always kept.  The
-    oldest are dropped before a new one is built, so a large table is
+    most FIELD_CACHE_ENTRIES entries: phi * (phi - 1) a field for the
+    reduction table and at most min(phi, _SPARSE_WORK) * (phi - 1) for
+    its sparse rows.  Any one field fits, so the newest is always kept.
+    The oldest are dropped before a new one is built, so a large table is
     never built beside a cached one it would evict."""
     field = _fields.get(modulus)
     if field is not None:
@@ -272,9 +334,10 @@ def _field(modulus: int) -> _Field:
         raise ModulusError(
             f"modulus {echo(modulus)} is not a positive multiple of 4")
     degree = _checked_degree(modulus)
-    held = sum(f.red.size for f in _fields.values())
-    while _fields and held + degree * (degree - 1) > FIELD_CACHE_ENTRIES:
-        held -= _fields.popitem(last=False)[1].red.size
+    held = sum(f.entries for f in _fields.values())
+    most = (degree + min(degree, _SPARSE_WORK)) * (degree - 1)
+    while _fields and held + most > FIELD_CACHE_ENTRIES:
+        held -= _fields.popitem(last=False)[1].entries
     field = _fields[modulus] = _Field(modulus)
     return field
 

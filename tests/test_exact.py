@@ -98,7 +98,8 @@ def test_large_field_builds_quickly():
 
 
 def _table_entries():
-    return sum(f.red.size for f in exact._fields.values())
+    # reduction tables and their sparse rows
+    return sum(f.red.size + sum(map(len, f.rows or ())) for f in exact._fields.values())
 
 
 def test_field_cache_stays_within_its_budget():
@@ -160,13 +161,21 @@ def _reduction_table(m):
     return cols
 
 
-@pytest.mark.parametrize("m", [4, 8, 12, 40, 60, 420, 1260])
+@pytest.mark.parametrize("m", [4, 8, 12, 40, 60, 388, 420, 1260, 4620])
 def test_reduction_table_is_built_in_int64(m):
     field = exact._Field(m)
     cols = _reduction_table(m)
     assert field.red.dtype == np.int64
     assert field.red.T.tolist() == cols
     assert field.red_max == max(abs(v) for col in cols for v in col)
+    # the sparse rows are each column's nonzeros, and are not built when
+    # a column has more than det's Python path may spend
+    rows = [[(r, q) for r, q in enumerate(col) if q] for col in cols]
+    if max(map(len, rows)) > exact._SPARSE_WORK:
+        assert field.rows is None and m == 4620
+    else:
+        assert field.rows == rows
+    assert field.entries == len(cols) * len(cols[0]) + sum(map(len, field.rows or ()))
 
 
 @pytest.mark.parametrize("m", [12, 40, 420])
@@ -179,8 +188,11 @@ def test_reduction_table_falls_back_to_python_ints(m, monkeypatch):
     assert small.red.dtype == object
     assert small.red.T.tolist() == _reduction_table(m)
     assert small.red_max == field.red_max
+    assert small.rows == field.rows
     x = cos_pi(1, m // 4, m) * 3 + Fraction(1, 2)
     y = sin_pi(1, m // 4, m) - 2
+    # on the numpy side, so the product is reduced through the object table
+    monkeypatch.setattr(exact, "_SPARSE_WORK", 0)
     assert small.mul(x.num, y.num) == field.mul(x.num, y.num)
 
 

@@ -7,16 +7,25 @@ products, compared by canonical key.  Those expressions are kept here as
 the oracle.  Points come from trivial and altitude-refined tilings,
 moved by one rational affine map per draw, so coordinate denominators
 mix and coefficients pass 2**63.
+
+``det`` has two paths, numpy convolutions and sparse Python ints, chosen
+per call by ``exact._SPARSE_WORK``.  Each check runs with that bound at 0
+and at 2**60, which force one path and then the other.  Dense and sparse
+vectors at composite moduli are also checked against schoolbook products
+and long division by Phi_M.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilegate import exact
 from tilegate import tiling as tiling_module
-from tilegate.exact import CycloReal, _field, _normalize, cos_pi, sin_pi
+from tilegate.exact import CycloReal, _field, _normalize, cos_pi, cyclotomic_polynomial, sin_pi
 from tilegate.geometry import (
     Point,
     Triangle,
@@ -74,6 +83,14 @@ def corners(draw):
     return t, [moved(p, s, tx, ty) for p in pts]
 
 
+# _SPARSE_WORK values that force det onto numpy, then onto Python ints
+PATHS = (0, 1 << 60)
+
+
+def forced(work: int):
+    return mock.patch.object(exact, "_SPARSE_WORK", work)
+
+
 def value(modulus: int, num, den: int) -> CycloReal:
     return CycloReal._make(modulus, *_normalize(num, den))
 
@@ -111,6 +128,23 @@ def oracle_angle_matches(tri: Triangle, i: int, gamma: Fraction) -> bool:
     return cross.is_zero() and dot.sign() > 0
 
 
+def schoolbook_det(modulus: int, a, b, c, d) -> tuple[int, ...]:
+    # a*b - c*d by schoolbook products, then long division by the monic
+    # Phi_M from the top: no reduction table and no numpy
+    phi = cyclotomic_polynomial(modulus)
+    n = len(phi) - 1
+    v = [0] * (2 * n - 1)
+    for x, y, s in ((a, b, 1), (c, d, -1)):
+        for i, p in enumerate(x):
+            for j, q in enumerate(y):
+                v[i + j] += s * p * q
+    for k in range(len(v) - 1, n - 1, -1):
+        t = v[k]
+        for i, f in enumerate(phi):
+            v[k - n + i] -= t * f
+    return tuple(v[:n])
+
+
 # -- tests ------------------------------------------------------------------
 
 
@@ -119,13 +153,15 @@ def oracle_angle_matches(tri: Triangle, i: int, gamma: Fraction) -> bool:
 def test_kernel_cross_and_dot_equal_the_cyclotomic_expressions(drawn):
     t, (a, b, c) = drawn
     field, u, v, den = _differences(a, b, c)
-    cross = value(t.modulus, _cross(field, u, v), den * den)
-    dot = value(t.modulus, _cross(field, u, _turned(v)), den * den)
-    assert cross.key() == oracle_cross(a, b, c).key()
-    assert dot.key() == oracle_dot(a, b, c).key()
-    assert Triangle(a, b, c).twice_area().key() == cross.key()
-    assert orientation(a, b, c) == cross.sign()
-    assert sign_dot(a, b, c) == dot.sign()
+    expected = oracle_cross(a, b, c), oracle_dot(a, b, c)
+    for work in PATHS:
+        with forced(work):
+            cross = value(t.modulus, _cross(field, u, v), den * den)
+            dot = value(t.modulus, _cross(field, u, _turned(v)), den * den)
+            assert (cross.key(), dot.key()) == tuple(e.key() for e in expected)
+            assert Triangle(a, b, c).twice_area().key() == cross.key()
+            assert orientation(a, b, c) == cross.sign()
+            assert sign_dot(a, b, c) == dot.sign()
 
 
 @settings(max_examples=60, deadline=None)
@@ -136,15 +172,17 @@ def test_kernel_rotated_products_equal_the_cyclotomic_expressions(drawn):
     # denominator as angle_matches holds them
     t, (a, b, c) = drawn
     field, u, v, den = _differences(a, b, c)
-    x, d = _cross(field, u, v), _cross(field, u, _turned(v))
     for gamma in (t.alpha, 1 - t.alpha, Fraction(1)):
         cosg, sing = rotation(gamma, t.modulus)
         cos_n, sin_n, _ = _rotation(gamma, t.modulus)
         scale = den * den * cosg.den * sing.den
-        cross = value(t.modulus, field.det(cos_n, x, sin_n, d), scale)
-        dot = value(t.modulus, field.det(cos_n, d, [-s for s in sin_n], x), scale)
-        expected = oracle_rotated(a, b, c, cosg, sing)
-        assert (cross.key(), dot.key()) == tuple(e.key() for e in expected)
+        expected = tuple(e.key() for e in oracle_rotated(a, b, c, cosg, sing))
+        for work in PATHS:
+            with forced(work):
+                x, d = _cross(field, u, v), _cross(field, u, _turned(v))
+                cross = value(t.modulus, field.det(cos_n, x, sin_n, d), scale)
+                dot = value(t.modulus, field.det(cos_n, d, [-s for s in sin_n], x), scale)
+                assert (cross.key(), dot.key()) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -156,7 +194,10 @@ def test_angle_matches_agrees_with_the_oracle_on_every_corner(drawn):
     tri = Triangle(*pts)
     for i in range(3):
         for gamma in (t.alpha, 1 - t.alpha, Fraction(1)):
-            assert angle_matches(tri, i, gamma) == oracle_angle_matches(tri, i, gamma)
+            expected = oracle_angle_matches(tri, i, gamma)
+            for work in PATHS:
+                with forced(work):
+                    assert angle_matches(tri, i, gamma) == expected
 
 
 def test_a_zero_factor_beside_one_past_int64_is_exact():
@@ -164,6 +205,61 @@ def test_a_zero_factor_beside_one_past_int64_is_exact():
     # zero vector times one past 2**63 must not be converted to int64
     field = _field(12)
     zero, big, one = [0] * 4, [BIG, 0, -BIG, 1], [1, 0, 0, 0]
-    assert field.det(zero, big, one, one) == (-1, 0, 0, 0)
-    assert field.det(big, zero, zero, big) == (0,) * 4
-    assert field.det(big, one, zero, big) == tuple(big)
+    for work in PATHS:
+        with forced(work):
+            assert field.det(zero, big, one, one) == (-1, 0, 0, 0)
+            assert field.det(big, zero, zero, big) == (0,) * 4
+            assert field.det(big, one, zero, big) == tuple(big)
+
+
+@st.composite
+def composite_products(draw):
+    # four vectors at a composite modulus, some entries past 2**63 and some
+    # within int64 whose products are not: dense, or a few nonzeros, whose
+    # reduction can read more row entries than the default bound allows
+    modulus = draw(st.sampled_from([420, 660]))
+    n = _field(modulus).degree
+    entry = st.integers(-15, 15) | st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 70, 2 ** 70)
+    if draw(st.booleans()):
+        return modulus, [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(4)]
+    vectors = []
+    for _ in range(4):
+        v = [0] * n
+        for i, x in draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=6)).items():
+            v[i] = x
+        vectors.append(v)
+    return modulus, vectors
+
+
+@settings(max_examples=30, deadline=None)
+@given(composite_products())
+def test_products_at_composite_moduli_match_schoolbook_division(drawn):
+    modulus, (a, b, c, d) = drawn
+    field = _field(modulus)
+    expected = schoolbook_det(modulus, a, b, c, d)
+    assert field.det(a, b, c, d) == expected
+    for work in PATHS:
+        with forced(work):
+            assert field.det(a, b, c, d) == expected
+            assert field.mul(a, b) == schoolbook_det(modulus, a, b, [0], [0])
+
+
+def test_each_path_is_taken_at_the_default_bound(monkeypatch):
+    # a fan's difference vectors stay on Python ints; a few nonzeros at
+    # high degree at phi = 96 multiply on Python ints but need too many
+    # row entries, so _divide reduces them; a dense product takes numpy
+    field, u, v, _ = _differences(*gen_trivial(29).triangles[5].vertices)
+    convolved, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y: convolved.append(1) or convolve(x, y))
+    divided, divide = [], exact._Field._divide
+    monkeypatch.setattr(exact._Field, "_divide", lambda f, v: divided.append(1) or divide(f, v))
+    assert field.modulus == 116 and any(_cross(field, u, v))
+    assert (convolved, divided) == ([], [])
+    field = _field(420)
+    high = [0] * 90 + [1, -2, 3, -4, 5, -6]
+    ones = [0] * 95 + [1]
+    assert field.det(high, high, ones, high) == schoolbook_det(420, high, high, ones, high)
+    assert (convolved, divided) == ([], [1])
+    dense = list(range(1, 97))
+    assert field.det(dense, dense, dense, ones) == schoolbook_det(420, dense, dense, dense, ones)
+    assert (convolved, divided) == ([1, 1], [1, 1])
