@@ -148,9 +148,11 @@ class _Field:
     of column i.  Those row entries count against the same bound; past it
     the products go to _divide.  Otherwise, for dense vectors, det takes
     numpy: one conversion of the four factors, two convolutions, a
-    subtraction and _divide.  ``rows`` is None where some column has more
-    than _SPARSE_WORK nonzeros, as at highly composite M (445 at
-    M = 4620), since no call could use that column.  ``entries`` counts
+    subtraction and _divide.  A column with more than _SPARSE_WORK
+    nonzeros keeps an empty row, since no call could use it: 741 of 959
+    columns at M = 4620 (up to 445 nonzeros), and 2 of 523 at M = 1052,
+    the field of the fan of n = 263.  Products that need such a column
+    go to _divide; the others keep the Python path.  ``entries`` counts
     the table and the rows for the field cache.
     """
 
@@ -175,11 +177,11 @@ class _Field:
             col = np.concatenate(([0], col[:-1])) - top * low
             col_max = int(abs(col).max())
         self.red = red
-        self.rows = None
-        if np.count_nonzero(red, axis=0).max() <= _SPARSE_WORK:
-            self.rows = [list(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
-                         for col in red.T]
-        self.entries = red.size + sum(map(len, self.rows or ()))
+        # every column is nonzero, so an empty row marks a dense one
+        self.rows = [list(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
+                     if count <= _SPARSE_WORK else []
+                     for col, count in zip(red.T, np.count_nonzero(red, axis=0).tolist())]
+        self.entries = red.size + sum(map(len, self.rows))
         self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
 
     def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -249,14 +251,11 @@ class _Field:
         on Python ints when that takes at most _SPARSE_WORK multiply-adds,
         with numpy otherwise (see the class docstring)."""
         n = self.degree
-        rows = self.rows
-        work = _SPARSE_WORK + 1  # numpy, unless the field has sparse rows
-        if rows is not None:
-            # c and d are counted only if a and b leave room, so a dense
-            # product costs two counts
-            work = (n - a.count(0)) * (n - b.count(0))
-            if work <= _SPARSE_WORK:
-                work += (n - c.count(0)) * (n - d.count(0))
+        # c and d are counted only if a and b leave room, so a dense
+        # product costs two counts
+        work = (n - a.count(0)) * (n - b.count(0))
+        if work <= _SPARSE_WORK:
+            work += (n - c.count(0)) * (n - d.count(0))
         if work <= _SPARSE_WORK:
             idx = range(n)
             v = [0] * (2 * n - 1)
@@ -267,13 +266,14 @@ class _Field:
                         v[i + j] += p * q
             top = v[n:]
             cols = list(compress(idx, top))
-            if work + sum(len(rows[i]) for i in cols) <= _SPARSE_WORK:
-                for i in cols:
+            rows = [self.rows[i] for i in cols]
+            if all(rows) and work + sum(map(len, rows)) <= _SPARSE_WORK:
+                for i, row in zip(cols, rows):
                     p = top[i]
-                    for j, q in rows[i]:
+                    for j, q in row:
                         v[j] += p * q
                 return tuple(v[:n])
-            # too many row entries: reduce the products with numpy
+            # a dense column or too many row entries: reduce with numpy
             v = np.array(v, self._dtype(max(map(abs, v)), len(v)))
         else:
             # one conversion and two reductions for the four factors

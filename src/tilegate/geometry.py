@@ -1,12 +1,22 @@
 """Exact planar predicates over cyclotomic coordinates.
 
 Each point carries a float box, an outward-rounded enclosure of its two
-coordinates.  ``orientation`` and ``sign_dot`` first ask one interval
-routine, :func:`_box_sign`, for the sign of a cross product of two
-difference vectors; only when the enclosure of that value contains zero
-do they compute it exactly.  The dot product needs no routine of its
-own: u . v is the cross product of u with v turned by +90 degrees,
-(-v_y, v_x), and turning only negates, which is exact.
+coordinates.  ``orientation`` and ``sign_dot`` first ask one filter,
+:func:`_box_sign`, for the sign of a cross product of two difference
+vectors, and compute it exactly only when the filter cannot decide.  The
+filter is a cascade of two stages (Shewchuk, 1997; Bronnimann, Burnikel
+and Pion, 2001).  The first is semi-static: each point caches the center
+of its box and one radius, and the cross product of the centers, about
+twenty float operations, decides when it exceeds an a-priori bound on its
+error built from the radii and the unit roundoff (the derivation is in
+_box_sign's docstring).  What that leaves open goes to the second,
+:func:`_interval_sign`, interval arithmetic on the boxes themselves.
+Both are sound, so the cascade decides at least what the intervals
+decide, with the same sign; on fans and refined tilings every case the
+first stage leaves open is an exact zero, which no filter decides.  The
+dot product needs no routine of its own: u . v is the cross product of u
+with v turned by +90 degrees, (-v_y, v_x), and turning only negates,
+which is exact.
 
 Every exact predicate goes through one kernel.  ``_differences`` scales
 the six coordinates of a, b and c to one common denominator and returns
@@ -21,15 +31,18 @@ u . v and a triangle's doubled area are one det each, and a CycloReal is
 built only for a value that leaves the kernel: an area, or a value whose
 sign is asked.  The angle test of :mod:`tilegate.tiling` uses the kernel
 too, and its filter passes _box_sign an optional rotation, the float
-boxes of the cosine and sine of the angle: u is turned by it in interval
-arithmetic before the cross or dot product is taken.  Every difference, sum and product is rounded
-outward by one ulp, and the two products of the cross product are
-compared rather than subtracted.  A bound may overflow to inf, and then
-0 * inf gives NaN.  Comparisons with NaN are false, so a NaN that
-reaches a test sends the case to exact arithmetic; one that min or max
-passes over stands for 0 times a finite value, which the other products
-already bound.  A turned u whose bounds are not all finite leaves the
-sign undecided.
+boxes of the cosine and sine of the angle, with the first stage's
+centers and bound coefficients for it computed once per rotation (by
+:func:`_turn`): u is turned by it before the cross or dot product is
+taken.  In the first stage an overflow makes the bound or the value inf
+or NaN, and then the comparison that decides is false.  In the interval
+stage every difference, sum and product is rounded outward by one ulp,
+and the two products of the cross product are compared rather than
+subtracted.  A bound may overflow to inf, and then 0 * inf gives NaN.
+Comparisons with NaN are false, so a NaN that reaches a test sends the
+case to exact arithmetic; one that min or max passes over stands for 0
+times a finite value, which the other products already bound.  A turned
+u whose bounds are not all finite leaves the sign undecided.
 
 A triangle's float box encloses its exact bounding box.  Two triangles
 whose boxes are disjoint have disjoint interiors, so
@@ -58,7 +71,7 @@ Interval = tuple[float, float]
 class Point:
     """An exact point; both coordinates share one cyclotomic modulus."""
 
-    __slots__ = ("x", "y", "_key", "_box")
+    __slots__ = ("x", "y", "_key", "_box", "_mid")
 
     def __init__(self, x: CycloReal, y: CycloReal) -> None:
         if x.modulus != y.modulus:
@@ -69,6 +82,7 @@ class Point:
         self.y = y
         self._key = (x.num, x.den, y.num, y.den)
         self._box: tuple[Interval, Interval] | None = None
+        self._mid: tuple[float, float, float] | None = None
 
     @property
     def modulus(self) -> int:
@@ -82,6 +96,16 @@ class Point:
         if self._box is None:
             self._box = (self.x.float_box(), self.y.float_box())
         return self._box
+
+    def _center(self) -> tuple[float, float, float]:
+        # the center (mx, my) of the box and one radius r, rounded up,
+        # with |x - mx| <= r and |y - my| <= r; halving each end before
+        # the sum cannot overflow, and r absorbs what it rounds
+        if self._mid is None:
+            (xl, xh), (yl, yh) = self._box or self.box()
+            mx, my = 0.5 * xl + 0.5 * xh, 0.5 * yl + 0.5 * yh
+            self._mid = mx, my, nextafter(max(xh - mx, mx - xl, yh - my, my - yl), inf)
+        return self._mid
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Point):
@@ -97,13 +121,110 @@ def midpoint(a: Point, b: Point) -> Point:
     return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
+# Round-to-nearest doubles: the unit roundoff u = 2**-53, and _ETA,
+# eight times the most an underflowing product loses (2**-1075).  _K1
+# covers the rounding of the bound's own evaluation with room to spare.
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1072
+_K1 = 1 + 2.0 ** -44
+_K3 = 3 * _U * _K1
+
+
+def _turn(cos_box: Interval, sin_box: Interval) -> tuple:
+    """A rotation for _box_sign: its two boxes, then the centers cm, sm
+    of the boxes and the two coefficients of the error bound of a turned
+    vector (see _box_sign), computed once per rotation."""
+    (cl, ch), (sl, sh) = cos_box, sin_box
+    cm, sm = 0.5 * cl + 0.5 * ch, 0.5 * sl + 0.5 * sh
+    rr = nextafter(max(ch - cm, cm - cl, sh - sm, sm - sl), inf)
+    kr = abs(cm) + abs(sm) + 2 * rr
+    km = rr + 3 * _U * (max(abs(cm), abs(sm)) + rr)
+    return cos_box, sin_box, (cm, sm, kr, km)
+
+
 def _box_sign(
     a: Point, b: Point, c: Point, turn: bool,
-    rot: tuple[Interval, Interval] | None = None,
+    rot: tuple | None = None,
 ) -> int | None:
     """Sign of u x v, u = b - a and v = c - a, or of u . v when turn is
     set, if the float boxes of a, b and c decide it; None otherwise.
-    With rot = (cos box, sin box), u is first turned by that angle."""
+    With rot = (cos box, sin box), or as _turn returns it, u is first
+    turned by that angle.
+
+    Two stages.  The first takes each point as its box's center and one
+    radius r (Point._center): the exact point lies within r of the
+    center in each coordinate.  In doubles it computes the differences
+    ux, uy, vx, vy of the centers, p = ux*vy, q = uy*vx and d = p - q,
+    and returns sign(d) when |d| exceeds E below.  Why that is the sign
+    of the exact D = Ux*Vy - Uy*Vx: with R = ra + rb and S = ra + rc,
+    each rounded difference is off by at most u times itself, so
+    |Ux - ux| <= R + u*|ux|, and likewise for uy with R and for vx, vy
+    with S.  Multiplying out,
+
+        |D - (ux*vy - uy*vx)| <= (1 + u)(S*mu + R*mv) + 2*R*S + (2u + u^2) t
+
+    with mu = |ux| + |uy|, mv = |vx| + |vy| and t = |ux*vy| + |uy*vx|.
+    A rounded product x*y is off by at most u*|x*y|, plus 2**-1075
+    where it underflows, so p - q is within u*t + 2**-1074 of
+    ux*vy - uy*vx, and t <= (P + 2**-1074) / (1 - u) with
+    P = |p| + |q|.  Rounding keeps the sign of p - q in d and changes
+    its size by at most the factor 1 + u, so sign(d) = sign(D) whenever
+
+        |d| > (1 + u) ((1 + u)(S*mu + R*mv + 2*R*S) + (3u + 5u^2) P + 2.01 * 2**-1075).
+
+    E = _K1 (S*mu + R*(mv + 2S)) + _K3*P + _ETA exceeds that right side
+    even as computed in doubles: the products and sums of nonnegative
+    terms that make it up, R and S among them, lose at most a factor
+    1 + u each, which the 2**-44 in _K1 and _K3 covers many times over,
+    and four products lose at most 2**-1075 each to underflow, so 6.1
+    times 2**-1075 is all _ETA must cover.  Turning v negates and swaps
+    its coordinates, which changes no bound.
+
+    A turned u: with a rotation's boxes centered at cm, sm, both within
+    rr of the exact cosine and sine, the exact turned vector W differs
+    from the computed w = (cm*ux - sm*uy, sm*ux + cm*uy) in each
+    coordinate by at most
+
+        (|cm| + |sm| + 2 rr) R + (rr + 3u (max(|cm|, |sm|) + rr)) mu + 4.01 * 2**-1075
+
+    to first order in u: (|cm| + rr)(R + u|ux|) for the error of u, rr*|ux|
+    for that of the cosine, the same for uy and the sine, and u times
+    the two rounded products and their rounded sum, which underflow
+    may move by 2**-1075 each, as it may the two products of the bound.
+    The two coefficients are _turn's kr and km, and _K1 covers the
+    higher orders, since the bound enters E only through R: the bound
+    plus _ETA takes the place of R, and w that of u.  It stands for all
+    of each coordinate's error, where R stood for only a part of it.
+
+    The comparison E < |d| < inf is false when E or d is inf or NaN, so
+    an overflow anywhere, or a box with an infinite end, leaves the sign
+    open.  An open case goes to :func:`_interval_sign`, which decides
+    what the boxes decide with interval arithmetic; the first stage only
+    saves that work, and both are sound, so a sign never differs.
+    """
+    ax, ay, ra = a._mid or a._center()
+    bx, by, rb = b._mid or b._center()
+    cx, cy, rc = c._mid or c._center()
+    ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
+    r, s = ra + rb, ra + rc
+    if rot is not None:
+        cm, sm, kr, km = rot[2] if len(rot) > 2 else _turn(*rot)[2]
+        r = kr * r + km * (abs(ux) + abs(uy)) + _ETA
+        ux, uy = cm * ux - sm * uy, sm * ux + cm * uy
+    if turn:
+        vx, vy = -vy, vx
+    p, q = ux * vy, uy * vx
+    d = p - q
+    e = _K1 * (s * (abs(ux) + abs(uy)) + r * (abs(vx) + abs(vy) + 2 * s)) \
+        + _K3 * (abs(p) + abs(q)) + _ETA
+    if e < abs(d) < inf:
+        return 1 if d > 0 else -1
+    return _interval_sign(a, b, c, turn, rot)
+
+
+def _interval_sign(a: Point, b: Point, c: Point, turn: bool, rot: tuple | None) -> int | None:
+    """_box_sign's second stage: the same sign from the boxes themselves,
+    in interval arithmetic rounded outward by one ulp a step."""
     (axl, axh), (ayl, ayh) = a._box or a.box()
     (bxl, bxh), (byl, byh) = b._box or b.box()
     (cxl, cxh), (cyl, cyh) = c._box or c.box()
@@ -113,7 +234,7 @@ def _box_sign(
     vyl, vyh = nextafter(cyl - ayh, -inf), nextafter(cyh - ayl, inf)
     if rot is not None:
         # R u = (cos*ux - sin*uy, sin*ux + cos*uy)
-        (cl, ch), (sl, sh) = rot
+        (cl, ch), (sl, sh) = rot[:2]
         cx = (cl * uxl, cl * uxh, ch * uxl, ch * uxh)
         sy = (sl * uyl, sl * uyh, sh * uyl, sh * uyh)
         sx = (sl * uxl, sl * uxh, sh * uxl, sh * uxh)
@@ -270,8 +391,9 @@ def _separated_by_edge(t: Triangle, u: Triangle) -> bool:
     # edge, so an edge line with all of u on the closed right side
     # separates the interiors
     a, b, c = t.vertices
+    x, y, z = u.vertices
     for p, q in ((a, b), (b, c), (c, a)):
-        if all(orientation(p, q, v) <= 0 for v in u.vertices):
+        if orientation(p, q, x) <= 0 and orientation(p, q, y) <= 0 and orientation(p, q, z) <= 0:
             return True
     return False
 

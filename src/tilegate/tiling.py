@@ -29,6 +29,7 @@ from .geometry import (
     _cross,
     _differences,
     _sign,
+    _turn,
     _turned,
     box_columns,
     boxes_meeting,
@@ -276,13 +277,13 @@ def gen_trivial(n: int) -> Tiling:
 def _rotation(gamma: Fraction, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
     # the cosine and sine of gamma*pi/2 = (gamma/2)*pi as integer vectors
     # over one positive denominator, which scales every exact test alike,
-    # and their float boxes for the filter
+    # and the rotation for the filter, from their float boxes
     half = gamma / 2
     cosg = cos_pi(half.numerator, half.denominator, modulus)
     sing = sin_pi(half.numerator, half.denominator, modulus)
     cos_n = tuple(t * sing.den for t in cosg.num)
     sin_n = tuple(t * cosg.den for t in sing.num)
-    return cos_n, sin_n, (cosg.float_box(), sing.float_box())
+    return cos_n, sin_n, _turn(cosg.float_box(), sing.float_box())
 
 
 def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
@@ -307,15 +308,19 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     if type(corner_index) is not int or corner_index not in (0, 1, 2):
         raise DomainError(f"corner index must be 0, 1 or 2, got {echo(corner_index)}")
     gamma = as_fraction(gamma, "angle")
-    if not 0 < gamma < 2:
+    # on the lowest-terms numerator and denominator, cheaper than Fraction's
+    # comparisons: 0 < gamma < 2, and gamma == 1
+    num, den = gamma.numerator, gamma.denominator
+    if not 0 < num < 2 * den:
         raise DomainError(f"angle must lie in (0, 2) right angles, got {echo(gamma)}")
     a = tri.vertices[corner_index]
     b = tri.vertices[(corner_index + 1) % 3]
     c = tri.vertices[(corner_index + 2) % 3]
-    cos_n, sin_n, rot = _rotation(gamma, a.modulus)
-    right = gamma == 1
+    right = num == den
     if right:
         rot = None
+    else:
+        cos_n, sin_n, rot = _rotation(gamma, a.modulus)
     # is cross(R u, v) nonzero?  For the right angle that is u . v, which
     # _box_sign gives when turn is set
     if _box_sign(a, b, c, right, rot) is not None:
@@ -335,6 +340,9 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     return s > 0
 
 
+_RIGHT_ANGLE = Fraction(1)
+
+
 def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str":
     """('alpha'|'beta'|'right') per corner, or a failure description.
 
@@ -344,7 +352,7 @@ def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str
     acute corners coincide in size; the first one found counts as alpha.
     """
     # a triangle, which Tiling keeps non-degenerate, has at most one right corner
-    right = [i for i in range(3) if angle_matches(tri, i, Fraction(1))]
+    right = [i for i in range(3) if angle_matches(tri, i, _RIGHT_ANGLE)]
     if not right:
         return "no right corner"
     kinds = [""] * 3

@@ -168,14 +168,13 @@ def test_reduction_table_is_built_in_int64(m):
     assert field.red.dtype == np.int64
     assert field.red.T.tolist() == cols
     assert field.red_max == max(abs(v) for col in cols for v in col)
-    # the sparse rows are each column's nonzeros, and are not built when
-    # a column has more than det's Python path may spend
+    # the sparse rows are each column's nonzeros; a column with more than
+    # det's Python path may spend keeps an empty row, and only m = 4620
+    # has such columns here
     rows = [[(r, q) for r, q in enumerate(col) if q] for col in cols]
-    if max(map(len, rows)) > exact._SPARSE_WORK:
-        assert field.rows is None and m == 4620
-    else:
-        assert field.rows == rows
-    assert field.entries == len(cols) * len(cols[0]) + sum(map(len, field.rows or ()))
+    assert (max(map(len, rows)) > exact._SPARSE_WORK) == (m == 4620)
+    assert field.rows == [row if len(row) <= exact._SPARSE_WORK else [] for row in rows]
+    assert field.entries == len(cols) * len(cols[0]) + sum(map(len, field.rows))
 
 
 @pytest.mark.parametrize("m", [12, 40, 420])

@@ -9,12 +9,14 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tilegate import geometry
 from tilegate.errors import DomainError
 from tilegate.exact import CycloReal, cos_pi, sin_pi
 from tilegate.geometry import (
@@ -22,6 +24,7 @@ from tilegate.geometry import (
     Triangle,
     _box_sign,
     _boxes_disjoint,
+    _turn,
     box_columns,
     boxes_meeting,
     midpoint,
@@ -30,7 +33,7 @@ from tilegate.geometry import (
     sign_dot,
     triangles_interior_disjoint,
 )
-from tilegate.tiling import angle_matches, gen_trivial
+from tilegate.tiling import angle_matches, gen_trivial, verify
 
 
 def rp(x, y, modulus=4) -> Point:
@@ -215,6 +218,130 @@ def test_coordinates_past_the_float_range_are_decided_exactly():
         for gamma in (Fraction(2, 5), Fraction(3, 5), Fraction(1)):
             assert angle_matches(scaled, i, gamma) == angle_matches(tri, i, gamma)
     assert [angle_matches(scaled, i, Fraction(1)) for i in range(3)] == [False, False, True]
+
+
+# -- the filter's first stage -----------------------------------------------------
+#
+# _box_sign first tries an a-priori error bound on the centers of the boxes
+# and only then interval arithmetic.  With the interval stage patched out,
+# every sign it still gives comes from the bound alone and must be exact.
+
+
+def nudged(p: Point, dx: int, dy: int) -> Point:
+    # p moved by dx and dy ulps of its coordinates' floats
+    return Point(p.x + Fraction(math.ulp(float(p.x))) * dx,
+                 p.y + Fraction(math.ulp(float(p.y))) * dy)
+
+
+ulps = st.sampled_from([-1, 0, 0, 1])
+rotations = st.none() | st.integers(0, 23)
+
+
+@st.composite
+def shifted_triples(draw):
+    """triples(), all three shifted by one vector, which keeps collinear and
+    perpendicular points so, then c nudged by at most one ulp a
+    coordinate.  A large shift makes the radii of the boxes, not the
+    rounding of the differences, the main part of the bound."""
+    a, b, c = draw(triples())
+    t = draw(st.sampled_from([0, 0, 1000, 10 ** 9])) * draw(cyclo_coord(1))
+    a, b, c = (Point(p.x + t, p.y + t * 3) for p in (a, b, c))
+    return a, b, nudged(c, draw(ulps), draw(ulps))
+
+
+def exact_float_point(x: float, y: float) -> Point:
+    # the degenerate box of a float coordinate encloses it too, and leaves
+    # the bound only the rounding of the differences and products to cover
+    p = rp(Fraction(x), Fraction(y), MOD)
+    p._box = ((x, x), (y, y))
+    return p
+
+
+@st.composite
+def far_float_triples(draw):
+    """a far from the origin, b near it, and c the float point nearest to
+    the line ab near b, perhaps one ulp off it.  a's coordinates lie just
+    above powers of two, and so do the differences from a, which then
+    round by up to u times themselves, as their products may: the three
+    points are collinear to far within those errors, which the bound
+    must cover with nothing to spare from the radii."""
+    rnd = draw(st.randoms(use_true_random=True))
+    ax, ay = (rnd.choice([-1, 1]) * math.ldexp(1 + rnd.random() * 2.0 ** -20, rnd.randint(10, 30))
+              for _ in range(2))
+    bx, by = (-math.copysign(rnd.uniform(0.5, 1), v) for v in (ax, ay))
+    lam = Fraction(rnd.uniform(-1, 1)) / max(abs(ax), abs(ay))
+    c = (float(Fraction(bx) + lam * (Fraction(bx) - Fraction(ax))),
+         float(Fraction(by) + lam * (Fraction(by) - Fraction(ay))))
+    c = tuple(math.nextafter(v, math.inf * d) if d else v for v, d in zip(c, (draw(ulps), draw(ulps))))
+    return exact_float_point(ax, ay), exact_float_point(bx, by), exact_float_point(*c)
+
+
+@st.composite
+def tiny_zero_triples(draw):
+    """Points at 2**-515 or 2**-516, where the products of differences
+    fall near 2**-1025 and the bound's own terms underflow, with u x v or
+    u . v exactly 0 after u is turned by k*pi/12, if k is set: c is on
+    the line through a along the turned u, or on its perpendicular."""
+    k = draw(rotations)
+    scale = Fraction(1, 2 ** draw(st.sampled_from([515, 516])))
+    a, b = (Point(draw(cyclo_coord(scale)), draw(cyclo_coord(scale))) for _ in range(2))
+    wx, wy = b.x - a.x, b.y - a.y
+    if k is not None:
+        cos, sin = cos_pi(k, 12, MOD), sin_pi(k, 12, MOD)
+        wx, wy = cos * wx - sin * wy, sin * wx + cos * wy
+    t = draw(coords)
+    c = draw(st.sampled_from([Point(a.x + wx * t, a.y + wy * t), Point(a.x - wy * t, a.y + wx * t)]))
+    return (a, b, c), k
+
+
+def exact_signs(a: Point, b: Point, c: Point, k: "int | None") -> tuple[int, int]:
+    # signs of u x v and u . v, u = b - a turned first by k*pi/12 if k is set
+    ux, uy, vx, vy = b.x - a.x, b.y - a.y, c.x - a.x, c.y - a.y
+    if k is not None:
+        cos, sin = cos_pi(k, 12, MOD), sin_pi(k, 12, MOD)
+        ux, uy = cos * ux - sin * uy, sin * ux + cos * uy
+    return (ux * vy - uy * vx).sign(), (ux * vx + uy * vy).sign()
+
+
+def check_first_stage(pts, k):
+    # in each cyclic order, plain, turned and rotated by k*pi/12
+    rot = None if k is None else (cos_pi(k, 12, MOD).float_box(), sin_pi(k, 12, MOD).float_box())
+    with mock.patch.object(geometry, "_interval_sign", lambda *args: None):
+        for a, b, c in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+            cross, dot = exact_signs(a, b, c, k)
+            for turn, expected in ((False, cross), (True, dot)):
+                got = _box_sign(a, b, c, turn, rot)
+                assert got is None or got == expected != 0
+                if rot is not None:
+                    assert _box_sign(a, b, c, turn, _turn(*rot)) == got
+
+
+@settings(max_examples=400, deadline=None)
+@given(pts=shifted_triples(), k=rotations)
+def test_first_filter_stage_gives_only_exact_signs(pts, k):
+    check_first_stage(pts, k)
+
+
+@settings(max_examples=400, deadline=None)
+@given(tiny_zero_triples())
+def test_first_filter_stage_near_the_subnormal_range_gives_only_exact_signs(drawn):
+    check_first_stage(*drawn)
+
+
+@settings(max_examples=1500, deadline=None)
+@given(pts=far_float_triples(), k=st.none() | st.sampled_from([0, 6, 12, 18]))
+def test_first_filter_stage_on_float_points_gives_only_exact_signs(pts, k):
+    check_first_stage(pts, k)
+
+
+def test_first_filter_stage_leaves_the_interval_stage_nothing_to_decide_in_a_fan():
+    # the bound is as sharp as the intervals where it matters: in verify of
+    # a fan, the interval stage decides none of the cases left to it
+    opened, interval = [], geometry._interval_sign
+    with mock.patch.object(geometry, "_interval_sign",
+                           lambda *args: opened.append(interval(*args))):
+        assert verify(gen_trivial(12)).verdict
+    assert opened and set(opened) == {None}
 
 
 # -- segments ------------------------------------------------------------------

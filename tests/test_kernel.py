@@ -263,3 +263,26 @@ def test_each_path_is_taken_at_the_default_bound(monkeypatch):
     dense = list(range(1, 97))
     assert field.det(dense, dense, dense, ones) == schoolbook_det(420, dense, dense, dense, ones)
     assert (convolved, divided) == ([1, 1], [1, 1])
+
+
+def test_sparse_columns_keep_their_rows_beside_dense_ones(monkeypatch):
+    # at M = 1052, the field of the fan of n = 263, columns 0 and 1 of the
+    # reduction table hold 262 nonzeros, past the bound, and the other 521
+    # hold one: a fan difference still multiplies and reduces on Python
+    # ints, and only a product that reaches a dense column goes to _divide
+    field, u, v, _ = _differences(*gen_trivial(263).triangles[5].vertices)
+    assert field.modulus == 1052
+    assert [i for i, row in enumerate(field.rows) if not row] == [0, 1]
+    convolved, convolve = [], np.convolve
+    monkeypatch.setattr(np, "convolve", lambda x, y: convolved.append(1) or convolve(x, y))
+    divided, divide = [], exact._Field._divide
+    monkeypatch.setattr(exact._Field, "_divide", lambda f, v: divided.append(1) or divide(f, v))
+    cross, dot = _cross(field, u, v), _cross(field, u, _turned(v))
+    assert (convolved, divided) == ([], [])
+    assert any(cross) and any(dot)
+    assert cross == schoolbook_det(1052, u[0], v[1], u[1], v[0])
+    assert dot == schoolbook_det(1052, u[0], v[0], [-t for t in u[1]], v[1])
+    # x^262 * x^262 = x^524, whose reduction is column 0
+    half = [0] * 262 + [3] + [0] * 261
+    assert field.mul(half, half) == schoolbook_det(1052, half, half, [0], [0])
+    assert (convolved, divided) == ([], [1])
