@@ -11,6 +11,7 @@ byte-stable: sorted keys, no whitespace, one object per line.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -150,7 +151,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict else 1
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    # built once per process: parse_args leaves the parser unchanged and
+    # returns a fresh Namespace each call
     parser = _Parser(prog="tilegate", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -26,15 +26,19 @@ coefficients, on Python ints, when those products and their reduction
 take at most ``exact._SPARSE_WORK`` multiply-adds, as they do for the
 sparse coordinates of fans and refined tilings: at field degree 8 numpy
 spends 15 to 20 us a call on overhead alone.  Dense vectors take two
-numpy convolutions, a subtraction and one table reduction.  So u x v,
-u . v and a triangle's doubled area are one det each, and a CycloReal is
-built only for a value that leaves the kernel: an area, or a value whose
-sign is asked.  The angle test of :mod:`tilegate.tiling` uses the kernel
-too, and its filter passes _box_sign an optional rotation, the float
-boxes of the cosine and sine of the angle, with the first stage's
-centers and bound coefficients for it computed once per rotation (by
-:func:`_turn`): u is turned by it before the cross or dot product is
-taken.  In the first stage an overflow makes the bound or the value inf
+numpy convolutions, a subtraction and one table reduction.  So u x v
+and u . v are one det each, and a CycloReal is built only for a value
+that leaves the kernel: an area, or a value whose sign is asked.  A
+Triangle runs _differences once and keeps the result, its kernel: one
+den, its three edge vectors, and the cross product X of the two edges
+out of a corner, which is the same at every corner; X / den**2 is the
+triangle's doubled area.  The angle tests of :mod:`tilegate.tiling`
+read u, v and X from it, and the verifier's area check sums the X of
+all triangles on Python ints.  The angle test's filter passes
+_box_sign an optional rotation, the float boxes of the cosine and sine
+of the angle, with the first stage's centers and bound coefficients for
+it computed once per rotation (by :func:`_turn`): u is turned by it
+before the cross or dot product is taken.  In the first stage an overflow makes the bound or the value inf
 or NaN, and then the comparison that decides is false.  In the interval
 stage every difference, sum and product is rounded outward by one ulp,
 and the two products of the cross product are compared rather than
@@ -328,23 +332,44 @@ def on_open_segment(p: Point, a: Point, b: Point) -> bool:
 
 
 class Triangle:
-    """Three exact vertices; the verifier requires counterclockwise order."""
+    """Three exact vertices; the verifier requires counterclockwise order.
 
-    __slots__ = ("vertices", "_box")
+    Like its float box, a triangle computes its exact kernel once, on
+    first use (``_kernel``): the field, one common denominator den of its
+    six coordinates, its three edge vectors over den, and X = u x v.  The
+    edges out of corner i are u = edges[i] and v = -edges[i - 1], as
+    _differences gives them for the vertices taken from corner i.  X is
+    the same at every corner, since the cross product of consecutive
+    edges does not change under a cyclic shift of the vertices, so one
+    det serves the area and every angle test."""
+
+    __slots__ = ("vertices", "_box", "_kern")
 
     def __init__(self, a: Point, b: Point, c: Point) -> None:
         if not (a.modulus == b.modulus == c.modulus):
             raise DomainError("triangle vertices must share a modulus")
         self.vertices = (a, b, c)
         self._box: tuple[Interval, Interval] | None = None
+        self._kern: tuple | None = None
+
+    def _kernel(self) -> tuple[_Field, int, tuple[Vector, Vector, Vector], tuple[int, ...]]:
+        # (field, den, edges, X): with vertices a, b, c, the edges are
+        # b - a, c - b and a - c over den, so corner i has u = edges[i]
+        # and v = -edges[i - 1]
+        if self._kern is None:
+            field, u, v, den = _differences(*self.vertices)
+            w = [q - p for p, q in zip(u[0], v[0])], [q - p for p, q in zip(u[1], v[1])]
+            back = [-t for t in v[0]], [-t for t in v[1]]
+            self._kern = field, den, (u, w, back), _cross(field, u, v)
+        return self._kern
 
     def orientation_sign(self) -> int:
         a, b, c = self.vertices
         return orientation(a, b, c)
 
     def twice_area(self) -> CycloReal:
-        field, u, v, den = _differences(*self.vertices)
-        return CycloReal._make(field.modulus, *_normalize(_cross(field, u, v), den * den))
+        field, den, _, cross = self._kern or self._kernel()
+        return CycloReal._make(field.modulus, *_normalize(cross, den * den))
 
     def box(self) -> tuple[Interval, Interval]:
         if self._box is None:

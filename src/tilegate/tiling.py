@@ -21,16 +21,14 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import DomainError, FormatError, StructuralError, echo
-from .exact import CycloReal, cos_pi, field_degree, sin_pi
+from .exact import CycloReal, _normalize, cos_pi, field_degree, sin_pi
 from .geometry import (
     Point,
     Triangle,
     _box_sign,
     _cross,
-    _differences,
     _sign,
     _turn,
-    _turned,
     box_columns,
     boxes_meeting,
     midpoint,
@@ -299,8 +297,11 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     then nothing exact is computed.  Only a corner whose boxes cannot
     exclude cross(R u, v) = 0 takes the exact zero test, and the sign of
     dot(R u, v) is asked of the boxes before it is computed exactly.
-    The exact tests never build R u.  With X = u x v and D = u . v, one
-    det each of the kernel in tilegate.geometry,
+    The exact tests never build R u.  They read the corner's edges u and
+    v and X = u x v from the triangle's kernel (Triangle._kernel,
+    computed once per triangle and shared by its three corners and its
+    area), and compute D = u . v with one det of the kernel in
+    tilegate.geometry; then
     cross(R u, v) = cos*X - sin*D and dot(R u, v) = cos*D + sin*X,
     one more det each.  The right angle needs neither identity:
     cross(R u, v) = -D and dot(R u, v) = X.
@@ -325,17 +326,19 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     # _box_sign gives when turn is set
     if _box_sign(a, b, c, right, rot) is not None:
         return False
-    field, u, v, _ = _differences(a, b, c)
-    dot = _cross(field, u, _turned(v))
+    field, _, edges, cross = tri._kern or tri._kernel()
+    # u = edges[i] and v = -edges[i - 1] = -(ex, ey), so v turned by
+    # +90 degrees, (-vy, vx), is (ey, -ex)
+    u, (ex, ey) = edges[corner_index], edges[corner_index - 1]
+    dot = _cross(field, u, (ey, [-t for t in ex]))
     if not right:
-        cross = _cross(field, u, v)
         if any(field.det(cos_n, cross, sin_n, dot)):
             return False
     elif any(dot):
         return False
     s = _box_sign(a, b, c, not right, rot)
     if s is None:
-        s = _sign(field, _cross(field, u, v) if right
+        s = _sign(field, cross if right
                   else field.det(cos_n, dot, [-t for t in sin_n], cross))
     return s > 0
 
@@ -514,15 +517,26 @@ def _check_non_overlap(run: _VerifyRun) -> "str | None":
     return None
 
 
+def _twice_area_sum(triangles, modulus: int) -> CycloReal:
+    # the sum of tri.twice_area(), each being its kernel's X over den**2:
+    # the X of one den add up on Python ints, and each sum is one CycloReal
+    sums: dict[int, list[int]] = {}
+    for tri in triangles:
+        _, den, _, cross = tri._kern or tri._kernel()
+        acc = sums.get(den)
+        sums[den] = list(cross) if acc is None else [s + x for s, x in zip(acc, cross)]
+    total = CycloReal.zero(modulus)
+    for den, num in sums.items():
+        total = total + CycloReal._make(modulus, *_normalize(num, den * den))
+    return total
+
+
 def _check_area_cover(run: _VerifyRun) -> "str | None":
-    polygon, n, modulus = run.polygon, run.tiling.n, run.tiling.modulus
-    poly_area2 = CycloReal.zero(modulus)
-    for i in range(n):
-        a, b = polygon[i], polygon[(i + 1) % n]
-        poly_area2 = poly_area2 + (a.x * b.y - b.x * a.y)
-    total2 = CycloReal.zero(modulus)
-    for tri in run.tiling.triangles:
-        total2 = total2 + tri.twice_area()
+    n, modulus = run.tiling.n, run.tiling.modulus
+    # the polygon is n isosceles triangles with unit legs and apex angle
+    # 2*pi/n at the center
+    poly_area2 = sin_pi(2, n, modulus) * n
+    total2 = _twice_area_sum(run.tiling.triangles, modulus)
     if (total2 - poly_area2).is_zero():
         return None
     gap = float(poly_area2) - float(total2)

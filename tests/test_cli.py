@@ -101,6 +101,17 @@ def test_lemmas_l5_size_is_capped(capsys):
     assert "exceeds the limit" in _exit_two_in_one_line(args, capsys)
 
 
+def test_successive_calls_share_one_parser(capsys):
+    # the parser is built once per process: an option of one call does
+    # not leak into the next, and a usage error still takes one line
+    assert main(["candidates", "--n", "8"]) == 0
+    assert main(["candidates", "--range", "5..6"]) == 0
+    out, err = capsys.readouterr()
+    assert [line.split()[0] for line in out.splitlines()] == ["n=8", "n=5", "n=6"]
+    assert err == ""
+    _exit_two_in_one_line(["candidates"], capsys)
+
+
 def test_audit_impossible_exits_zero(run_cli):
     result = run_cli(["audit", "--n", "8", "--alpha", "1/5"])
     assert result.returncode == 0

@@ -12,7 +12,9 @@ mix and coefficients pass 2**63.
 per call by ``exact._SPARSE_WORK``.  Each check runs with that bound at 0
 and at 2**60, which force one path and then the other.  Dense and sparse
 vectors at composite moduli are also checked against schoolbook products
-and long division by Phi_M.
+and long division by Phi_M.  A triangle's kernel (Triangle._kernel: one
+den, the three edge vectors and the cross product X of the two out of a
+corner) must equal what _differences and _cross give corner by corner.
 """
 from __future__ import annotations
 
@@ -198,6 +200,40 @@ def test_angle_matches_agrees_with_the_oracle_on_every_corner(drawn):
             for work in PATHS:
                 with forced(work):
                     assert angle_matches(tri, i, gamma) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(corners(), st.booleans())
+def test_triangle_kernel_equals_the_kernel_of_each_corner(drawn, filled_first):
+    # in every rotation of the vertices, with the kernel filled before the
+    # angle tests or by them: corner i's u = edges[i], v = -edges[i - 1]
+    # and X are what _differences and _cross give for the vertices taken
+    # from corner i, at the same den, and angle_matches agrees with the
+    # oracle
+    t, pts = drawn
+    flat = orientation(*pts) == 0
+    gammas = (t.alpha, 1 - t.alpha, Fraction(1))
+    if not flat:
+        tri = Triangle(*pts)
+        expected = [[oracle_angle_matches(tri, i, g) for g in gammas] for i in range(3)]
+    for shift in range(3):
+        vs = pts[shift:] + pts[:shift]
+        for work in PATHS:
+            with forced(work):
+                tri = Triangle(*vs)
+                if filled_first:
+                    tri._kernel()
+                if not flat:
+                    for i in range(3):
+                        got = [angle_matches(tri, i, g) for g in gammas]
+                        assert got == expected[(i + shift) % 3]
+                field, den, edges, cross = tri._kernel()
+                for i in range(3):
+                    f, u, v, d = _differences(*(vs[(i + k) % 3] for k in range(3)))
+                    assert (f, d) == (field, den)
+                    back = edges[i - 1]
+                    assert edges[i] == u and ([-t for t in back[0]], [-t for t in back[1]]) == v
+                    assert _cross(field, u, v) == cross
 
 
 def test_a_zero_factor_beside_one_past_int64_is_exact():

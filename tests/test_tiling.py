@@ -517,6 +517,60 @@ def test_empty_tiling_fails_area_cover():
     assert rep.first_failure == "area_cover"
 
 
+REFINED_8, REFINED_12 = refined(8, 64, 1), refined(12, 64, 1)
+
+
+@pytest.mark.parametrize("t, index, gap", [
+    (gen_trivial(8), 3, "0.353553"),
+    (REFINED_8, 5, "0.0441942"),
+    (REFINED_12, 0, "0.217628"),
+    (REFINED_12, 63, "0.00112182"),
+])
+def test_deletion_detail_text_is_unchanged(t, index, gap):
+    # the texts that the shoelace sum and a CycloReal sum of twice_area gave
+    mutant = Tiling(t.n, t.alpha, t.modulus, t.triangles[:index] + t.triangles[index + 1:])
+    rep = verify(mutant)
+    assert rep.first_failure == "area_cover"
+    assert rep.checks["area_cover"].detail == (
+        f"triangle areas differ from the polygon area (gap ~ {gap} in doubled-area units)")
+
+
+def test_polygon_area_closed_form_equals_the_shoelace_sum():
+    # area_cover's n * sin(2*pi/n), against twice the shoelace area
+    for n in range(5, 61):
+        base = default_modulus(n, Fraction(2, n))
+        for modulus in (base, 2 * base):
+            polygon = polygon_vertices(n, modulus)
+            shoelace = CycloReal.zero(modulus)
+            for i in range(n):
+                a, b = polygon[i], polygon[(i + 1) % n]
+                shoelace = shoelace + (a.x * b.y - b.x * a.y)
+            assert sin_pi(2, n, modulus) * n == shoelace, (n, modulus)
+
+
+def scattered(t: Tiling) -> Tiling:
+    # each triangle moved by its own rational scale and shift, so that
+    # the triangles' common denominators differ
+    tris = []
+    for k, tri in enumerate(t.triangles):
+        s, d = Fraction(1, k % 5 + 2), Fraction(k % 7, 3 * (k % 4) + 1)
+        tris.append(Triangle(*(Point(p.x * s + d, p.y * s - d) for p in tri.vertices)))
+    return Tiling(t.n, t.alpha, t.modulus, tris)
+
+
+@pytest.mark.parametrize("t", [REFINED_8, REFINED_12, scattered(REFINED_12)],
+                         ids=["refined-8", "refined-12", "scattered"])
+def test_area_sum_on_ints_equals_the_cyclotomic_sum(t):
+    tris = [Triangle(*tri.vertices) for tri in t.triangles]  # kernels not yet filled
+    got = tiling_module._twice_area_sum(tris, t.modulus)
+    expected = CycloReal.zero(t.modulus)
+    for tri in t.triangles:
+        expected = expected + tri.twice_area()
+    assert got.key() == expected.key()
+    if t.n == 12:  # the 12-gon's tilings carry several denominators
+        assert len({tri._kernel()[1] for tri in tris}) > 2
+
+
 def test_centroid_move_fails_similarity_first():
     # moving one vertex to the triangle's centroid destroys the angles,
     # so under the fixed check order the failure surfaces at similarity
