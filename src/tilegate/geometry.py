@@ -4,19 +4,16 @@ Each point carries a float box, an outward-rounded enclosure of its two
 coordinates.  ``orientation`` and ``sign_dot`` first ask one filter,
 :func:`_box_sign`, for the sign of a cross product of two difference
 vectors, and compute it exactly only when the filter cannot decide.  The
-filter is a cascade of two stages (Shewchuk, 1997; Bronnimann, Burnikel
-and Pion, 2001).  The first is semi-static: each point caches the center
-of its box and one radius, and the cross product of the centers, about
-twenty float operations, decides when it exceeds an a-priori bound on its
-error built from the radii and the unit roundoff (the derivation is in
-_box_sign's docstring).  What that leaves open goes to the second,
-:func:`_interval_sign`, interval arithmetic on the boxes themselves.
-Both are sound, so the cascade decides at least what the intervals
-decide, with the same sign; on fans and refined tilings every case the
-first stage leaves open is an exact zero, which no filter decides.  The
-dot product needs no routine of its own: u . v is the cross product of u
-with v turned by +90 degrees, (-v_y, v_x), and turning only negates,
-which is exact.
+filter is semi-static (Shewchuk, 1997; Bronnimann, Burnikel and Pion,
+2001): each point caches the center of its box and one radius, and the
+cross product of the centers, about twenty float operations, decides
+when it exceeds an a-priori bound on its error built from the radii and
+the unit roundoff (the derivation is in _box_sign's docstring).  On fans,
+refined tilings and their mutants, each case it leaves open is an exact
+zero, which no float filter decides, or a nonzero value below float
+resolution; both go to exact arithmetic.  The dot product needs no
+routine of its own: u . v is the cross product of u with v turned by
++90 degrees, (-v_y, v_x), and turning only negates, which is exact.
 
 Every exact predicate goes through one kernel.  ``_differences`` scales
 the six coordinates of a, b and c to one common denominator and returns
@@ -35,18 +32,12 @@ out of a corner, which is the same at every corner; X / den**2 is the
 triangle's doubled area.  The angle tests of :mod:`tilegate.tiling`
 read u, v and X from it, and the verifier's area check sums the X of
 all triangles on Python ints.  The angle test's filter passes
-_box_sign an optional rotation, the float boxes of the cosine and sine
-of the angle, with the first stage's centers and bound coefficients for
-it computed once per rotation (by :func:`_turn`): u is turned by it
-before the cross or dot product is taken.  In the first stage an overflow makes the bound or the value inf
-or NaN, and then the comparison that decides is false.  In the interval
-stage every difference, sum and product is rounded outward by one ulp,
-and the two products of the cross product are compared rather than
-subtracted.  A bound may overflow to inf, and then 0 * inf gives NaN.
-Comparisons with NaN are false, so a NaN that reaches a test sends the
-case to exact arithmetic; one that min or max passes over stands for 0
-times a finite value, which the other products already bound.  A turned
-u whose bounds are not all finite leaves the sign undecided.
+_box_sign an optional rotation, which :func:`_turn` builds once per
+angle from the float boxes of its cosine and sine: u is turned by it
+before the cross or dot product is taken.  An overflow makes the bound
+or the value inf or NaN, and then the comparison that decides is false,
+so a product past the float range, from coordinates of about 10**154 or
+more, or a box with an infinite end, sends the case to exact arithmetic.
 
 A triangle's float box encloses its exact bounding box.  Two triangles
 whose boxes are disjoint have disjoint interiors, so
@@ -134,30 +125,30 @@ _K1 = 1 + 2.0 ** -44
 _K3 = 3 * _U * _K1
 
 
-def _turn(cos_box: Interval, sin_box: Interval) -> tuple:
-    """A rotation for _box_sign: its two boxes, then the centers cm, sm
-    of the boxes and the two coefficients of the error bound of a turned
-    vector (see _box_sign), computed once per rotation."""
+def _turn(cos_box: Interval, sin_box: Interval) -> tuple[float, float, float, float]:
+    """A rotation for _box_sign, from the boxes of its cosine and sine:
+    their centers cm, sm and the two coefficients kr, km of the error
+    bound of a turned vector (see _box_sign), computed once per rotation."""
     (cl, ch), (sl, sh) = cos_box, sin_box
     cm, sm = 0.5 * cl + 0.5 * ch, 0.5 * sl + 0.5 * sh
     rr = nextafter(max(ch - cm, cm - cl, sh - sm, sm - sl), inf)
     kr = abs(cm) + abs(sm) + 2 * rr
     km = rr + 3 * _U * (max(abs(cm), abs(sm)) + rr)
-    return cos_box, sin_box, (cm, sm, kr, km)
+    return cm, sm, kr, km
 
 
 def _box_sign(
     a: Point, b: Point, c: Point, turn: bool,
-    rot: tuple | None = None,
+    rot: tuple[float, float, float, float] | None = None,
 ) -> int | None:
     """Sign of u x v, u = b - a and v = c - a, or of u . v when turn is
     set, if the float boxes of a, b and c decide it; None otherwise.
-    With rot = (cos box, sin box), or as _turn returns it, u is first
-    turned by that angle.
+    With a rotation rot, as _turn returns it, u is first turned by that
+    angle.
 
-    Two stages.  The first takes each point as its box's center and one
-    radius r (Point._center): the exact point lies within r of the
-    center in each coordinate.  In doubles it computes the differences
+    Each point is taken as its box's center and one radius r
+    (Point._center): the exact point lies within r of the center in
+    each coordinate.  In doubles _box_sign computes the differences
     ux, uy, vx, vy of the centers, p = ux*vy, q = uy*vx and d = p - q,
     and returns sign(d) when |d| exceeds E below.  Why that is the sign
     of the exact D = Ux*Vy - Uy*Vx: with R = ra + rb and S = ra + rc,
@@ -202,9 +193,7 @@ def _box_sign(
 
     The comparison E < |d| < inf is false when E or d is inf or NaN, so
     an overflow anywhere, or a box with an infinite end, leaves the sign
-    open.  An open case goes to :func:`_interval_sign`, which decides
-    what the boxes decide with interval arithmetic; the first stage only
-    saves that work, and both are sound, so a sign never differs.
+    open, and the caller computes it exactly.
     """
     ax, ay, ra = a._mid or a._center()
     bx, by, rb = b._mid or b._center()
@@ -212,7 +201,7 @@ def _box_sign(
     ux, uy, vx, vy = bx - ax, by - ay, cx - ax, cy - ay
     r, s = ra + rb, ra + rc
     if rot is not None:
-        cm, sm, kr, km = rot[2] if len(rot) > 2 else _turn(*rot)[2]
+        cm, sm, kr, km = rot
         r = kr * r + km * (abs(ux) + abs(uy)) + _ETA
         ux, uy = cm * ux - sm * uy, sm * ux + cm * uy
     if turn:
@@ -223,42 +212,6 @@ def _box_sign(
         + _K3 * (abs(p) + abs(q)) + _ETA
     if e < abs(d) < inf:
         return 1 if d > 0 else -1
-    return _interval_sign(a, b, c, turn, rot)
-
-
-def _interval_sign(a: Point, b: Point, c: Point, turn: bool, rot: tuple | None) -> int | None:
-    """_box_sign's second stage: the same sign from the boxes themselves,
-    in interval arithmetic rounded outward by one ulp a step."""
-    (axl, axh), (ayl, ayh) = a._box or a.box()
-    (bxl, bxh), (byl, byh) = b._box or b.box()
-    (cxl, cxh), (cyl, cyh) = c._box or c.box()
-    uxl, uxh = nextafter(bxl - axh, -inf), nextafter(bxh - axl, inf)
-    uyl, uyh = nextafter(byl - ayh, -inf), nextafter(byh - ayl, inf)
-    vxl, vxh = nextafter(cxl - axh, -inf), nextafter(cxh - axl, inf)
-    vyl, vyh = nextafter(cyl - ayh, -inf), nextafter(cyh - ayl, inf)
-    if rot is not None:
-        # R u = (cos*ux - sin*uy, sin*ux + cos*uy)
-        (cl, ch), (sl, sh) = rot[:2]
-        cx = (cl * uxl, cl * uxh, ch * uxl, ch * uxh)
-        sy = (sl * uyl, sl * uyh, sh * uyl, sh * uyh)
-        sx = (sl * uxl, sl * uxh, sh * uxl, sh * uxh)
-        cy = (cl * uyl, cl * uyh, ch * uyl, ch * uyh)
-        uxl = nextafter(nextafter(min(cx), -inf) - nextafter(max(sy), inf), -inf)
-        uxh = nextafter(nextafter(max(cx), inf) - nextafter(min(sy), -inf), inf)
-        uyl = nextafter(nextafter(min(sx), -inf) + nextafter(min(cy), -inf), -inf)
-        uyh = nextafter(nextafter(max(sx), inf) + nextafter(max(cy), inf), inf)
-        # inf - inf and inf + -inf give NaN, which fails this test too
-        if not (-inf < uxl <= uxh < inf and -inf < uyl <= uyh < inf):
-            return None
-    if turn:
-        vxl, vxh, vyl, vyh = -vyh, -vyl, vxl, vxh
-    # u x v = ux*vy - uy*vx
-    p = (uxl * vyl, uxl * vyh, uxh * vyl, uxh * vyh)
-    q = (uyl * vxl, uyl * vxh, uyh * vxl, uyh * vxh)
-    if nextafter(min(p), -inf) > nextafter(max(q), inf):
-        return 1
-    if nextafter(max(p), inf) < nextafter(min(q), -inf):
-        return -1
     return None
 
 

@@ -272,11 +272,12 @@ def gen_trivial(n: int) -> Tiling:
 
 
 @lru_cache(maxsize=256)
-def _rotation(gamma: Fraction, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-    # the cosine and sine of gamma*pi/2 = (gamma/2)*pi as integer vectors
-    # over one positive denominator, which scales every exact test alike,
-    # and the rotation for the filter, from their float boxes
-    half = gamma / 2
+def _rotation(num: int, den: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    # the cosine and sine of gamma*pi/2 = (gamma/2)*pi, gamma = num/den in
+    # lowest terms, as integer vectors over one positive denominator, which
+    # scales every exact test alike, and the rotation for the filter, from
+    # their float boxes; keyed on ints, which hash faster than a Fraction
+    half = Fraction(num, 2 * den)
     cosg = cos_pi(half.numerator, half.denominator, modulus)
     sing = sin_pi(half.numerator, half.denominator, modulus)
     cos_n = tuple(t * sing.den for t in cosg.num)
@@ -321,7 +322,7 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     if right:
         rot = None
     else:
-        cos_n, sin_n, rot = _rotation(gamma, a.modulus)
+        cos_n, sin_n, rot = _rotation(num, den, a.modulus)
     # is cross(R u, v) nonzero?  For the right angle that is u . v, which
     # _box_sign gives when turn is set
     if _box_sign(a, b, c, right, rot) is not None:

@@ -9,14 +9,12 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
-from unittest import mock
 
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tilegate import geometry
 from tilegate.errors import DomainError
 from tilegate.exact import CycloReal, cos_pi, sin_pi
 from tilegate.geometry import (
@@ -33,7 +31,7 @@ from tilegate.geometry import (
     sign_dot,
     triangles_interior_disjoint,
 )
-from tilegate.tiling import angle_matches, gen_trivial, verify
+from tilegate.tiling import angle_matches, gen_trivial
 
 
 def rp(x, y, modulus=4) -> Point:
@@ -150,8 +148,9 @@ def cyclo_coord(draw, scale):
 @st.composite
 def triples(draw):
     """Three points, each at a scale 10**e, e in {-200, 0, 200}, where
-    interval products underflow or overflow to inf; c is free, or exactly
-    on the line ab, or exactly on the perpendicular to ab through a."""
+    products of coordinates underflow or overflow to inf; c is free, or
+    exactly on the line ab, or exactly on the perpendicular to ab through
+    a."""
 
     def point():
         scale = Fraction(10) ** draw(st.sampled_from([-200, 0, 0, 200]))
@@ -181,10 +180,11 @@ def test_overflowing_boxes_fall_through_to_exact():
     a, b, c = rp(0, 0), rp(big, big), rp(big, 2 * big)
     assert _box_sign(a, b, c, False) is None
     assert orientation(a, b, c) == 1 and orientation(a, c, b) == -1
-    # one overflowed product against a finite one is still decided
-    assert _box_sign(a, b, c, True) == 1 == sign_dot(a, b, c)
-    assert _box_sign(a, rp(big, 0), rp(0, big), False) == 1
-    # underflowed products widen to straddle zero
+    # one overflowed product against a finite one overflows the bound too
+    assert _box_sign(a, b, c, True) is None and sign_dot(a, b, c) == 1
+    assert _box_sign(a, rp(big, 0), rp(0, big), False) is None
+    assert orientation(a, rp(big, 0), rp(0, big)) == 1
+    # underflowed products are 0, which decides nothing
     tiny = Fraction(1, 10 ** 200)
     a, b, c = rp(0, 0), rp(tiny, 0), rp(2 * tiny, tiny)
     assert _box_sign(a, b, c, False) is None
@@ -193,16 +193,18 @@ def test_overflowing_boxes_fall_through_to_exact():
     # u = (2, 2) * 10**308 turned by 3*pi/4 is (-inf, +-inf) in floats
     huge = Fraction(10) ** 308
     a, b, c = rp(-huge, -huge, 8), rp(huge, huge, 8), rp(-huge - 1, -huge, 8)
-    turn = (cos_pi(3, 4, 8).float_box(), sin_pi(3, 4, 8).float_box())
+    turn = _turn(cos_pi(3, 4, 8).float_box(), sin_pi(3, 4, 8).float_box())
     assert _box_sign(a, b, c, False, turn) is None
     assert _box_sign(a, b, c, True, turn) is None
     assert angle_matches(Triangle(a, b, c), 0, Fraction(3, 2))
 
 
-def test_coordinates_past_the_float_range_are_decided_exactly():
-    # a box with an infinite endpoint decides nothing, so each case goes to
-    # exact arithmetic instead of raising from the float conversion
-    big = Fraction(10) ** 400
+@pytest.mark.parametrize("big", [Fraction(10) ** 160, Fraction(10) ** 400],
+                         ids=["1e160", "1e400"])
+def test_coordinates_past_the_float_range_are_decided_exactly(big):
+    # at 10**160 the boxes are finite but a product of two coordinates
+    # overflows, and at 10**400 a box has an infinite endpoint; a case the
+    # filter leaves open goes to exact arithmetic instead of raising
     assert orientation(rp(0, 0), rp(big, 0), rp(0, 1)) == 1
     s = cos_pi(1, 12, MOD) * big
     pts = [rp(0, 0, MOD), rp(big, 0, MOD), rp(0, 1, MOD), rp(-big, big, MOD),
@@ -220,11 +222,10 @@ def test_coordinates_past_the_float_range_are_decided_exactly():
     assert [angle_matches(scaled, i, Fraction(1)) for i in range(3)] == [False, False, True]
 
 
-# -- the filter's first stage -----------------------------------------------------
+# -- the filter -----------------------------------------------------------------
 #
-# _box_sign first tries an a-priori error bound on the centers of the boxes
-# and only then interval arithmetic.  With the interval stage patched out,
-# every sign it still gives comes from the bound alone and must be exact.
+# _box_sign decides from an a-priori error bound on the centers of the
+# boxes alone, so every sign it gives must be exact.
 
 
 def nudged(p: Point, dx: int, dy: int) -> Point:
@@ -277,13 +278,12 @@ def far_float_triples(draw):
 
 
 @st.composite
-def tiny_zero_triples(draw):
-    """Points at 2**-515 or 2**-516, where the products of differences
-    fall near 2**-1025 and the bound's own terms underflow, with u x v or
-    u . v exactly 0 after u is turned by k*pi/12, if k is set: c is on
-    the line through a along the turned u, or on its perpendicular."""
+def zero_triples(draw, scales):
+    """Points at a scale drawn from scales, with u x v or u . v exactly 0
+    after u is turned by k*pi/12, if k is set: c is on the line through a
+    along the turned u, or on its perpendicular."""
     k = draw(rotations)
-    scale = Fraction(1, 2 ** draw(st.sampled_from([515, 516])))
+    scale = draw(st.sampled_from(scales))
     a, b = (Point(draw(cyclo_coord(scale)), draw(cyclo_coord(scale))) for _ in range(2))
     wx, wy = b.x - a.x, b.y - a.y
     if k is not None:
@@ -292,6 +292,11 @@ def tiny_zero_triples(draw):
     t = draw(coords)
     c = draw(st.sampled_from([Point(a.x + wx * t, a.y + wy * t), Point(a.x - wy * t, a.y + wx * t)]))
     return (a, b, c), k
+
+
+# at 2**-515 or 2**-516 the products of differences fall near 2**-1025
+# and the bound's own terms underflow
+tiny_zero_triples = zero_triples([Fraction(1, 2 ** 515), Fraction(1, 2 ** 516)])
 
 
 def exact_signs(a: Point, b: Point, c: Point, k: "int | None") -> tuple[int, int]:
@@ -303,45 +308,70 @@ def exact_signs(a: Point, b: Point, c: Point, k: "int | None") -> tuple[int, int
     return (ux * vy - uy * vx).sign(), (ux * vx + uy * vy).sign()
 
 
-def check_first_stage(pts, k):
-    # in each cyclic order, plain, turned and rotated by k*pi/12
-    rot = None if k is None else (cos_pi(k, 12, MOD).float_box(), sin_pi(k, 12, MOD).float_box())
-    with mock.patch.object(geometry, "_interval_sign", lambda *args: None):
-        for a, b, c in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
-            cross, dot = exact_signs(a, b, c, k)
-            for turn, expected in ((False, cross), (True, dot)):
-                got = _box_sign(a, b, c, turn, rot)
-                assert got is None or got == expected != 0
-                if rot is not None:
-                    assert _box_sign(a, b, c, turn, _turn(*rot)) == got
+def rotation_boxes(k: int) -> tuple:
+    return cos_pi(k, 12, MOD).float_box(), sin_pi(k, 12, MOD).float_box()
+
+
+def check_filter(pts, k, boxes=None):
+    # in each cyclic order, plain, turned and rotated by k*pi/12, its
+    # cosine and sine enclosed in boxes or else in their own float boxes
+    rot = None if k is None else _turn(*(boxes or rotation_boxes(k)))
+    for a, b, c in (pts, pts[1:] + pts[:1], pts[2:] + pts[:2]):
+        cross, dot = exact_signs(a, b, c, k)
+        for turn, expected in ((False, cross), (True, dot)):
+            got = _box_sign(a, b, c, turn, rot)
+            assert got is None or got == expected != 0
 
 
 @settings(max_examples=400, deadline=None)
 @given(pts=shifted_triples(), k=rotations)
 def test_first_filter_stage_gives_only_exact_signs(pts, k):
-    check_first_stage(pts, k)
+    check_filter(pts, k)
 
 
 @settings(max_examples=400, deadline=None)
-@given(tiny_zero_triples())
+@given(tiny_zero_triples)
 def test_first_filter_stage_near_the_subnormal_range_gives_only_exact_signs(drawn):
-    check_first_stage(*drawn)
+    check_filter(*drawn)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(pts=far_float_triples(), k=st.none() | st.sampled_from([0, 6, 12, 18]))
 def test_first_filter_stage_on_float_points_gives_only_exact_signs(pts, k):
-    check_first_stage(pts, k)
+    check_filter(pts, k)
 
 
-def test_first_filter_stage_leaves_the_interval_stage_nothing_to_decide_in_a_fan():
-    # the bound is as sharp as the intervals where it matters: in verify of
-    # a fan, the interval stage decides none of the cases left to it
-    opened, interval = [], geometry._interval_sign
-    with mock.patch.object(geometry, "_interval_sign",
-                           lambda *args: opened.append(interval(*args))):
-        assert verify(gen_trivial(12)).verdict
-    assert opened and set(opened) == {None}
+# how far an end of a box moves out, as a share of the widest allowed:
+# often all or none of it, so that the exact value sits in a corner
+spreads = st.sampled_from([0.0, 1.0]) | st.floats(0, 1)
+
+
+def widened(draw, box: tuple[float, float], width: float) -> tuple[float, float]:
+    # rounding is monotone, so lo - w <= lo and hi <= hi + w still enclose
+    lo, hi = box
+    wide = lo - width * draw(spreads), hi + width * draw(spreads)
+    assert wide[0] <= lo <= hi <= wide[1]
+    return wide
+
+
+@st.composite
+def loose_zero_triples(draw):
+    """zero_triples at scale 1, each point's box widened at each end by
+    its own amount up to 2**-30, 2**-10 or 1, and the boxes of the
+    rotation's cosine and sine by up to 0.5: off-center enclosures, much
+    looser than any float_box, that still enclose the exact values."""
+    pts, k = draw(zero_triples([1]))
+    width = draw(st.sampled_from([2.0 ** -30, 2.0 ** -10, 1.0]))
+    for p in pts:
+        p._box = tuple(widened(draw, box, width) for box in p.box())
+    boxes = None if k is None else tuple(widened(draw, box, 0.5) for box in rotation_boxes(k))
+    return pts, k, boxes
+
+
+@settings(max_examples=300, deadline=None)
+@given(loose_zero_triples())
+def test_filter_on_loose_off_center_boxes_gives_only_exact_signs(drawn):
+    check_filter(*drawn)
 
 
 # -- segments ------------------------------------------------------------------

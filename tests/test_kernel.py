@@ -176,7 +176,7 @@ def test_kernel_rotated_products_equal_the_cyclotomic_expressions(drawn):
     field, u, v, den = _differences(a, b, c)
     for gamma in (t.alpha, 1 - t.alpha, Fraction(1)):
         cosg, sing = rotation(gamma, t.modulus)
-        cos_n, sin_n, _ = _rotation(gamma, t.modulus)
+        cos_n, sin_n, _ = _rotation(gamma.numerator, gamma.denominator, t.modulus)
         scale = den * den * cosg.den * sing.den
         expected = tuple(e.key() for e in oracle_rotated(a, b, c, cosg, sing))
         for work in PATHS:

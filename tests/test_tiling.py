@@ -219,7 +219,7 @@ def test_tiling_accepts_exactly_the_moduli_of_the_field_rule(case):
         # what verify needs of the field: the vertices and the rotations
         polygon_vertices(n, modulus)
         for gamma in (alpha, 1 - alpha, Fraction(1)):
-            tiling_module._rotation(gamma, modulus)
+            tiling_module._rotation(gamma.numerator, gamma.denominator, modulus)
     finally:
         # fields up to degree PHI_LIMIT are large; keep memory flat
         _field.cache_clear()
@@ -278,7 +278,7 @@ def test_angle_matches_trivial_corners():
 
 
 def _exact_angle_matches(tri, corner_index, gamma):
-    # angle_matches before the interval filter: rotation and exact
+    # angle_matches without its float filter: rotation and exact
     # arithmetic only
     a = tri.vertices[corner_index]
     b = tri.vertices[(corner_index + 1) % 3]
