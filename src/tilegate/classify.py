@@ -143,69 +143,84 @@ class Verdict:
         }
 
 
+# the counting route after corner_strict, the same for every n and a
+_COUNTING_STEPS = (
+    TraceStep(
+        "interior_count",
+        "p >= q at every interior point not on a side (target 4)",
+        lemma="L4",
+        point_class="FreeInterior",
+    ),
+    TraceStep(
+        "boundary_count",
+        "substituting r-2 for r: p >= q at every point interior to a "
+        "polygon side (target 2) or to k triangle sides (target 4-2k)",
+        lemma="L4",
+        point_class="PolygonSideInterior/TriangleSideInterior",
+    ),
+    TraceStep(
+        "global_count",
+        "summing over all points, the count of smaller acute angles "
+        "strictly exceeds the count of larger ones, but every triangle "
+        "contributes exactly one of each: contradiction",
+    ),
+)
+
+
 def impossibility_audit(n: int, a: Fraction) -> Verdict:
     """Replay the counting argument for smaller angle a in a regular
     n-gon.  Impossible means the argument rules a tiling out;
     NotExcluded means it does not apply (and says nothing more)."""
     a = as_fraction(a, "a")
     check_polygon_n(n)
-    if not 0 < 2 * a.numerator <= a.denominator:  # 0 < a <= 1/2
+    u, v = a.numerator, a.denominator
+    if not 0 < 2 * u <= v:  # 0 < a <= 1/2
         raise DomainError(f"a must lie in (0, 1/2], got {echo(a)}")
-    if a.denominator >= FRACTION_DIGITS_BOUND:  # the trace prints a
+    if v >= FRACTION_DIGITS_BOUND:  # the trace prints a
         raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
     corner_target = Fraction(2 * n - 4, n)
-    steps: list[TraceStep] = []
+    target_text = str(corner_target)
 
-    def verdict(outcome: Outcome) -> Verdict:
-        return Verdict(n, a, outcome, tuple(steps))
-
-    if a == _HALF:
+    if 2 * u == v:
         # right isosceles tiles: every angle is a multiple of pi/4, so
         # the polygon corner 2-4/n must be a multiple of 1/2
-        if (2 * corner_target).denominator == 1:
-            steps.append(TraceStep(
-                "isosceles_corner",
-                f"a = 1/2: corner angle {corner_target} is a multiple of 1/2, "
-                f"so right isosceles corners fit (n = {n})",
-                point_class="PolygonVertex",
-                data={"corner_target": str(corner_target)},
-            ))
-            return verdict(Outcome.NOT_EXCLUDED)
-        steps.append(TraceStep(
-            "isosceles_corner",
-            f"a = 1/2: every angle is a multiple of 1/2, but the corner "
-            f"angle {corner_target} is not, so no corner configuration exists",
-            point_class="PolygonVertex",
-            data={"corner_target": str(corner_target)},
-        ))
-        return verdict(Outcome.IMPOSSIBLE)
+        if corner_target.denominator <= 2:
+            claim = (f"a = 1/2: corner angle {target_text} is a multiple of 1/2, "
+                     f"so right isosceles corners fit (n = {n})")
+            outcome = Outcome.NOT_EXCLUDED
+        else:
+            claim = (f"a = 1/2: every angle is a multiple of 1/2, but the corner "
+                     f"angle {target_text} is not, so no corner configuration exists")
+            outcome = Outcome.IMPOSSIBLE
+        return Verdict(n, a, outcome, (TraceStep(
+            "isosceles_corner", claim, point_class="PolygonVertex",
+            data={"corner_target": target_text},
+        ),))
 
     sols = enumerate_solutions(corner_target, a)
     if not sols:
-        steps.append(TraceStep(
+        return Verdict(n, a, Outcome.IMPOSSIBLE, (TraceStep(
             "corner_unsolvable",
-            f"no (p, q, r) solves p*a + q*(1-a) + r = {corner_target} at a = {a}",
+            f"no (p, q, r) solves p*a + q*(1-a) + r = {target_text} at a = {a}",
             point_class="PolygonVertex",
-            data={"corner_target": str(corner_target)},
-        ))
-        return verdict(Outcome.IMPOSSIBLE)
+            data={"corner_target": target_text},
+        ),))
 
     violating = next((s for s in sols if s.p <= s.q), None)
     if violating is not None:
-        steps.append(TraceStep(
+        return Verdict(n, a, Outcome.NOT_EXCLUDED, (TraceStep(
             "corner_violation",
             f"corner solution {tuple(violating)} has p <= q; the counting "
             f"argument does not apply",
             point_class="PolygonVertex",
             data={"solutions": [list(s) for s in sols]},
-        ))
-        return verdict(Outcome.NOT_EXCLUDED)
+        ),))
 
     # every corner solution has p > q: Lemma 5 pins a to a corner family
     families = [fam.instance_label(s) for fam in corner_families(n)
                 if (s := fam.parameter_for(a)) is not None]
-    steps.append(TraceStep(
+    strict = TraceStep(
         "corner_strict",
         f"every corner solution has p > q, and a = {a} lies in "
         f"{families or 'no corner family'}",
@@ -215,35 +230,16 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             "solutions": [list(s) for s in sols],
             "families": families,
         },
-    ))
+    )
 
     if a not in LEMMA4_EXCEPTIONS:
-        steps.append(TraceStep(
-            "interior_count",
-            "p >= q at every interior point not on a side (target 4)",
-            lemma="L4",
-            point_class="FreeInterior",
-        ))
-        steps.append(TraceStep(
-            "boundary_count",
-            "substituting r-2 for r: p >= q at every point interior to a "
-            "polygon side (target 2) or to k triangle sides (target 4-2k)",
-            lemma="L4",
-            point_class="PolygonSideInterior/TriangleSideInterior",
-        ))
-        steps.append(TraceStep(
-            "global_count",
-            "summing over all points, the count of smaller acute angles "
-            "strictly exceeds the count of larger ones, but every triangle "
-            "contributes exactly one of each: contradiction",
-        ))
-        return verdict(Outcome.IMPOSSIBLE)
+        return Verdict(n, a, Outcome.IMPOSSIBLE, (strict, *_COUNTING_STEPS))
 
     # exceptional a: the interior counts can fail, fall back to the
     # family analysis of the exceptional values
     allowed = allowed_angles(n)
     if (1 - a) in allowed:
-        steps.append(TraceStep(
+        return Verdict(n, a, Outcome.IMPOSSIBLE, (strict, TraceStep(
             "exceptional_complement",
             f"a = {a} is exceptional and lies in a corner family; the "
             f"family analysis places only its complement 1-a = {1 - a} in "
@@ -254,10 +250,9 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
                 "complement": str(1 - a),
                 "families": families,
             },
-        ))
-        return verdict(Outcome.IMPOSSIBLE)
+        )))
 
-    steps.append(TraceStep(
+    return Verdict(n, a, Outcome.NOT_EXCLUDED, (strict, TraceStep(
         "exceptional_escape",
         f"a = {a} is exceptional and neither a nor 1-a = {1 - a} is in the "
         f"allowed set; the family analysis yields no contradiction",
@@ -266,5 +261,4 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             "allowed": [str(v) for v in allowed],
             "families": families,
         },
-    ))
-    return verdict(Outcome.NOT_EXCLUDED)
+    )))

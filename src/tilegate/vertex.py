@@ -16,6 +16,32 @@ counting facts the classification rests on:
       of the two corner families.
   L6: exceptional a lying in a corner family  ->  a or 1-a is an
       allowed angle for n (fails exactly at n = 28).
+
+L3, L4 and L5 report only the solutions with p < q or p <= q, and the
+sweeps visit only the (q, r) where those can lie.  For any a > 0 the
+equation reads
+
+  q - (S - r) = a*(q - p),
+
+so q - (S - r) and q - p have the same sign:
+
+  p < q   exactly when   q > S - r,
+  p <= q  exactly when   q >= S - r.
+
+And p >= 0 gives q*(1-a) <= S - r; with a < 1/2, 1-a > 1/2, so
+q < 2*(S - r) unless q = 0.  At each r, then, only a q in
+[S - r, 2*(S - r)) can be reported:
+
+  L4 (S = 4, p < q)          (5..7, 0), (4..5, 1) and (3, 2): six pairs
+  L3 (S = 3/2, p <= q)       the single pair (2, 0)
+  L5 (S = 2 - 4/n, p <= q)   q in {2, 3} at r = 0 and q = 1 at r = 1,
+                             fewer for n <= 8
+
+The sweeps clear denominators: a'*p + b'*q + c*r = T with a' + b' = c.
+For the rest m = T - c*r the identity reads c*q - m = a'*(q - p), so
+p < q exactly when c*q > m, p <= q exactly when c*q >= m, and p >= 0
+exactly when b'*q <= m.  _violators visits only the q between those
+bounds, which holds for any 0 < a < 1.
 """
 from __future__ import annotations
 
@@ -23,7 +49,7 @@ import math
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, ResourceLimitError, echo
 from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
@@ -33,7 +59,7 @@ from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 MAX_DEN_LIMIT = 2000
 L5_SIZE_LIMIT = 2 * 10 ** 7
 
-# Most (q, r) pairs enumerate_solutions tries; about 0.1 s at the limit
+# Most (q, r) pairs enumerate_solutions may try; about 0.05 s at the limit
 # on a 2-vCPU Xeon VM (target 257, a = 1/3).  classify and vertex call
 # it with target below 2 and a <= 1/2, at most 15 pairs.
 SOLUTIONS_LIMIT = 10 ** 5
@@ -79,10 +105,10 @@ class VertexSolution(NamedTuple):
 def _solutions_scaled(a_coef: int, b_coef: int, c_coef: int, total: int) -> list[tuple[int, int, int]]:
     # all (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total
     out = []
-    for q in range(total // b_coef + 1):
-        rem = total - b_coef * q
-        for r in range(rem // c_coef + 1):
-            rest = rem - c_coef * r
+    for r in range(total // c_coef + 1):
+        rem = total - c_coef * r
+        for q in range(rem // b_coef + 1):
+            rest = rem - b_coef * q
             if rest % a_coef == 0:
                 out.append((rest // a_coef, q, r))
     return out
@@ -95,18 +121,38 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
     u, v = a.numerator, a.denominator
     if not 0 < u < v:
         raise DomainError(f"a must lie in (0, 1), got {echo(a)}")
-    if target.numerator < 0:
+    t, d = target.numerator, target.denominator
+    if t < 0:
         raise DomainError(f"target must be non-negative, got {echo(target)}")
-    scale = math.lcm(v, target.denominator)
-    a_coef, b_coef = u * (scale // v), (v - u) * (scale // v)
-    total = target.numerator * (scale // target.denominator)
+    scale = math.lcm(v, d)
+    k = scale // v
+    a_coef, b_coef = u * k, (v - u) * k
+    total = t * (scale // d)
     pairs = (total // b_coef + 1) * (total // scale + 1)
     if pairs > SOLUTIONS_LIMIT:
         raise ResourceLimitError(
             f"enumeration would try {echo(pairs)} (q, r) pairs, over the "
             f"limit {SOLUTIONS_LIMIT}")
     sols = _solutions_scaled(a_coef, b_coef, scale, total)
-    return tuple(sorted(VertexSolution(*s) for s in sols))
+    if not sols:
+        return ()
+    return tuple(map(VertexSolution._make, sorted(sols)))
+
+
+def _violators(a_coef: int, b_coef: int, c_coef: int, total: int,
+               strict: bool) -> list[tuple[int, int, int]]:
+    # the (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total and
+    # p < q (strict) or p <= q, for a_coef + b_coef == c_coef; the q
+    # window comes from the identity in the module docstring
+    out = []
+    for r in range(total // c_coef + 1):
+        rem = total - c_coef * r
+        lo = rem // c_coef + 1 if strict else -(-rem // c_coef)
+        for q in range(lo, rem // b_coef + 1):
+            rest = rem - b_coef * q
+            if rest % a_coef == 0:
+                out.append((rest // a_coef, q, r))
+    return out
 
 
 # -- point classes -------------------------------------------------------
@@ -240,12 +286,13 @@ class AuditReport:
 
 
 def _check_max_den(max_den: int) -> None:
-    # _reduced_angles builds about 0.3 * max_den**2 pairs, so the audits
-    # grow about fourfold per doubling.  L5 tests, per n, the pairs whose v
-    # is a multiple of n // gcd(n, 4), at most half of them.  On a 2-vCPU
-    # Xeon VM, L4 takes about 6 s at MAX_DEN_LIMIT, and L5 0.02 s at
-    # 196 * 100**2 and about 2 s at L5_SIZE_LIMIT with n = 5, 6, 8, 12, 16,
-    # the five n with the most such pairs.
+    # _reduced_angles yields about 0.15 * max_den**2 pairs (608,293 at
+    # MAX_DEN_LIMIT), so the audits grow about fourfold per doubling.  L5
+    # tests, per n, the pairs whose v is a multiple of n // gcd(n, 4), at
+    # most half of them.  On a 2-vCPU Xeon VM, L3 and L4 each take about
+    # 1 s at MAX_DEN_LIMIT, and L5 about 0.013 s at 196 * 100**2 and about
+    # 1 s at L5_SIZE_LIMIT with n = 5, 6, 8, 12, 16, the five n with the
+    # most such pairs.
     if not isinstance(max_den, int) or isinstance(max_den, bool):
         raise DomainError(f"max_den must be an integer, got {echo(max_den)}")
     if max_den < 3:
@@ -254,14 +301,14 @@ def _check_max_den(max_den: int) -> None:
         raise ResourceLimitError(f"max_den exceeds the limit {MAX_DEN_LIMIT}")
 
 
-def _reduced_angles(max_den: int) -> list[tuple[int, int]]:
+def _reduced_angles(max_den: int) -> Iterator[tuple[int, int]]:
     # all u/v in lowest terms with 0 < u/v < 1/2, v <= max_den
-    return [
+    return (
         (u, v)
         for v in range(3, max_den + 1)
         for u in range(1, (v - 1) // 2 + 1)
         if math.gcd(u, v) == 1
-    ]
+    )
 
 
 def _n_range(ns: Iterable[int]) -> list[int]:
@@ -281,17 +328,19 @@ def _audit_l3(max_den: int) -> AuditReport:
         if 4 * u == v:
             continue
         # 3/2 = p u/v + q (v-u)/v + r, scaled by 2v
-        sols = _solutions_scaled(2 * u, 2 * (v - u), 2 * v, 3 * v)
-        a = Fraction(u, v)
-        for p, q, r in sols:
-            if p <= q:
-                bad.append(AuditCase(a, None, VertexSolution(p, q, r), "p <= q"))
-        if sols and (3 * v) % (2 * u):
-            bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
+        coefs = (2 * u, 2 * (v - u), 2 * v, 3 * v)
+        # a = 3/(2s) solves it with (s, 0, 0); any other a that admits
+        # a solution is a counterexample, and so is each p <= q
+        of_form = (3 * v) % (2 * u) == 0
+        if of_form or _solutions_scaled(*coefs):
+            a = Fraction(u, v)
+            for sol in _violators(*coefs, strict=False):
+                bad.append(AuditCase(a, None, VertexSolution._make(sol), "p <= q"))
+            if not of_form:
+                bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
     witnesses = [
-        AuditCase(Fraction(1, 4), None, VertexSolution(p, q, r), "q > p at excluded a = 1/4")
-        for p, q, r in _solutions_scaled(2, 6, 8, 12)
-        if q > p
+        AuditCase(Fraction(1, 4), None, VertexSolution._make(sol), "q > p at excluded a = 1/4")
+        for sol in _violators(2, 6, 8, 12, strict=True)
     ]
     return AuditReport(
         "L3",
@@ -304,26 +353,20 @@ def _audit_l3(max_den: int) -> AuditReport:
 def _audit_l4(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
     exceptions = sorted(LEMMA4_EXCEPTIONS)
+    skipped = {(e.numerator, e.denominator) for e in exceptions}
     for u, v in _reduced_angles(max_den):
-        a = Fraction(u, v)
-        if a in LEMMA4_EXCEPTIONS:
+        if (u, v) in skipped:
             continue
         # 4 = p u/v + q (v-u)/v + r, scaled by v
-        for p, q, r in _solutions_scaled(u, v - u, v, 4 * v):
-            if p < q:
-                bad.append(AuditCase(a, None, VertexSolution(p, q, r), "q > p"))
+        for sol in _violators(u, v - u, v, 4 * v, strict=True):
+            bad.append(AuditCase(Fraction(u, v), None, VertexSolution._make(sol), "q > p"))
     witnesses: list[AuditCase] = []
     for e in exceptions:
         u, v = e.numerator, e.denominator
-        violating = [
-            VertexSolution(p, q, r)
-            for p, q, r in sorted(_solutions_scaled(u, v - u, v, 4 * v))
-            if q > p
-        ]
+        violating = _violators(u, v - u, v, 4 * v, strict=True)
         if violating:
-            witnesses.append(
-                AuditCase(e, None, violating[0], f"q > p at exceptional a = {e}")
-            )
+            witnesses.append(AuditCase(
+                e, None, VertexSolution._make(min(violating)), f"q > p at exceptional a = {e}"))
         else:
             bad.append(AuditCase(e, None, None, "listed exception admits no q > p"))
     return AuditReport(
@@ -344,33 +387,25 @@ def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
         # multiple of n, so a solution needs n | 4v: visit only those v
         step = n // math.gcd(n, 4)
         for v in range(step, max_den + 1, step):
+            # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
+            total = (2 * n - 4) * v
+            c_coef = n * v
+            family_2 = (n - 4) * v
             for u in numerators.get(v, ()):
                 # skip the allowed set {2/n, 4/n, (n+4)/(3n)}
                 if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
                     continue
-                # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
-                total = (2 * n - 4) * v
                 a_coef = n * u
-                b_coef = n * (v - u)
-                c_coef = n * v
-                any_sol = False
-                for q in range(total // b_coef + 1):
-                    rem = total - b_coef * q
-                    for r in range(rem // c_coef + 1):
-                        rest = rem - c_coef * r
-                        if rest % a_coef == 0:
-                            any_sol = True
-                            p = rest // a_coef
-                            if p <= q:
-                                bad.append(
-                                    AuditCase(Fraction(u, v), n, VertexSolution(p, q, r), "p <= q")
-                                )
-                in_family_1 = total % a_coef == 0          # a = (2-4/n)/s
-                in_family_2 = ((n - 4) * v) % a_coef == 0   # a = (1-4/n)/s
-                if any_sol and not in_family_1 and not in_family_2:
-                    bad.append(
-                        AuditCase(Fraction(u, v), n, None, "a is in neither corner family")
-                    )
+                b_coef = c_coef - a_coef
+                # a = (2-4/n)/s or a = (1-4/n)/s; any other a that admits a
+                # solution is a counterexample, and so is each p <= q
+                in_family = total % a_coef == 0 or family_2 % a_coef == 0
+                if in_family or _solutions_scaled(a_coef, b_coef, c_coef, total):
+                    a = Fraction(u, v)
+                    for sol in _violators(a_coef, b_coef, c_coef, total, strict=False):
+                        bad.append(AuditCase(a, n, VertexSolution._make(sol), "p <= q"))
+                    if not in_family:
+                        bad.append(AuditCase(a, n, None, "a is in neither corner family"))
     return AuditReport(
         "L5",
         {"n": [ns[0], ns[-1]], "max_den": max_den, "target": "2-4/n"},
@@ -383,10 +418,12 @@ def _audit_l6(ns: Iterable[int]) -> AuditReport:
     ns = _n_range(ns)
     bad: list[AuditCase] = []
     witnesses: list[AuditCase] = []
+    exceptions = sorted(LEMMA4_EXCEPTIONS)
     for n in ns:
         allowed = set(allowed_angles(n))
-        for e in sorted(LEMMA4_EXCEPTIONS):
-            for family in corner_families(n):
+        families = corner_families(n)
+        for e in exceptions:
+            for family in families:
                 s = family.parameter_for(e)
                 if s is None:
                     continue
@@ -397,7 +434,7 @@ def _audit_l6(ns: Iterable[int]) -> AuditReport:
                     bad.append(case)
     return AuditReport(
         "L6",
-        {"n": [ns[0], ns[-1]], "exceptional": [str(e) for e in sorted(LEMMA4_EXCEPTIONS)]},
+        {"n": [ns[0], ns[-1]], "exceptional": [str(e) for e in exceptions]},
         tuple(sorted(bad, key=AuditCase.sort_key)),
         tuple(sorted(witnesses, key=AuditCase.sort_key)),
     )

@@ -1,8 +1,11 @@
 """Tests for the candidate classification and the impossibility audit."""
 from __future__ import annotations
 
+import hashlib
+import json
 import time
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -14,6 +17,7 @@ from tilegate.classify import (
     candidates,
     impossibility_audit,
 )
+from tilegate.cli import _emit_json, main
 from tilegate.errors import DomainError
 from tilegate.vertex import (
     allowed_angles,
@@ -230,3 +234,39 @@ def test_trace_step_defaults():
     s = TraceStep("x", "y")
     assert s.to_obj() == {"kind": "x", "claim": "y", "lemma": None,
                           "point_class": None, "data": {}}
+
+
+# -- golden output -------------------------------------------------------------
+
+# sha256 over the --json bytes of impossibility_audit on the criterion-6 grid,
+# in grid order, then of each GOLDEN_LEMMAS run as [argv, exit code, stdout].
+# The CLI corpus pins only n <= 12 and v <= 20.
+GOLDEN_DIGEST = "49ef51c867fbcdc6dbe2896854c04fa14288ac8e0a8a8459765964182c364117"
+
+GOLDEN_LEMMAS = (
+    ["lemmas", "--which", "3", "--max-den", "200", "--json"],
+    ["lemmas", "--which", "4", "--max-den", "200", "--json"],
+    ["lemmas", "--which", "5", "--max-den", "100", "--n-range", "5..200", "--json"],
+)
+
+
+def criterion_6_grid():
+    for n in range(5, 28):
+        for v in range(3, 61):
+            for u in range(1, (v + 1) // 2 + 1):
+                if gcd(u, v) == 1 and 2 * u < v:
+                    yield n, Fraction(u, v)
+    yield 28, Fraction(3, 7)
+
+
+def test_golden_audit_grid_and_lemma_reports(capsys):
+    digest = hashlib.sha256()
+    for n, a in criterion_6_grid():
+        _emit_json(impossibility_audit(n, a).to_obj())  # as `audit --json` prints it
+    digest.update(capsys.readouterr().out.encode())
+    for argv in GOLDEN_LEMMAS:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert err == "", (argv, err)
+        digest.update(json.dumps([argv, code, out]).encode())
+    assert digest.hexdigest() == GOLDEN_DIGEST

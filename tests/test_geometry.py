@@ -325,19 +325,19 @@ def check_filter(pts, k, boxes=None):
 
 @settings(max_examples=400, deadline=None)
 @given(pts=shifted_triples(), k=rotations)
-def test_first_filter_stage_gives_only_exact_signs(pts, k):
+def test_filter_gives_only_exact_signs(pts, k):
     check_filter(pts, k)
 
 
 @settings(max_examples=400, deadline=None)
 @given(tiny_zero_triples)
-def test_first_filter_stage_near_the_subnormal_range_gives_only_exact_signs(drawn):
+def test_filter_near_the_subnormal_range_gives_only_exact_signs(drawn):
     check_filter(*drawn)
 
 
 @settings(max_examples=1500, deadline=None)
 @given(pts=far_float_triples(), k=st.none() | st.sampled_from([0, 6, 12, 18]))
-def test_first_filter_stage_on_float_points_gives_only_exact_signs(pts, k):
+def test_filter_on_float_points_gives_only_exact_signs(pts, k):
     check_filter(pts, k)
 
 

@@ -33,7 +33,7 @@ from tilegate.vertex import (
     enumerate_solutions,
     point_target,
 )
-from tilegate.vertex import _audit_l5
+from tilegate.vertex import _audit_l5, _violators
 
 
 def oracle_solutions(target: Fraction, a: Fraction) -> set[tuple[int, int, int]]:
@@ -235,12 +235,12 @@ def naive_audit_l3(max_den):
     return bad
 
 
-def naive_audit_l4(max_den):
+def naive_audit_l4(max_den, exceptions=LEMMA4_EXCEPTIONS):
     bad = []
     for v in range(3, max_den + 1):
         for u in range(1, v):
             a = Fraction(u, v)
-            if a.denominator != v or not a < Fraction(1, 2) or a in LEMMA4_EXCEPTIONS:
+            if a.denominator != v or not a < Fraction(1, 2) or a in exceptions:
                 continue
             for s in enumerate_solutions(Fraction(4), a):
                 if s.p < s.q:
@@ -284,6 +284,30 @@ def test_audit_l4_small_range_matches_naive():
     for a, sol in witnessed.items():
         assert sol.q > sol.p
         assert sol.p * a + sol.q * (1 - a) + sol.r == 4
+
+
+@pytest.mark.parametrize("kept", [
+    frozenset(),
+    frozenset({Fraction(1, 4), Fraction(2, 5)}),
+    LEMMA4_EXCEPTIONS - {Fraction(3, 7)},
+], ids=["none", "two", "four"])
+def test_audit_l4_reports_planted_counterexamples(kept, monkeypatch):
+    # with fewer exceptions listed, each dropped one shows its q > p
+    # solutions as counterexamples, the same ones the naive sweep finds
+    monkeypatch.setattr("tilegate.vertex.LEMMA4_EXCEPTIONS", kept)
+    report = audit_lemma("L4", max_den=40)
+    got = [(case.a, case.solution) for case in report.counterexamples]
+    assert got == sorted(naive_audit_l4(40, kept))
+    assert {a for a, _ in got} == LEMMA4_EXCEPTIONS - kept
+    assert {w.a for w in report.witnesses} == kept
+
+
+def test_audit_l4_reports_a_listed_exception_without_q_over_p(monkeypatch):
+    monkeypatch.setattr("tilegate.vertex.LEMMA4_EXCEPTIONS", LEMMA4_EXCEPTIONS | {Fraction(1, 7)})
+    report = audit_lemma("L4", max_den=40)
+    assert report.counterexamples == (
+        AuditCase(Fraction(1, 7), None, None, "listed exception admits no q > p"),)
+    assert len(report.witnesses) == 5
 
 
 def test_audit_l5_small_range_matches_naive():
@@ -426,6 +450,48 @@ def test_non_numbers_raise_domain_error():
     assert len(str(info.value)) < 100
 
 
+# -- the audits visit only the (q, r) that can be reported -----------------
+
+
+def scaled(target, a):
+    # the coefficients of p*a + q*(1-a) + r = target with denominators cleared
+    d = math.lcm(a.denominator, target.denominator)
+    return int(a * d), int((1 - a) * d), d, int(target * d)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    a=angles(40),
+    target=st.one_of(
+        st.sampled_from([Fraction(4), Fraction(3, 2)]),
+        st.integers(1, 300).map(lambda n: 2 - Fraction(4, n)),
+        st.fractions(min_value=0, max_value=8, max_denominator=30),
+    ),
+)
+def test_violators_are_the_filtered_enumeration(a, target):
+    # a runs over (0, 1), past the a < 1/2 the audits sweep; targets below 0
+    # (2 - 4/n at n = 1) have no solutions
+    sols = enumerate_solutions(target, a) if target >= 0 else ()
+    coefs = scaled(target, a)
+    assert sorted(_violators(*coefs, strict=True)) == [tuple(s) for s in sols if s.p < s.q]
+    assert sorted(_violators(*coefs, strict=False)) == [tuple(s) for s in sols if s.p <= s.q]
+
+
+def test_violator_windows_of_the_lemmas():
+    # the (q, r) the module docstring lists are the ones reported over
+    # every a < 1/2 with v <= 60, the excluded and exceptional a included
+    def pairs(target, strict):
+        seen = set()
+        for v in range(3, 61):
+            for u in range(1, (v + 1) // 2):
+                seen |= {(q, r) for _, q, r in _violators(*scaled(target, Fraction(u, v)), strict)}
+        return seen
+    assert pairs(Fraction(4), True) == {(5, 0), (6, 0), (7, 0), (4, 1), (5, 1), (3, 2)}
+    assert pairs(Fraction(3, 2), False) == {(2, 0)}
+    assert set().union(*(pairs(2 - Fraction(4, n), False) for n in range(5, 61))) == {
+        (2, 0), (3, 0), (1, 1)}
+
+
 # -- L5 visits only the denominators that can carry a corner solution ------
 
 
@@ -518,3 +584,23 @@ def test_audit_l5_visits_every_solvable_denominator(monkeypatch):
         report = _audit_l5([n], 40)
         assert report.counterexamples
         assert report.to_obj() == full_sweep_audit_l5([n], 40, every_angle_pair(40)).to_obj()
+
+
+def test_audit_l3_reports_every_pair_it_is_fed(monkeypatch):
+    # Lemma 3 holds on the reduced a < 1/2, so its reports there are empty;
+    # fed every u/v < 1, the sweep must report what a full enumeration
+    # finds, the "not of the form 3/(2s)" cases included (a = 5/8: (0, 4, 0))
+    monkeypatch.setattr("tilegate.vertex._reduced_angles", every_angle_pair)
+    expected = []
+    for u, v in every_angle_pair(24):
+        if 4 * u == v:
+            continue
+        a = Fraction(u, v)
+        sols = enumerate_solutions(Fraction(3, 2), a)
+        expected += [(a, s) for s in sols if s.p <= s.q]
+        if sols and (Fraction(3, 2) / a).denominator != 1:
+            expected.append((a, None))
+    report = audit_lemma("L3", max_den=24)
+    got = [(case.a, case.solution) for case in report.counterexamples]
+    assert (Fraction(5, 8), None) in got
+    assert got == sorted(expected, key=lambda c: (c[0], c[1] or VertexSolution(0, 0, 0)))
