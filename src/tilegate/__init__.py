@@ -6,7 +6,9 @@ verifies explicit tilings with exact cyclotomic arithmetic.
 
 The classify side loads with the package.  The tiling side (the modules
 ``exact``, ``geometry`` and ``tiling``, and the names below taken from
-them) needs numpy and mpmath, so it loads on first use.
+them) needs mpmath, so it loads on first use.  numpy loads later still,
+at the first product of dense vectors (see ``exact``), which a tiling at
+field degree 8, such as the 8-gon's, never makes.
 """
 import importlib
 

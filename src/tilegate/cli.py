@@ -115,7 +115,7 @@ def _cmd_lemmas(args) -> int:
 
 
 def _cmd_gen_trivial(args) -> int:
-    from .tiling import gen_trivial, save_tiling  # loads numpy and mpmath
+    from .tiling import gen_trivial, save_tiling  # loads mpmath
 
     tiling = gen_trivial(args.n)
     save_tiling(tiling, args.out)
@@ -133,7 +133,7 @@ def _cmd_gen_trivial(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .tiling import load_tiling, verify  # loads numpy and mpmath
+    from .tiling import load_tiling, verify  # loads mpmath; numpy only for dense products
 
     report = verify(load_tiling(args.file))
     if args.json:

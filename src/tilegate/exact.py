@@ -19,6 +19,13 @@ evaluations with exact rational endpoints.  The cosine enclosures they
 sum come from mpmath intervals, whose endpoints are binary floats; stored
 as integers over one power of two they are exact, so an enclosure is an
 integer sum and one Fraction per endpoint.
+
+Products and reductions run on Python ints while their multiply-adds
+stay under ``_SPARSE_WORK``, as they do for the sparse coordinates of
+fans and refined tilings.  numpy serves only the others, and is
+imported at the first of them (see :class:`_Field`).  At field degree 8,
+that of the 8-gon's and the 12-gon's tilings, even a product of dense
+vectors fits the bound, so verifying such a tiling never loads numpy.
 """
 from __future__ import annotations
 
@@ -30,7 +37,6 @@ from itertools import compress
 from typing import Iterable, Sequence
 
 import mpmath
-import numpy as np
 from mpmath.libmp import to_rational
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
@@ -121,23 +127,8 @@ class _Field:
     coefficient tuples of length phi = phi(M) in the basis 1, x, ...,
     x^(phi-1).
 
-    Every reduction is one routine, :meth:`_divide`: division by the
-    monic Phi_M from the top, phi - 1 degrees a step.  Its only table is
-    ``red``, whose column i is x^(phi+i) mod Phi_M for i < phi - 1.
-    Those are the degrees a product of two reduced elements reaches, so
-    :meth:`mul` takes one step; a longer vector takes one step per
-    phi - 1 coefficients above degree phi.  :meth:`reduce` first folds
-    every exponent below M/2 with zeta^(M/2) = -1, so it needs at most
-    (M/2 - phi) / (phi - 1) + 1 steps.  The table has phi * (phi - 1)
-    entries, where one row per power below M would take M * phi.  A step
-    runs in int64 when a bound on every partial sum proves it cannot
-    overflow, and on Python ints otherwise.  The table is built in int64
-    as well, a column at a time, and on Python ints from the first column
-    whose bound would reach 2**62.  The field also keeps its cosine tables
-    (:meth:`cos_table`), so a field dropped from the cache takes them along.
-
-    Every product is one routine too, :meth:`det`, a*b - c*d (:meth:`mul`
-    is a*b - 0*0), on one of two paths chosen per call from the factors'
+    Every product is one routine, :meth:`det`, a*b - c*d (:meth:`mul` is
+    a*b - 0*0), on one of two paths chosen per call from the factors'
     nonzero counts.  The coordinates of fans and their altitude
     refinements are sparse, 2 to 4 nonzero coefficients, and at phi = 8
     numpy spends 15 to 20 us a call before it multiplies anything: bounds,
@@ -145,29 +136,82 @@ class _Field:
     products number at most _SPARSE_WORK, det multiplies only the nonzero
     coefficients, on Python ints, and reduces each nonzero coefficient of
     degree phi + i with ``rows[i]``, the nonzero (row, coefficient) pairs
-    of column i.  Those row entries count against the same bound; past it
-    the products go to _divide.  Otherwise, for dense vectors, det takes
-    numpy: one conversion of the four factors, two convolutions, a
-    subtraction and _divide.  A column with more than _SPARSE_WORK
-    nonzeros keeps an empty row, since no call could use it: 741 of 959
-    columns at M = 4620 (up to 445 nonzeros), and 2 of 523 at M = 1052,
-    the field of the fan of n = 263.  Products that need such a column
-    go to _divide; the others keep the Python path.  ``entries`` counts
-    the table and the rows for the field cache.
+    of x^(phi+i) mod Phi_M.  Those row entries count against the same
+    bound; past it the products go to :meth:`_divide`.  Otherwise, for
+    dense vectors, det takes numpy: one conversion of the four factors,
+    two convolutions, a subtraction and _divide.  :meth:`reduce` likewise
+    divides by the nonzero coefficients of Phi_M (``low``) on Python ints
+    while that takes at most _SPARSE_WORK multiply-adds, and goes to
+    _divide otherwise.
+
+    _divide is the one numpy reduction: division by the monic Phi_M from
+    the top, phi - 1 degrees a step, with the table ``red``, whose column
+    i is x^(phi+i) mod Phi_M for i < phi - 1.  Those are the degrees a
+    product of two reduced elements reaches, so a product takes one step;
+    reduce's longer vector, every exponent below M/2 after folding with
+    zeta^(M/2) = -1, takes at most (M/2 - phi) / (phi - 1) + 1.  A step
+    runs in int64 when a bound on every partial sum proves it cannot
+    overflow, and on Python ints otherwise; a table whose next column's
+    bound would reach 2**62 is held in Python ints (``wide``), decided
+    once, when the columns are built.  numpy is imported only on the
+    dense paths, so a run whose products and reductions all stay on
+    Python ints never loads it.
+
+    The columns come from the recurrence x^(phi+i+1) = x * x^(phi+i),
+    with x^phi = x^phi - Phi_M.  When phi <= _SPARSE_WORK, every column
+    fits a row, so they are built on Python ints and kept only as rows,
+    and the table is built from the rows the first time _divide needs it.
+    A larger field can have dense columns (up to 445 nonzeros at M =
+    4620), so numpy builds its table at once: rows on Python ints and a
+    table built later take four to six times as long there, from M = 1052
+    to 8156.  A column with more than _SPARSE_WORK nonzeros keeps an empty
+    row, since no call could use it: 741 of 959 columns at M = 4620, and
+    2 of 523 at M = 1052, the field of the fan of n = 263.  Products that
+    need such a column go to _divide; the others keep the Python path.
+    ``entries`` counts the table, built or not, and the rows for the
+    field cache.  The field also keeps its cosine tables
+    (:meth:`cos_table`), so a field dropped from the cache takes them
+    along.
     """
 
     def __init__(self, modulus: int) -> None:
         degree = _checked_degree(modulus)
         self.modulus = modulus
         self.degree = degree
+        low = cyclotomic_polynomial(modulus)[:-1]
+        self.low = [(j, c) for j, c in enumerate(low) if c]
+        self._red = None
+        if degree > _SPARSE_WORK:
+            self._build_table(low)
+        else:
+            low_max = max(map(abs, low))
+            col, col_max = [-c for c in low], low_max  # x^phi = x^phi - Phi_M
+            self.red_max, self.wide, self.rows = 0, False, []
+            for _ in range(degree - 1):
+                self.rows.append([(j, q) for j, q in enumerate(col) if q])
+                self.red_max = max(self.red_max, col_max)
+                top = col[-1]
+                # would the next column's entries reach the int64 bound?
+                self.wide = self.wide or col_max + abs(top) * low_max >= _INT64_SAFE
+                col = [x - top * c for x, c in zip([0] + col[:-1], low)]
+                col_max = max(map(abs, col))
+        self.entries = degree * (degree - 1) + sum(map(len, self.rows))
+        self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+
+    def _build_table(self, low: Sequence[int]) -> None:
+        # the recurrence in numpy, a column at a time, switching to Python
+        # ints from the first column whose bound would reach 2**62; the
+        # rows are read from the table
+        import numpy as np
         # int64 holds Phi_M: phi <= PHI_LIMIT leaves M at most four odd
         # primes, so its coefficients are below M**2 (Bateman, 1949)
-        low = np.array(cyclotomic_polynomial(modulus)[:-1], np.int64)
+        low = np.array(low, np.int64)
         low_max = int(abs(low).max())
-        red = np.empty((degree, degree - 1), np.int64)
-        col, col_max = -low, low_max  # x^phi = x^phi - Phi_M
+        n = self.degree
+        red = np.empty((n, n - 1), np.int64)
+        col, col_max = -low, low_max
         self.red_max = 0
-        for i in range(degree - 1):
+        for i in range(n - 1):
             red[:, i] = col
             self.red_max = max(self.red_max, col_max)
             top = int(col[-1])
@@ -176,13 +220,24 @@ class _Field:
                 red, low = red.astype(object), low.astype(object)
             col = np.concatenate(([0], col[:-1])) - top * low
             col_max = int(abs(col).max())
-        self.red = red
+        self._red, self.wide = red, red.dtype == object
         # every column is nonzero, so an empty row marks a dense one
         self.rows = [list(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
                      if count <= _SPARSE_WORK else []
                      for col, count in zip(red.T, np.count_nonzero(red, axis=0).tolist())]
-        self.entries = red.size + sum(map(len, self.rows))
-        self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+
+    @property
+    def red(self):
+        """The reduction table as a numpy array, int64 or, when ``wide``,
+        Python ints; a small field builds it from its rows on first use."""
+        if self._red is None:
+            import numpy as np
+            red = np.zeros((self.degree, self.degree - 1), object if self.wide else np.int64)
+            for i, row in enumerate(self.rows):
+                for j, q in row:
+                    red[j, i] = q
+            self._red = red
+        return self._red
 
     def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
@@ -214,18 +269,23 @@ class _Field:
         # int64 when no partial sum can overflow: the coefficients of a
         # vector of this length are at most bound in absolute value, and
         # each division step multiplies that by at most 1 + red_max*(phi-1)
+        import numpy as np
         n = self.degree
         steps = -(-(length - n) // (n - 1))
         growth = (1 + self.red_max * (n - 1)) ** steps
-        if self.red.dtype == object or bound * growth >= _INT64_SAFE:
+        if self.wide or bound * growth >= _INT64_SAFE:
             return object
         return np.int64
 
-    def _divide(self, v: np.ndarray) -> tuple[int, ...]:
-        n = self.degree
+    def _divide(self, v) -> tuple[int, ...]:
+        # v is a numpy vector, or a list of Python ints to convert
+        if isinstance(v, list):
+            import numpy as np
+            v = np.array(v, self._dtype(max(map(abs, v)), len(v)))
+        n, red = self.degree, self.red
         while len(v) > n:
             start = max(len(v) - (n - 1), n)
-            v[start - n:start] += self.red[:, :len(v) - start] @ v[start:]
+            v[start - n:start] += red[:, :len(v) - start] @ v[start:]
             v = v[:start]
         return tuple(v.tolist())
 
@@ -239,7 +299,18 @@ class _Field:
                 v[e] += c
             else:
                 v[e - half] -= c
-        return self._divide(np.array(v, self._dtype(max(map(abs, v)), half)))
+        # long division from the highest nonzero degree down, on Python
+        # ints when its multiply-adds fit the bound
+        n = self.degree
+        top = next((k for k in range(half - 1, n - 1, -1) if v[k]), n - 1)
+        if (top - n + 1) * len(self.low) <= _SPARSE_WORK:
+            for k in range(top, n - 1, -1):
+                t = v[k]
+                if t:
+                    for j, c in self.low:
+                        v[k - n + j] -= t * c
+            return tuple(v[:n])
+        return self._divide(v)
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         zero = (0,) * self.degree
@@ -273,20 +344,20 @@ class _Field:
                     for j, q in row:
                         v[j] += p * q
                 return tuple(v[:n])
-            # a dense column or too many row entries: reduce with numpy
-            v = np.array(v, self._dtype(max(map(abs, v)), len(v)))
-        else:
-            # one conversion and two reductions for the four factors
-            try:
-                f = np.array((a, b, c, d), np.int64)
-            except OverflowError:  # a coefficient past int64, even beside a zero
-                f = np.array((a, b, c, d), object)
-            ma, mb, mc, md = (max(hi, -lo) for hi, lo in zip(f.max(1).tolist(), f.min(1).tolist()))
-            if self._dtype((ma * mb + mc * md) * n, 2 * n - 1) is object:
-                f = f.astype(object)
-            v = np.convolve(f[0], f[1])
-            if mc and md:
-                v = v - np.convolve(f[2], f[3])
+            # a dense column or too many row entries: _divide reduces v
+            return self._divide(v)
+        # dense factors: one conversion and two convolutions for the four
+        import numpy as np
+        try:
+            f = np.array((a, b, c, d), np.int64)
+        except OverflowError:  # a coefficient past int64, even beside a zero
+            f = np.array((a, b, c, d), object)
+        ma, mb, mc, md = (max(hi, -lo) for hi, lo in zip(f.max(1).tolist(), f.min(1).tolist()))
+        if self._dtype((ma * mb + mc * md) * n, 2 * n - 1) is object:
+            f = f.astype(object)
+        v = np.convolve(f[0], f[1])
+        if mc and md:
+            v = v - np.convolve(f[2], f[3])
         return self._divide(v)
 
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
@@ -322,8 +393,9 @@ _fields: OrderedDict[int, _Field] = OrderedDict()
 def _field(modulus: int) -> _Field:
     """Q(zeta_modulus), from a least-recently-used cache that holds at
     most FIELD_CACHE_ENTRIES entries: phi * (phi - 1) a field for the
-    reduction table and at most min(phi, _SPARSE_WORK) * (phi - 1) for
-    its sparse rows.  Any one field fits, so the newest is always kept.
+    reduction table, built or not, and at most
+    min(phi, _SPARSE_WORK) * (phi - 1) for its sparse rows.  Any one
+    field fits, so the newest is always kept.
     The oldest are dropped before a new one is built, so a large table is
     never built beside a cached one it would evict."""
     field = _fields.get(modulus)

@@ -42,20 +42,25 @@ more, or a box with an infinite end, sends the case to exact arithmetic.
 A triangle's float box encloses its exact bounding box.  Two triangles
 whose boxes are disjoint have disjoint interiors, so
 ``triangles_interior_disjoint`` answers them from the boxes alone.  For
-many boxes at once, ``box_columns`` lays them out as four numpy rows,
-and ``boxes_meeting`` gives the indices of those that meet one box.  It
-tests exactly the negation of the disjointness test, with closed
-comparisons, so boxes that only touch meet.  The verifier's pair loop
-and point ledger use it to skip triangles whose boxes prove them
-irrelevant.
+many boxes at once, ``box_columns`` builds a sort-and-sweep index on
+Python floats (Cohen, Lin, Manocha and Ponamgi, I-COLLIDE, 1995): the
+boxes grouped by the binary exponent e of their width, fl(xh - xl) < 2**e,
+each group sorted by xl.  ``boxes_meeting`` bisects each group on
+[bxl - 2**e, bxh], the lower end rounded down, and gives the indices of
+the boxes that meet one box, ascending.  The window is sound because
+fl(xh - xl) < 2**e implies xh - xl <= 2**e: rounding is monotone and
+2**e is a float.  An infinite width, or one of 2**1023 or more, has no
+such bound, and its group is searched whole.  The test is exactly the
+negation of the disjointness test, with closed comparisons, so boxes
+that only touch meet.  The verifier's pair loop and point ledger use it
+to skip triangles whose boxes prove them irrelevant.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import inf, lcm, nextafter
+from math import frexp, inf, lcm, ldexp, nextafter
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError
 from .exact import CycloReal, _field, _Field, _normalize
@@ -350,18 +355,44 @@ def _boxes_disjoint(t: tuple[Interval, Interval], u: tuple[Interval, Interval]) 
     return txh < uxl or uxh < txl or tyh < uyl or uyh < tyl
 
 
-def box_columns(boxes: Sequence[tuple[Interval, Interval]]) -> np.ndarray:
-    """The boxes as four rows xl, xh, yl, yh, one column per box."""
-    return np.array(boxes, dtype=float).reshape(-1, 4).T
+# widths from 2**1023 up, and infinite or NaN ones, have no float bound 2**e
+_WIDEST = 2.0 ** 1023
+
+BoxIndex = list[tuple[float, list[float], list[tuple[float, float, float, float, int]]]]
 
 
-def boxes_meeting(columns: np.ndarray, box: tuple[Interval, Interval]) -> list[int]:
-    """Indices, ascending, of the boxes in ``columns`` (see box_columns)
+def box_columns(boxes: Sequence[tuple[Interval, Interval]]) -> BoxIndex:
+    """The boxes as an index for boxes_meeting: one group per binary
+    exponent e of their widths, |fl(xh - xl)| < 2**e, as math.frexp gives
+    it, each group with its bound 2**e (inf for an unbounded width) and
+    its boxes (xl, xh, yl, yh, index) sorted by xl, beside their xl."""
+    groups: dict[float, list] = {}
+    for i, ((xl, xh), (yl, yh)) in enumerate(boxes):
+        w = abs(xh - xl)
+        bound = ldexp(1.0, frexp(w)[1]) if w < _WIDEST else inf
+        groups.setdefault(bound, []).append((xl, xh, yl, yh, i))
+    index = []
+    for bound, group in groups.items():
+        group.sort()
+        index.append((bound, [g[0] for g in group], group))
+    return index
+
+
+def boxes_meeting(index: BoxIndex, box: tuple[Interval, Interval]) -> list[int]:
+    """Indices, ascending, of the boxes in ``index`` (see box_columns)
     that meet ``box``: exactly those that _boxes_disjoint does not
-    separate from it, so boxes that only touch meet."""
-    xl, xh, yl, yh = columns
+    separate from it, so boxes that only touch meet.  A box of a group
+    with bound 2**e that meets it has xl >= xh - 2**e >= bxl - 2**e, so
+    each bounded group is searched on [bxl - 2**e, bxh] (the module
+    docstring says why the bound holds)."""
     (bxl, bxh), (byl, byh) = box
-    return np.flatnonzero((bxl <= xh) & (xl <= bxh) & (byl <= yh) & (yl <= byh)).tolist()
+    hits: list[int] = []
+    for bound, keys, group in index:
+        lo = bisect_left(keys, nextafter(bxl - bound, -inf)) if bound < inf else 0
+        hits += [i for xl, xh, yl, yh, i in group[lo:bisect_right(keys, bxh)]
+                 if bxl <= xh and byl <= yh and yl <= byh]
+    hits.sort()
+    return hits
 
 
 def _separated_by_edge(t: Triangle, u: Triangle) -> bool:

@@ -425,7 +425,7 @@ class VerificationReport:
 
 def _classify(pt: Point, tiling: Tiling, polygon: tuple[Point, ...],
               boxes) -> PointClass:
-    # boxes holds the triangles' float boxes, as box_columns gives them.
+    # boxes indexes the triangles' float boxes, as box_columns builds it.
     # A point on an open side lies in the side's exact bounding box,
     # which the triangle's float box encloses, so only the triangles
     # whose boxes meet the point's can count it
@@ -477,7 +477,7 @@ class _VerifyRun:
 
     @cached_property
     def boxes(self):
-        """The triangles' float boxes, as box_columns gives them."""
+        """The triangles' float boxes, indexed by box_columns."""
         return box_columns([tri.box() for tri in self.tiling.triangles])
 
 

@@ -13,7 +13,7 @@ import pytest
 
 from tilegate.cli import main
 from tilegate.exact import CycloReal
-from tilegate.tiling import Tiling, gen_trivial, save_tiling
+from tilegate.tiling import Tiling, gen_trivial, load_tiling, save_tiling, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -328,7 +328,7 @@ loaded = {"numpy", "mpmath"} & set(sys.modules)
 assert not loaded, loaded
 for name in tilegate.__all__:
     getattr(tilegate, name)
-assert {"numpy", "mpmath"} <= set(sys.modules)
+assert "mpmath" in sys.modules and "numpy" not in sys.modules
 """
 
 
@@ -337,6 +337,35 @@ def test_classify_commands_load_neither_numpy_nor_mpmath():
     result = subprocess.run([sys.executable, "-c", CLASSIFY_ONLY], capture_output=True,
                             text=True, check=False, timeout=120, env=env)
     assert result.returncode == 0, result.stderr
+
+
+SPARSE_ONLY = """
+import contextlib, io, json, sys
+from tilegate.cli import main
+path = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    assert main(["gen-trivial", "--n", "8", "--out", path]) == 0
+    assert main(["verify", path, "--json"]) == 0
+assert "numpy" not in sys.modules
+import tilegate
+report = tilegate.verify(tilegate.gen_trivial(47)).to_obj()
+assert "numpy" in sys.modules
+print(json.dumps([json.loads(out.getvalue().splitlines()[-1]), report]))
+"""
+
+
+def test_sparse_products_leave_numpy_unloaded(tmp_path):
+    # the fields of an 8-gon run on Python ints alone; the rotation
+    # vectors of the fan of n = 47 (phi = 92) are dense, so verifying it
+    # loads numpy, and both reports are the ones this process computes
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    path = tmp_path / "t8.json"
+    result = subprocess.run([sys.executable, "-c", SPARSE_ONLY, str(path)], capture_output=True,
+                            text=True, check=False, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+    t8, t47 = json.loads(result.stdout)
+    assert t8 == verify(load_tiling(str(path))).to_obj()
+    assert t47 == verify(gen_trivial(47)).to_obj()
 
 
 def test_tiling_side_names_are_looked_up_on_every_access(monkeypatch):

@@ -163,10 +163,11 @@ def _reduction_table(m):
 
 @pytest.mark.parametrize("m", [4, 8, 12, 40, 60, 388, 420, 1260, 4620])
 def test_reduction_table_is_built_in_int64(m):
+    # a field of degree at most _SPARSE_WORK builds its table only when
+    # first asked for it (every m below 1260 here); a larger one at once
     field = exact._Field(m)
     cols = _reduction_table(m)
-    assert field.red.dtype == np.int64
-    assert field.red.T.tolist() == cols
+    assert (field._red is None) == (field.degree <= exact._SPARSE_WORK) == (m < 1260)
     assert field.red_max == max(abs(v) for col in cols for v in col)
     # the sparse rows are each column's nonzeros; a column with more than
     # det's Python path may spend keeps an empty row, and only m = 4620
@@ -175,6 +176,10 @@ def test_reduction_table_is_built_in_int64(m):
     assert (max(map(len, rows)) > exact._SPARSE_WORK) == (m == 4620)
     assert field.rows == [row if len(row) <= exact._SPARSE_WORK else [] for row in rows]
     assert field.entries == len(cols) * len(cols[0]) + sum(map(len, field.rows))
+    assert not field.wide
+    assert field.red.dtype == np.int64
+    assert field.red.T.tolist() == cols
+    assert field.red is field.red
 
 
 @pytest.mark.parametrize("m", [12, 40, 420])

@@ -528,6 +528,41 @@ def test_boxes_meeting_is_the_negation_of_boxes_disjoint(boxes, probe):
     assert boxes_meeting(box_columns(boxes), probe) == expected
 
 
+# box ends at zero, at subnormals and near the ends of the float range,
+# and widths of zero or m * 2**e over many binary exponents e, so that
+# the index holds many width groups; a wide box near the top may reach inf
+_starts = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 3e-310, -2.5e-308, 1.0, -3.0,
+                           1e300, -1e300]) | st.floats(-1e6, 1e6)
+_exponents = st.integers(-1074, -1015) | st.integers(-60, 12) | st.integers(1015, 1023)
+
+
+@st.composite
+def _spread_boxes(draw):
+    box = []
+    for _ in range(2):
+        lo = draw(_starts)
+        if draw(st.integers(0, 5)):
+            width = math.ldexp(draw(st.floats(0.5, 1, exclude_max=True)), draw(_exponents))
+        else:
+            width = 0.0
+        box.append((lo, lo + width))
+    return tuple(box)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_spread_boxes(), min_size=1, max_size=200),
+       st.lists(_spread_boxes(), min_size=1, max_size=5))
+def test_box_index_over_many_width_groups_is_the_negation_of_boxes_disjoint(boxes, probes):
+    # besides the drawn probes: boxes of the index, and points on their
+    # right edges, which meet them only if the search window reaches
+    # back a box's full width
+    index = box_columns(boxes)
+    edges = [((xh, xh), y) for (_, xh), y in boxes[:20]]
+    for probe in probes + boxes[:5] + edges:
+        expected = [j for j, box in enumerate(boxes) if not _boxes_disjoint(box, probe)]
+        assert boxes_meeting(index, probe) == expected
+
+
 def test_triangle_modulus_mismatch():
     with pytest.raises(DomainError):
         Triangle(rp(0, 0, 4), rp(1, 0, 4), rp(0, 1, 8))

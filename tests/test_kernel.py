@@ -9,8 +9,9 @@ moved by one rational affine map per draw, so coordinate denominators
 mix and coefficients pass 2**63.
 
 ``det`` has two paths, numpy convolutions and sparse Python ints, chosen
-per call by ``exact._SPARSE_WORK``.  Each check runs with that bound at 0
-and at 2**60, which force one path and then the other.  Dense and sparse
+per call by ``exact._SPARSE_WORK``, and so has ``reduce``, behind conj,
+embed, cos_pi and sin_pi.  Each check runs with that bound at 0 and at
+2**60, which force one path and then the other.  Dense and sparse
 vectors at composite moduli are also checked against schoolbook products
 and long division by Phi_M.  A triangle's kernel (Triangle._kernel: one
 den, the three edge vectors and the cross product X of the two out of a
@@ -85,7 +86,7 @@ def corners(draw):
     return t, [moved(p, s, tx, ty) for p in pts]
 
 
-# _SPARSE_WORK values that force det onto numpy, then onto Python ints
+# _SPARSE_WORK values that force det and reduce onto numpy, then onto Python ints
 PATHS = (0, 1 << 60)
 
 
@@ -278,6 +279,45 @@ def test_products_at_composite_moduli_match_schoolbook_division(drawn):
         with forced(work):
             assert field.det(a, b, c, d) == expected
             assert field.mul(a, b) == schoolbook_det(modulus, a, b, [0], [0])
+
+
+REDUCE_MODULI = (12, 16, 24, 188, 420, 660)
+
+
+@st.composite
+def reductions(draw):
+    # a modulus, a vector to conjugate, a smaller field (4 | d | modulus)
+    # and a vector of it to embed, and an angle k*pi/m with 2m | modulus
+    modulus = draw(st.sampled_from(REDUCE_MODULI))
+    entry = st.integers(-15, 15) | st.integers(-2 ** 70, 2 ** 70)
+    a = draw(st.lists(entry, min_size=_field(modulus).degree, max_size=_field(modulus).degree))
+    small = draw(st.sampled_from([d for d in range(4, modulus + 1, 4) if modulus % d == 0]))
+    b = draw(st.lists(entry, min_size=_field(small).degree, max_size=_field(small).degree))
+    m = draw(st.sampled_from([m for m in range(1, modulus // 2 + 1) if modulus % (2 * m) == 0]))
+    return modulus, a, small, b, draw(st.integers(-3 * m, 3 * m)), m
+
+
+@settings(max_examples=80, deadline=None)
+@given(reductions())
+def test_reduce_on_python_ints_equals_the_numpy_division(drawn):
+    # conj, embed, cos_pi and sin_pi, with reduce forced onto numpy and
+    # then onto Python ints; the Python path never calls _divide, and the
+    # numpy path does for cos(pi/(M/2)), whose zeta^(M/2 - 1) must be
+    # divided out whenever M/2 > phi
+    modulus, a, small, b, k, m = drawn
+    field = _field(modulus)
+    divided, divide = [], exact._Field._divide
+    counted = mock.patch.object(exact._Field, "_divide",
+                                lambda f, v: divided.append(1) or divide(f, v))
+    results = []
+    for work in PATHS:
+        del divided[:]
+        with forced(work), counted:
+            results.append((field.conj(a), _field(small).embed(b, field),
+                             cos_pi(k, m, modulus).key(), sin_pi(k, m, modulus).key(),
+                             cos_pi(1, modulus // 2, modulus).key()))
+        assert bool(divided) == (work == 0 and modulus // 2 > field.degree)
+    assert results[0] == results[1]
 
 
 def test_each_path_is_taken_at_the_default_bound(monkeypatch):

@@ -37,7 +37,14 @@ from tilegate.exact import (
     field_degree,
     sin_pi,
 )
-from tilegate.geometry import Point, Triangle, on_open_segment, triangles_interior_disjoint
+from tilegate.geometry import (
+    Point,
+    Triangle,
+    _boxes_disjoint,
+    boxes_meeting,
+    on_open_segment,
+    triangles_interior_disjoint,
+)
 from tilegate.text import parse_fraction
 from tilegate.tiling import (
     CHECK_ORDER,
@@ -762,6 +769,27 @@ def test_box_filter_equals_the_quadratic_stages(t):
     for pt in points.values():
         assert (tiling_module._classify(pt, t, run.polygon, run.boxes)
                 == _quadratic_classify(pt, t, run.polygon))
+
+
+def test_box_index_gives_the_stages_what_a_full_scan_gives(monkeypatch):
+    # every query that _check_non_overlap and _classify make gets the
+    # index list of a brute-force _boxes_disjoint scan over all boxes
+    t = refined(8, 1024, 1)
+    boxes = [tri.box() for tri in t.triangles]
+    queries = []
+
+    def checked(index, box):
+        got = boxes_meeting(index, box)
+        assert got == [j for j, b in enumerate(boxes) if not _boxes_disjoint(b, box)]
+        queries.append(box)
+        return got
+
+    monkeypatch.setattr(tiling_module, "boxes_meeting", checked)
+    rep = verify(t)
+    assert rep.verdict
+    # one query per triangle, and one per distinct point off the polygon's boundary
+    inner = (PointKind.TRIANGLE_SIDE_INTERIOR, PointKind.FREE_INTERIOR)
+    assert len(queries) == len(boxes) + sum(e.point_class.kind in inner for e in rep.ledger)
 
 
 def test_verify_makes_a_linear_number_of_pair_and_side_tests(monkeypatch):
