@@ -6,12 +6,25 @@ replays the counting argument for a concrete (n, a): corner analysis,
 then the interior/boundary angle counts, then the global contradiction.
 The auditor's only positive outcome is NotExcluded; it never claims a
 tiling exists.
+
+The corner check, where most audits end, runs on ints.  The corner
+target 2 - 4/n is (2n - 4)/n, and gcd(2n - 4, n) = gcd(4, n): a common
+divisor of 2n - 4 and n divides 2n - (2n - 4) = 4, and a common divisor
+of n and 4 divides 2n - 4.  So one gcd of n with 4 puts the target in
+lowest terms.  The audit writes the target's text and a's from those
+ints and hands them to vertex.solutions_on_ints, so an audit that stops
+at corner_unsolvable builds no Fraction.
+
+TraceStep and Verdict are NamedTuples: they iterate and unpack as
+tuples, and _replace and _asdict copy and convert them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, echo
 from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
@@ -21,7 +34,7 @@ from .vertex import (
     as_fraction,
     check_polygon_n,
     corner_families,
-    enumerate_solutions,
+    solutions_on_ints,
 )
 
 
@@ -108,8 +121,7 @@ class Outcome(Enum):
     NOT_EXCLUDED = "NotExcluded"
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     kind: str
     claim: str
     lemma: str | None = None
@@ -126,8 +138,7 @@ class TraceStep:
         }
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     n: int
     a: Fraction
     outcome: Outcome
@@ -179,13 +190,17 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     if v >= FRACTION_DIGITS_BOUND:  # the trace prints a
         raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
-    corner_target = Fraction(2 * n - 4, n)
-    target_text = str(corner_target)
+    # the corner target 2 - 4/n = t/d in lowest terms; n >= 5 does not
+    # divide 4, so d >= 2, and v >= 2u >= 2: both print as a Fraction does
+    g = math.gcd(4, n)
+    t, d = (2 * n - 4) // g, n // g
+    target_text = f"{t}/{d}"
+    a_text = f"{u}/{v}"
 
     if 2 * u == v:
         # right isosceles tiles: every angle is a multiple of pi/4, so
         # the polygon corner 2-4/n must be a multiple of 1/2
-        if corner_target.denominator <= 2:
+        if d <= 2:
             claim = (f"a = 1/2: corner angle {target_text} is a multiple of 1/2, "
                      f"so right isosceles corners fit (n = {n})")
             outcome = Outcome.NOT_EXCLUDED
@@ -198,11 +213,11 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             data={"corner_target": target_text},
         ),))
 
-    sols = enumerate_solutions(corner_target, a)
+    sols = solutions_on_ints(u, v, t, d)
     if not sols:
         return Verdict(n, a, Outcome.IMPOSSIBLE, (TraceStep(
             "corner_unsolvable",
-            f"no (p, q, r) solves p*a + q*(1-a) + r = {target_text} at a = {a}",
+            f"no (p, q, r) solves p*a + q*(1-a) + r = {target_text} at a = {a_text}",
             point_class="PolygonVertex",
             data={"corner_target": target_text},
         ),))
@@ -222,7 +237,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
                 if (s := fam.parameter_for(a)) is not None]
     strict = TraceStep(
         "corner_strict",
-        f"every corner solution has p > q, and a = {a} lies in "
+        f"every corner solution has p > q, and a = {a_text} lies in "
         f"{families or 'no corner family'}",
         lemma="L5",
         point_class="PolygonVertex",
@@ -241,7 +256,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     if (1 - a) in allowed:
         return Verdict(n, a, Outcome.IMPOSSIBLE, (strict, TraceStep(
             "exceptional_complement",
-            f"a = {a} is exceptional and lies in a corner family; the "
+            f"a = {a_text} is exceptional and lies in a corner family; the "
             f"family analysis places only its complement 1-a = {1 - a} in "
             f"the allowed set, so the smaller angle a itself stays excluded",
             lemma="L6",
@@ -254,7 +269,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
 
     return Verdict(n, a, Outcome.NOT_EXCLUDED, (strict, TraceStep(
         "exceptional_escape",
-        f"a = {a} is exceptional and neither a nor 1-a = {1 - a} is in the "
+        f"a = {a_text} is exceptional and neither a nor 1-a = {1 - a} is in the "
         f"allowed set; the family analysis yields no contradiction",
         lemma="L6",
         data={

@@ -59,9 +59,10 @@ from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 MAX_DEN_LIMIT = 2000
 L5_SIZE_LIMIT = 2 * 10 ** 7
 
-# Most (q, r) pairs enumerate_solutions may try; about 0.05 s at the limit
-# on a 2-vCPU Xeon VM (target 257, a = 1/3).  classify and vertex call
-# it with target below 2 and a <= 1/2, at most 15 pairs.
+# Most (q, r) pairs enumerate_solutions and solutions_on_ints may try;
+# about 0.05 s at the limit on a 2-vCPU Xeon VM (target 257, a = 1/3).
+# classify and vertex call them with target below 2 and a <= 1/2, at
+# most 15 pairs.
 SOLUTIONS_LIMIT = 10 ** 5
 
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
@@ -124,6 +125,12 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
     t, d = target.numerator, target.denominator
     if t < 0:
         raise DomainError(f"target must be non-negative, got {echo(target)}")
+    return solutions_on_ints(u, v, t, d)
+
+
+def solutions_on_ints(u: int, v: int, t: int, d: int) -> tuple[VertexSolution, ...]:
+    """enumerate_solutions at a = u/v and target = t/d, for ints with
+    0 < u < v, t >= 0 and d > 0, which it does not check."""
     scale = math.lcm(v, d)
     k = scale // v
     a_coef, b_coef = u * k, (v - u) * k

@@ -8,11 +8,14 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tilegate.classify import (
     Outcome,
     Provenance,
     TraceStep,
+    Verdict,
     alpha_str,
     candidates,
     impossibility_audit,
@@ -158,16 +161,64 @@ def test_audit_isosceles_step():
     assert v.trace[0].kind == "isosceles_corner"
     v = impossibility_audit(12, Fraction(1, 2))
     assert v.outcome is Outcome.IMPOSSIBLE
+    # a = 1/2 never reaches the corner equation; only n = 8 has a corner
+    # 2 - 4/n that is a multiple of 1/2
+    for n in range(5, 300):
+        v = impossibility_audit(n, Fraction(1, 2))
+        assert [s.kind for s in v.trace] == ["isosceles_corner"]
+        assert (v.outcome is Outcome.NOT_EXCLUDED) == (n == 8), n
+        target = str(Fraction(2 * n - 4, n))
+        assert v.trace[0].data == {"corner_target": target}
+        assert f"angle {target} " in v.trace[0].claim
 
 
-def test_audit_domain_errors():
-    for bad in (4, 8.0, "8", True):
-        with pytest.raises(DomainError):
-            impossibility_audit(bad, Fraction(1, 5))
-    with pytest.raises(DomainError):
-        impossibility_audit(8, Fraction(0))
-    with pytest.raises(DomainError):
-        impossibility_audit(8, Fraction(3, 5))
+_BIG = "100000000000000000...0000000000000000000"
+
+
+@pytest.mark.parametrize("n, a, message", [
+    (True, Fraction(1, 5), "n must be an integer, got True"),
+    (8.0, Fraction(1, 5), "n must be an integer, got 8.0"),
+    ("8", Fraction(1, 5), "n must be an integer, got '8'"),
+    (4, Fraction(1, 5), "n must be at least 5, got 4"),
+    (10 ** 300, Fraction(1, 5), f"n has over 300 digits, got {_BIG}"),
+    (8, Fraction(0), "a must lie in (0, 1/2], got 0"),
+    (8, Fraction(3, 5), "a must lie in (0, 1/2], got 3/5"),
+    (8, Fraction(1, 10 ** 300), f"a has over 300 digits a part, got 1/{_BIG}"),
+    (8, 1, "a must lie in (0, 1/2], got 1"),
+    (8, "0.6", "a must lie in (0, 1/2], got 3/5"),
+    (8, "x", "a must be a rational number, got 'x'"),
+    # the order of the checks: a's type, then n, then a's range and size
+    (True, "x", "a must be a rational number, got 'x'"),
+    (4, Fraction(3, 5), "n must be at least 5, got 4"),
+    (10 ** 300, Fraction(1, 10 ** 300), f"n has over 300 digits, got {_BIG}"),
+], ids=["n=True", "n=8.0", "n='8'", "n=4", "n=10**300", "a=0", "a=3/5",
+        "a=1/10**300", "a=int", "a=str", "a=non-number",
+        "a-type-before-n", "n-before-a-range", "n-before-a-size"])
+def test_audit_domain_errors(n, a, message):
+    with pytest.raises(DomainError) as info:
+        impossibility_audit(n, a)
+    assert type(info.value) is DomainError
+    assert str(info.value) == message
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 10 ** 4), st.integers(3, 10 ** 3), st.data())
+def test_audit_corner_check_on_ints_equals_the_fraction_enumeration(n, v, data):
+    a = Fraction(data.draw(st.integers(1, (v - 1) // 2)), v)
+    target = Fraction(2 * n - 4, n)
+    sols = enumerate_solutions(target, a)
+    verdict = impossibility_audit(n, a)
+    first = verdict.trace[0]
+    assert (verdict.n, verdict.a) == (n, a)
+    if not sols:
+        assert verdict.outcome is Outcome.IMPOSSIBLE
+        assert [s.kind for s in verdict.trace] == ["corner_unsolvable"]
+        assert first.data == {"corner_target": str(target)}
+        assert first.claim == (f"no (p, q, r) solves p*a + q*(1-a) + r = "
+                               f"{target} at a = {a}")
+    else:
+        assert first.kind in ("corner_violation", "corner_strict")
+        assert first.data["solutions"] == [list(s) for s in sols]
 
 
 @pytest.mark.parametrize("call", [
@@ -234,6 +285,21 @@ def test_trace_step_defaults():
     s = TraceStep("x", "y")
     assert s.to_obj() == {"kind": "x", "claim": "y", "lemma": None,
                           "point_class": None, "data": {}}
+
+
+def test_report_types_are_immutable_tuples_in_field_order():
+    verdict = impossibility_audit(8, Fraction(1, 8))
+    step = verdict.trace[0]
+    assert TraceStep._fields == ("kind", "claim", "lemma", "point_class", "data")
+    assert Verdict._fields == ("n", "a", "outcome", "trace")
+    n, a, outcome, trace = verdict
+    assert (n, a, outcome, trace) == (8, Fraction(1, 8), Outcome.IMPOSSIBLE, verdict.trace)
+    assert tuple(step) == (step.kind, step.claim, step.lemma, step.point_class, step.data)
+    for obj, name in ((step, "claim"), (step, "data"), (verdict, "outcome"), (verdict, "a")):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    assert verdict._replace(n=9).n == 9 and verdict.n == 8
+    assert step._asdict()["kind"] == "corner_strict"
 
 
 # -- golden output -------------------------------------------------------------
