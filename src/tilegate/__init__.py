@@ -6,9 +6,10 @@ verifies explicit tilings with exact cyclotomic arithmetic.
 
 The classify side loads with the package.  The tiling side (the modules
 ``exact``, ``geometry`` and ``tiling``, and the names below taken from
-them) needs mpmath, so it loads on first use.  numpy loads later still,
-at the first product of dense vectors (see ``exact``), which a tiling at
-field degree 8, such as the 8-gon's, never makes.
+them) loads on first use, so the classify side's start-up never pays
+for it.  Beyond the standard library the package needs only numpy, and
+loads it at the first product of dense vectors (see ``exact``), which a
+tiling at field degree 8, such as the 8-gon's, never makes.
 """
 import importlib
 

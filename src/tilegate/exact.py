@@ -16,9 +16,9 @@ and every other instance comes from an operation that keeps values real
 Numeric enclosures (used only to decide signs of provably nonzero
 values and to seed floating-point filters) are rigorous interval
 evaluations with exact rational endpoints.  The cosine enclosures they
-sum come from mpmath intervals, whose endpoints are binary floats; stored
-as integers over one power of two they are exact, so an enclosure is an
-integer sum and one Fraction per endpoint.
+sum are integers over one power of two, computed on Python ints in fixed
+point with a counted error (see :meth:`_Field.cos_table`), so an
+enclosure is an integer sum and one Fraction per endpoint.
 
 Products and reductions run on Python ints while their multiply-adds
 stay under ``_SPARSE_WORK``, as they do for the sparse coordinates of
@@ -35,9 +35,6 @@ from collections import OrderedDict
 from fractions import Fraction
 from itertools import compress
 from typing import Iterable, Sequence
-
-import mpmath
-from mpmath.libmp import to_rational
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
 from .text import parse_fraction
@@ -120,6 +117,50 @@ def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
             for i in range(e, degree + 1):
                 series[i] += series[i - e]
     return tuple(series)
+
+
+def _atan_inv(x: int, bits: int) -> tuple[int, int]:
+    """(a, n) with a within 3n + 2 of atan(1/x) * 2**bits, x >= 2, from
+    the n terms of its series sum (-1)**i / ((2i+1) x**(2i+1)).
+
+    The powers p_i = p_(i-1) // x**2, from p_0 = 2**bits // x, fall
+    short of 2**bits / x**(2i+1) by less than 2 (less than 1 from
+    the floor, 2 / x**2 from the one before), so each term p_i // (2i+1)
+    falls short by less than 3.  The loop stops at p_n = 0, so the
+    tail, alternating and decreasing, is below its first term, itself
+    below p_n + 2 = 2.
+    """
+    a, n, power, x2 = 0, 0, (1 << bits) // x, x * x
+    while power:
+        term = power // (2 * n + 1)
+        a += -term if n & 1 else term
+        power //= x2
+        n += 1
+    return a, n
+
+
+def _cos_sin(t: int, bits: int) -> tuple[int, int, int]:
+    """(c, s, k) with c and s within 3k + 3 of cos(theta) * 2**bits and
+    sin(theta) * 2**bits, theta = t / 2**bits with 0 <= theta < 2, from
+    the k terms of their series.
+
+    The terms a_i = a_(i-1) * t // 2**bits // i, one floor of
+    a_(i-1) * t / (i * 2**bits), from a_0 = 2**bits, fall short of
+    theta**i / i! * 2**bits by less than 3: by less than 1, 2 and 7/3
+    for i = 1, 2, 3, and by less than 3 * theta / i + 1 <= 3 after that.
+    The loop stops at a_k = 0; the tails of both alternating series then
+    decrease, since theta < i + 1, and stay below a_k + 3 = 3.
+    """
+    c, s, a, k = 1 << bits, 0, 1 << bits, 0
+    while a:
+        k += 1
+        a = (a * t >> bits) // k
+        term = -a if k & 2 else a
+        if k & 1:
+            s += term
+        else:
+            c += term
+    return c, s, k
 
 
 class _Field:
@@ -241,28 +282,56 @@ class _Field:
 
     def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
-        for j < phi(M), as two integer vectors over one power of two.
+        for j < phi(M), as two integer vectors over one power of two, each
+        of width below 2**-prec.
 
-        Every endpoint of an mpmath interval is a binary float, an integer
-        times a power of two, so scaling all of them to the smallest power
-        among them loses nothing: the enclosures are exactly mpmath's.
+        Computed on Python ints in fixed point (Brent and Zimmermann,
+        Modern Computer Arithmetic, 2010, ch. 4): an integer x stands for
+        x / 2**w, with w = prec + 24 + bitlen(phi) bits, and a unit is
+        2**-w.  Every ``//`` and ``>>`` floors, losing less than one unit.
+        The table is [c_j - D_j, c_j + D_j] over 2**w, with c_j the
+        computed cosine and D_j a bound on its error in units:
+
+        - theta = 2*pi/M.  _atan_inv gives atan(1/5) and atan(1/239)
+          within 3n + 2 units of 2**-(w + 32) each, n its term count, so
+          Machin's pi = 16 atan(1/5) - 4 atan(1/239) gives p within
+          err = 16 (3 n_5 + 2) + 4 (3 n_239 + 2) of those units, and
+          t = 2p // (M * 2**32) is within e = 2 err // (M * 2**32) + 2
+          units of theta.
+        - _cos_sin gives cos and sin of t / 2**w within 3k + 3 units
+          each, k its term count.  cos and sin are 1-Lipschitz, so
+          z_1 = (c_1, s_1) is within d = 2(3k + 3 + e) units of
+          exp(i*theta) in modulus, with a factor 2 over sqrt(2).
+        - z_(j+1) is z_j * z_1 / 2**w, each part floored.  If z_j is
+          within D_j units of exp(i*j*theta) in modulus, then
+          |z_j z_1 - exp(i*(j+1)*theta) 2**(2w)| <= D_j (2**w + d) + 2**w d,
+          and the two floors add at most sqrt(2) units, so
+          D_(j+1) = D_j + d + 3 + (D_j * d >> w) bounds the error of
+          z_(j+1), from D_0 = 0 for the exact z_0 = 2**w.  c_j, the
+          real part of z_j, is within D_j units of cos(j*theta).
+
+        D_j < j (d + 4) while D_j * d < 2**w, so the width 2 D_j / 2**w
+        stays below 2**(1 - prec) (d + 4) / 2**24, under 2**-prec since
+        d, at most about 6w / log2(w), is far below 2**23.
         """
         if prec not in self.cos:
-            iv = mpmath.iv
-            saved = iv.prec
-            ends = []
-            try:
-                iv.prec = prec
-                two_pi = 2 * iv.pi
-                for j in range(self.degree):
-                    ends.append([to_rational(e) for e in iv.cos(two_pi * j / self.modulus)._mpi_])
-            finally:
-                iv.prec = saved
-            # each denominator q is a power of two, 2**(q.bit_length() - 1)
-            shift = max(q.bit_length() for pair in ends for _, q in pair) - 1
-            lo, hi = (tuple(p << (shift + 1 - q.bit_length()) for p, q in side)
-                      for side in zip(*ends))
-            self.cos[prec] = lo, hi, shift
+            m, n = self.modulus, self.degree
+            w = prec + 24 + n.bit_length()
+            a5, n5 = _atan_inv(5, w + 32)
+            a239, n239 = _atan_inv(239, w + 32)
+            err = 16 * (3 * n5 + 2) + 4 * (3 * n239 + 2)
+            t = 2 * (16 * a5 - 4 * a239) // (m << 32)
+            e = 2 * err // (m << 32) + 2
+            c1, s1, k = _cos_sin(t, w)
+            d = 2 * (3 * k + 3 + e)
+            re, im, bound = 1 << w, 0, 0
+            lo, hi = [re], [re]
+            for _ in range(1, n):
+                re, im = (re * c1 - im * s1) >> w, (im * c1 + re * s1) >> w
+                bound += d + 3 + (bound * d >> w)
+                lo.append(re - bound)
+                hi.append(re + bound)
+            self.cos[prec] = tuple(lo), tuple(hi), w
         return self.cos[prec]
 
     def _dtype(self, bound: int, length: int) -> type:

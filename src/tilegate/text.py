@@ -1,7 +1,7 @@
 """The one grammar tilegate reads fractions in, for tiling files and the
-command line alike, and nothing else: no state, no memo.  It imports
-neither numpy nor mpmath, so the classify side of the command line can
-use it without loading them."""
+command line alike, and nothing else: no state, no memo.  It does not
+import numpy, so the classify side of the command line can use it
+without loading it."""
 from __future__ import annotations
 
 import re

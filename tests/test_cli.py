@@ -328,7 +328,8 @@ loaded = {"numpy", "mpmath"} & set(sys.modules)
 assert not loaded, loaded
 for name in tilegate.__all__:
     getattr(tilegate, name)
-assert "mpmath" in sys.modules and "numpy" not in sys.modules
+loaded = {"numpy", "mpmath"} & set(sys.modules)
+assert not loaded, loaded
 """
 
 
@@ -346,10 +347,10 @@ path = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["gen-trivial", "--n", "8", "--out", path]) == 0
     assert main(["verify", path, "--json"]) == 0
-assert "numpy" not in sys.modules
+assert "numpy" not in sys.modules and "mpmath" not in sys.modules
 import tilegate
 report = tilegate.verify(tilegate.gen_trivial(47)).to_obj()
-assert "numpy" in sys.modules
+assert "numpy" in sys.modules and "mpmath" not in sys.modules
 print(json.dumps([json.loads(out.getvalue().splitlines()[-1]), report]))
 """
 
@@ -366,6 +367,40 @@ def test_sparse_products_leave_numpy_unloaded(tmp_path):
     t8, t47 = json.loads(result.stdout)
     assert t8 == verify(load_tiling(str(path))).to_obj()
     assert t47 == verify(gen_trivial(47)).to_obj()
+
+
+TRANSLATED_MUTANT = """
+import sys
+from fractions import Fraction
+import tilegate
+from tilegate.exact import cos_pi, sin_pi
+from tilegate.geometry import Point, Triangle
+from tilegate.tiling import Tiling
+base = tilegate.gen_trivial(8)
+m = base.modulus
+# (cos t - x, sin t - y), x and y the roundings of cos t and sin t to 100
+# bits: no 64-bit enclosure separates it from zero
+offset = []
+for value in (cos_pi(1, m // 2, m), sin_pi(1, m // 2, m)):
+    d = value - round(value.enclosure(256)[0] * 2**100) / Fraction(2**100)
+    lo, hi = d.enclosure(64)
+    assert lo < 0 < hi and d.sign() != 0
+    offset.append(d)
+moved = [Point(v.x + offset[0], v.y + offset[1]) for v in base.triangles[0].vertices]
+mutant = Tiling(base.n, base.alpha, m, [Triangle(*moved), *base.triangles[1:]])
+assert not tilegate.verify(mutant).verdict
+loaded = {"numpy", "mpmath"} & set(sys.modules)
+assert not loaded, loaded
+"""
+
+
+def test_refined_signs_leave_mpmath_unloaded():
+    # a triangle of the 8-gon moved by an irrational offset shorter than
+    # 2**-100 fails verify only after signs refined past 64 bits
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", TRANSLATED_MUTANT], capture_output=True,
+                            text=True, check=False, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
 
 
 def test_tiling_side_names_are_looked_up_on_every_access(monkeypatch):

@@ -500,9 +500,8 @@ def test_total_order_witness():
         assert (v - v).sign() == 0
 
 
-@functools.lru_cache(maxsize=None)
-def _reference_table(m, prec):
-    # rational endpoints of mpmath's interval cosines, term by term
+def _mpmath_cosines(m, prec, js):
+    # rational endpoints of mpmath's interval cosines of 2*pi*j/m
     iv = mpmath.iv
     saved = iv.prec
     try:
@@ -510,10 +509,36 @@ def _reference_table(m, prec):
         return [
             tuple(Fraction(*mpmath.libmp.to_rational(e))
                   for e in iv.cos(2 * iv.pi * j / m)._mpi_)
-            for j in range(field_degree(m))
+            for j in js
         ]
     finally:
         iv.prec = saved
+
+
+@pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
+@pytest.mark.parametrize("m", [4, 8, 12, 20, 188, 660, 1052, 8156])
+def test_cos_table_encloses_mpmath_at_four_times_the_precision(m, prec):
+    # each entry holds mpmath's interval at 4 * prec bits and is at most
+    # 2**(1 - prec) wide; a large field is sampled, up to its last entry,
+    # where the recurrence's error bound is largest
+    lo, hi, shift = exact._Field(m).cos_table(prec)
+    n = len(lo)
+    js = sorted({*range(0, n, max(1, n // 24)), *range(max(0, n - 3), n)})
+    for j, (a, b) in zip(js, _mpmath_cosines(m, 4 * prec, js)):
+        holds = Fraction(lo[j], 2**shift) <= a <= b <= Fraction(hi[j], 2**shift)
+        assert holds, (m, prec, j)
+        assert hi[j] - lo[j] <= 2 ** (shift + 1 - prec), (m, prec, j)
+
+
+def test_cos_table_time():
+    start = time.perf_counter()
+    exact._Field(660).cos_table(4096)
+    assert time.perf_counter() - start < 0.2
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_table(m, prec):
+    return _mpmath_cosines(m, prec, range(field_degree(m)))
 
 
 def _reference_enclosure(x, prec):
@@ -556,12 +581,13 @@ def wide_elements(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(x=wide_elements())
-def test_enclosures_equal_the_term_by_term_reference(x):
-    for prec in (64, 128, 256):
-        assert x.enclosure(prec) == _reference_enclosure(x, prec)
-    lo, hi = _reference_enclosure(x, 64)
-    assert x.float_box() == (math.nextafter(float(lo), -math.inf),
-                             math.nextafter(float(hi), math.inf))
+def test_sign_enclosures_and_float_box_hold_the_value(x):
+    # the value to 400 digits: its terms are below 10**202, so it is
+    # within 10**-190 of the truth
+    val = Fraction(*mpmath.libmp.to_rational(numeric(x, dps=400)._mpf_))
+    slack = Fraction(1, 10**190)
+    for lo, hi in (*(x.enclosure(prec) for prec in (64, 128, 256)), x.float_box()):
+        assert lo - slack <= val <= hi + slack
     assert x.sign() == _reference_sign(x)
 
 
