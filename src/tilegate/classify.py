@@ -7,21 +7,13 @@ then the interior/boundary angle counts, then the global contradiction.
 The auditor's only positive outcome is NotExcluded; it never claims a
 tiling exists.
 
-The corner check, where most audits end, runs on ints.  The corner
-target 2 - 4/n is (2n - 4)/n, and gcd(2n - 4, n) = gcd(4, n): a common
-divisor of 2n - 4 and n divides 2n - (2n - 4) = 4, and a common divisor
-of n and 4 divides 2n - 4.  So one gcd of n with 4 puts the target in
-lowest terms.  The audit writes the target's text and a's from those
-ints and hands them to vertex.solutions_on_ints, so an audit that stops
+The corner check, where most audits end, runs on ints: the audit writes
+the text of a and of the corner target 2 - 4/n from their lowest-terms
+ints and hands those to vertex.solutions_on_ints, so an audit that stops
 at corner_unsolvable builds no Fraction.
-
-TraceStep and Verdict are NamedTuples: they iterate and unpack as
-tuples, and _replace and _asdict copy and convert them.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -30,6 +22,7 @@ from .errors import DomainError, echo
 from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
+    _corner_target,
     allowed_angles,
     as_fraction,
     check_polygon_n,
@@ -62,8 +55,7 @@ class Provenance(Enum):
     COROLLARY_8GON = "Corollary_8gon"
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     a: Fraction
     feasible: bool
 
@@ -71,8 +63,7 @@ class Candidate:
         return {"a": str(self.a), "alpha": alpha_str(self.a), "feasible": self.feasible}
 
 
-@dataclass(frozen=True)
-class CandidateSet:
+class CandidateSet(NamedTuple):
     n: int
     provenance: Provenance
     candidates: tuple[Candidate, ...]
@@ -190,10 +181,8 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     if v >= FRACTION_DIGITS_BOUND:  # the trace prints a
         raise DomainError(f"a has over {FRACTION_DIGITS_LIMIT} digits a part, got {echo(a)}")
 
-    # the corner target 2 - 4/n = t/d in lowest terms; n >= 5 does not
-    # divide 4, so d >= 2, and v >= 2u >= 2: both print as a Fraction does
-    g = math.gcd(4, n)
-    t, d = (2 * n - 4) // g, n // g
+    # 2 - 4/n = t/d in lowest terms with d >= 2, and v >= 2u >= 2: both print as Fractions do
+    t, d = _corner_target(n)
     target_text = f"{t}/{d}"
     a_text = f"{u}/{v}"
 

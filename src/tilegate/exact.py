@@ -728,8 +728,23 @@ class CycloReal:
         return self._box
 
     def __float__(self) -> float:
-        lo, hi = self.float_box()
-        return (lo + hi) / 2
+        """The value within one ulp: 0.0 for zero, else the midpoint of
+        an enclosure refined, as sign() refines it, until it excludes
+        zero and is at most one ulp wide; +-inf past the float range."""
+        if self.is_zero():
+            return 0.0
+        prec = 64
+        while prec <= _PREC_CEILING:
+            lo, hi = self.enclosure(prec)
+            if lo > 0 or hi < 0:
+                try:
+                    mid = float((lo + hi) / 2)
+                except OverflowError:
+                    return math.inf if lo > 0 else -math.inf
+                if hi - lo <= math.ulp(mid):
+                    return mid
+            prec *= 2
+        raise ResourceLimitError(f"value not resolved at {_PREC_CEILING} bits")
 
     def __repr__(self) -> str:
         return (f"CycloReal(mod={self.modulus}, [{', '.join(self._coeff_strings())}] "

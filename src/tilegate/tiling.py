@@ -19,6 +19,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 from .errors import DomainError, FormatError, StructuralError, echo
 from .exact import CycloReal, _normalize, cos_pi, field_degree, sin_pi
@@ -371,8 +372,7 @@ def _corner_kinds(tri: Triangle, alpha: Fraction) -> "tuple[str, str, str] | str
     return tuple(kinds)
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     """Outcome of one verification stage."""
 
     status: str
@@ -382,8 +382,7 @@ class CheckResult:
         return {"status": self.status, "detail": self.detail}
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     """One meeting point: its class and the incident corner counts."""
 
     point: Point
@@ -398,8 +397,7 @@ class LedgerEntry:
         }
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Check table, point ledger, corner-count certificate, verdict."""
 
     checks: dict[str, CheckResult]
@@ -538,10 +536,10 @@ def _check_area_cover(run: _VerifyRun) -> "str | None":
     # 2*pi/n at the center
     poly_area2 = sin_pi(2, n, modulus) * n
     total2 = _twice_area_sum(run.tiling.triangles, modulus)
-    if (total2 - poly_area2).is_zero():
+    gap = poly_area2 - total2
+    if gap.is_zero():
         return None
-    gap = float(poly_area2) - float(total2)
-    return (f"triangle areas differ from the polygon area (gap ~ {gap:.6g} "
+    return (f"triangle areas differ from the polygon area (gap ~ {float(gap):.6g} "
             "in doubled-area units)")
 
 

@@ -46,7 +46,7 @@ bounds, which holds for any 0 < a < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -103,12 +103,17 @@ class VertexSolution(NamedTuple):
     r: int
 
 
-def _solutions_scaled(a_coef: int, b_coef: int, c_coef: int, total: int) -> list[tuple[int, int, int]]:
-    # all (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total
+def _violators(a_coef: int, b_coef: int, c_coef: int, total: int,
+               strict: bool | None = None) -> list[tuple[int, int, int]]:
+    # the (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total, for
+    # a_coef + b_coef == c_coef: every one (strict None), or those with
+    # p < q (strict) or p <= q, whose q window comes from the identity in
+    # the module docstring
     out = []
     for r in range(total // c_coef + 1):
         rem = total - c_coef * r
-        for q in range(rem // b_coef + 1):
+        lo = 0 if strict is None else rem // c_coef + 1 if strict else -(-rem // c_coef)
+        for q in range(lo, rem // b_coef + 1):
             rest = rem - b_coef * q
             if rest % a_coef == 0:
                 out.append((rest // a_coef, q, r))
@@ -140,26 +145,10 @@ def solutions_on_ints(u: int, v: int, t: int, d: int) -> tuple[VertexSolution, .
         raise ResourceLimitError(
             f"enumeration would try {echo(pairs)} (q, r) pairs, over the "
             f"limit {SOLUTIONS_LIMIT}")
-    sols = _solutions_scaled(a_coef, b_coef, scale, total)
+    sols = _violators(a_coef, b_coef, scale, total)
     if not sols:
         return ()
     return tuple(map(VertexSolution._make, sorted(sols)))
-
-
-def _violators(a_coef: int, b_coef: int, c_coef: int, total: int,
-               strict: bool) -> list[tuple[int, int, int]]:
-    # the (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total and
-    # p < q (strict) or p <= q, for a_coef + b_coef == c_coef; the q
-    # window comes from the identity in the module docstring
-    out = []
-    for r in range(total // c_coef + 1):
-        rem = total - c_coef * r
-        lo = rem // c_coef + 1 if strict else -(-rem // c_coef)
-        for q in range(lo, rem // b_coef + 1):
-            rest = rem - b_coef * q
-            if rest % a_coef == 0:
-                out.append((rest // a_coef, q, r))
-    return out
 
 
 # -- point classes -------------------------------------------------------
@@ -193,6 +182,14 @@ class PointClass:
         return self.kind.value
 
 
+def _corner_target(n: int) -> tuple[int, int]:
+    # 2 - 4/n = (2n - 4)/n as t/d in lowest terms.  gcd(2n - 4, n) =
+    # gcd(4, n): a common divisor of 2n - 4 and n divides 2n - (2n - 4) = 4,
+    # and a common divisor of 4 and n divides 2n - 4.  d >= 2 for n >= 5
+    g = math.gcd(4, n)
+    return (2 * n - 4) // g, n // g
+
+
 def point_target(pc: PointClass, n: int) -> Fraction:
     """Angle sum, in units of pi/2, required at a point of class pc.
 
@@ -202,7 +199,7 @@ def point_target(pc: PointClass, n: int) -> Fraction:
     """
     check_polygon_n(n)
     if pc.kind is PointKind.POLYGON_VERTEX:
-        return Fraction(2) - Fraction(4, n)
+        return Fraction(*_corner_target(n))
     if pc.kind is PointKind.POLYGON_SIDE_INTERIOR:
         return Fraction(2)
     if pc.kind is PointKind.TRIANGLE_SIDE_INTERIOR:
@@ -236,7 +233,7 @@ def corner_families(n: int) -> tuple[AngleFamily, AngleFamily]:
     """The two families that corner solutions confine a to."""
     check_polygon_n(n)
     return (
-        AngleFamily(Fraction(2 * n - 4, n), f"(2-4/{n})"),
+        AngleFamily(Fraction(*_corner_target(n)), f"(2-4/{n})"),
         AngleFamily(Fraction(n - 4, n), f"(1-4/{n})"),
     )
 
@@ -250,8 +247,7 @@ def allowed_angles(n: int) -> tuple[Fraction, Fraction, Fraction]:
 # -- audits --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AuditCase:
+class AuditCase(NamedTuple):
     """One exhibited (input, solution) pair from an audit sweep."""
 
     a: Fraction
@@ -271,12 +267,11 @@ class AuditCase:
         return (self.n or 0, self.a, self.solution or VertexSolution(0, 0, 0))
 
 
-@dataclass(frozen=True)
-class AuditReport:
+class AuditReport(NamedTuple):
     lemma_id: str
     parameter_range: dict
     counterexamples: tuple[AuditCase, ...]
-    witnesses: tuple[AuditCase, ...] = field(default_factory=tuple)
+    witnesses: tuple[AuditCase, ...] = ()
 
     @property
     def passed(self) -> bool:
@@ -339,7 +334,7 @@ def _audit_l3(max_den: int) -> AuditReport:
         # a = 3/(2s) solves it with (s, 0, 0); any other a that admits
         # a solution is a counterexample, and so is each p <= q
         of_form = (3 * v) % (2 * u) == 0
-        if of_form or _solutions_scaled(*coefs):
+        if of_form or _violators(*coefs):
             a = Fraction(u, v)
             for sol in _violators(*coefs, strict=False):
                 bad.append(AuditCase(a, None, VertexSolution._make(sol), "p <= q"))
@@ -407,7 +402,7 @@ def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
                 # a = (2-4/n)/s or a = (1-4/n)/s; any other a that admits a
                 # solution is a counterexample, and so is each p <= q
                 in_family = total % a_coef == 0 or family_2 % a_coef == 0
-                if in_family or _solutions_scaled(a_coef, b_coef, c_coef, total):
+                if in_family or _violators(a_coef, b_coef, c_coef, total):
                     a = Fraction(u, v)
                     for sol in _violators(a_coef, b_coef, c_coef, total, strict=False):
                         bad.append(AuditCase(a, n, VertexSolution._make(sol), "p <= q"))

@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -603,6 +604,26 @@ def test_translated_triangle_fails_containment():
     assert not rep.verdict
     assert rep.first_failure == "containment"
     assert "triangle 0" in rep.checks["containment"].detail
+
+
+def test_containment_detail_prints_the_true_coordinate():
+    # the whole 8-gon moved by (1/64, dy), dy = sin(pi/8) - ry with ry the
+    # rounding of sin(pi/8) to 110 bits: vertex 0 lands outside at
+    # (65/64, dy), |dy| < 1e-30, far inside the width of dy's 64-bit float
+    # box, so the detail shows dy's sign and digits only if it refines
+    t = gen_trivial(8)
+    with mpmath.workdps(60):
+        ry = Fraction(int(mpmath.nint(mpmath.sin(mpmath.pi / 8) * 2 ** 110)), 2 ** 110)
+        true_y = float(mpmath.sin(mpmath.pi / 8) - mpmath.mpf(ry.numerator) / ry.denominator)
+    assert 0 < abs(true_y) < 1e-30
+    dx = CycloReal.from_rational(Fraction(1, 64), t.modulus)
+    dy = sin_pi(1, 8, t.modulus) - ry
+    tris = [Triangle(*(Point(v.x + dx, v.y + dy) for v in tri.vertices))
+            for tri in t.triangles]
+    rep = verify(Tiling(t.n, t.alpha, t.modulus, tris))
+    assert rep.first_failure == "containment"
+    assert rep.checks["containment"].detail == (
+        f"triangle 0: vertex (1.01562, {true_y:.6g}) lies outside the polygon")
 
 
 def test_duplicated_triangle_fails_non_overlap():

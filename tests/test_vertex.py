@@ -468,13 +468,27 @@ def scaled(target, a):
         st.fractions(min_value=0, max_value=8, max_denominator=30),
     ),
 )
-def test_violators_are_the_filtered_enumeration(a, target):
+def test_violator_windows_are_the_enumeration_and_its_filters(a, target):
     # a runs over (0, 1), past the a < 1/2 the audits sweep; targets below 0
-    # (2 - 4/n at n = 1) have no solutions
+    # (2 - 4/n at n = 1) have no solutions.  The unfiltered window is the
+    # whole enumeration
     sols = enumerate_solutions(target, a) if target >= 0 else ()
     coefs = scaled(target, a)
+    assert tuple(map(VertexSolution._make, sorted(_violators(*coefs)))) == sols
     assert sorted(_violators(*coefs, strict=True)) == [tuple(s) for s in sols if s.p < s.q]
     assert sorted(_violators(*coefs, strict=False)) == [tuple(s) for s in sols if s.p <= s.q]
+
+
+def test_one_corner_target():
+    # the polygon vertex's target, the first corner family's numerator and
+    # the audit's corner_target text are one fraction, 2 - 4/n in lowest terms
+    corner = PointClass(PointKind.POLYGON_VERTEX)
+    for n in range(5, 401):
+        target = 2 - Fraction(4, n)
+        assert point_target(corner, n) == target
+        assert corner_families(n)[0].numerator == target
+        data = impossibility_audit(n, Fraction(1, 2)).trace[0].data
+        assert data["corner_target"] == str(target)
 
 
 def test_violator_windows_of_the_lemmas():
