@@ -133,7 +133,7 @@ def _cmd_gen_trivial(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .tiling import load_tiling, verify  # numpy only for dense products
+    from .tiling import load_tiling, verify
 
     report = verify(load_tiling(args.file))
     if args.json:

@@ -20,17 +20,20 @@ sum are integers over one power of two, computed on Python ints in fixed
 point with a counted error (see :meth:`_Field.cos_table`), so an
 enclosure is an integer sum and one Fraction per endpoint.
 
-Products and reductions run on Python ints while their multiply-adds
-stay under ``_SPARSE_WORK``, as they do for the sparse coordinates of
-fans and refined tilings.  numpy serves only the others, and is
-imported at the first of them (see :class:`_Field`).  At field degree 8,
-that of the 8-gon's and the 12-gon's tilings, even a product of dense
-vectors fits the bound, so verifying such a tiling never loads numpy.
+Products and reductions run on Python ints alone.  While their
+multiply-adds stay under a bound that grows with the field degree, as
+they do for the sparse coordinates of fans and refined tilings, they
+take only the nonzero coefficients; past it, each vector is packed into
+one integer (Kronecker substitution), so a product is one big-int
+multiplication, and Phi_M divides it by Barrett's method with the
+inverse cyclotomic series (see :class:`_Field`).  No module of the
+package imports anything outside the standard library.
 """
 from __future__ import annotations
 
 import math
 import sys
+from array import array
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import compress
@@ -43,22 +46,32 @@ from .text import parse_fraction
 # rather than attempted.
 PHI_LIMIT = 4096
 
-# Bound under which int64 reduction is provably overflow-free (checked
-# per reduction, see _Field._dtype).
-_INT64_SAFE = 1 << 62
+# Most multiply-adds _Field.det and _Field.reduce spend on the nonzero
+# coefficients of a call at field degree phi, products and reduction
+# together, is _SPARSE_WORK + phi; past it they pack (see _Field).  The
+# crossover, the work at which both paths took the same time, on the
+# calls verify(gen_trivial(n)) makes, replayed, and on random factors
+# with k nonzeros each (Intel Xeon, 2 vCPUs, Python 3.11), against the
+# bound:
+#
+#   phi              8    32    92   160   396   800
+#   replayed         -   150   250     -   450   850
+#   random          70   100   220   380     -  1000
+#   96 + phi       104   128   188   256   492   896
+#
+# The packed path's fixed cost, about 20 us, sets the crossover at
+# small phi; its per-coefficient passes, the growth with phi.
+_SPARSE_WORK = 96
 
-# Most multiply-adds _Field.det spends on Python ints in one call,
-# products and reduction together.  One costs about 0.1 us; numpy costs
-# 15 to 20 us a call at phi = 8 and more as phi grows, so the two paths
-# break even near 110 multiply-adds at phi = 8 (dense vectors, which
-# take at most 135), near 450 at phi = 92 and near 1200 at phi = 160
-# (Xeon, Python 3.11, numpy 2.4).
-_SPARSE_WORK = 256
+# A factor of det's packed path with fewer than phi / _FEW nonzeros is
+# taken as its nonzeros: packed by shifts, or multiplying the other
+# factor term by term, not through an array.
+_FEW = 8
 
-# Most entries the field cache holds, reduction tables and sparse rows
-# together: one field at the degree limit, about 130 MB of int64 and at
-# most _SPARSE_WORK row entries a column.
-FIELD_CACHE_ENTRIES = (PHI_LIMIT + _SPARSE_WORK) * (PHI_LIMIT - 1)
+# Most coefficients the field cache holds, M/2 a field (_Field.half):
+# a few MB of ints, and seven fields at the largest moduli the degree
+# limit admits.
+FIELD_CACHE_ENTRIES = 1 << 16
 
 # Hard ceiling for sign-refinement precision, in bits.  Signs are only
 # refined for symbolically nonzero values, so this is never reached in
@@ -91,32 +104,37 @@ def euler_phi(m: int) -> int:
 
 
 def cyclotomic_polynomial(m: int) -> tuple[int, ...]:
-    """Coefficients of the m-th cyclotomic polynomial, ascending degree.
-
-    For m > 1, Phi_m(x) is the product over squarefree d | m of
-    (1 - x^(m/d))^mu(d) (Arnold & Monagan, Calculating cyclotomic
-    polynomials, Math. Comp. 80, 2011).  Expanded as a power series cut
-    at degree phi(m), each factor costs O(phi(m)): a multiplication by
-    1 - x^e when mu(d) = 1, a division by it when mu(d) = -1.
-    """
+    """Coefficients of the m-th cyclotomic polynomial, ascending degree."""
     if m < 1:
         raise DomainError(f"cyclotomic_polynomial undefined for {m}")
     if m == 1:
         return (-1, 1)
-    degree = euler_phi(m)
-    series = [1] + [0] * degree
-    factors = [(1, 1)]  # (squarefree d, mu(d))
+    return tuple(_cyclotomic_series(m, euler_phi(m) + 1, 1))
+
+
+def _cyclotomic_series(m: int, length: int, power: int) -> list[int]:
+    """The first ``length`` coefficients of the power series Phi_m**power,
+    power = 1 or -1, for m > 1.
+
+    Phi_m(x) is the product over squarefree d | m of (1 - x^(m/d))^mu(d)
+    (Arnold & Monagan, Calculating cyclotomic polynomials, Math. Comp. 80,
+    2011).  Cut at degree length - 1, each factor of Phi_m**power costs
+    O(length): a multiplication by 1 - x^e when mu(d) * power = 1, a
+    division by it otherwise.
+    """
+    series = [1] + [0] * (length - 1)
+    factors = [(1, power)]  # (squarefree d, mu(d) * power)
     for p in _prime_factors(m):
         factors += [(d * p, -mu) for d, mu in factors]
     for d, mu in factors:
         e = m // d
         if mu == 1:
-            for i in range(degree, e - 1, -1):
+            for i in range(length - 1, e - 1, -1):
                 series[i] -= series[i - e]
         else:
-            for i in range(e, degree + 1):
+            for i in range(e, length):
                 series[i] += series[i - e]
-    return tuple(series)
+    return series[:length]
 
 
 def _atan_inv(x: int, bits: int) -> tuple[int, int]:
@@ -169,116 +187,72 @@ class _Field:
     x^(phi-1).
 
     Every product is one routine, :meth:`det`, a*b - c*d (:meth:`mul` is
-    a*b - 0*0), on one of two paths chosen per call from the factors'
-    nonzero counts.  The coordinates of fans and their altitude
-    refinements are sparse, 2 to 4 nonzero coefficients, and at phi = 8
-    numpy spends 15 to 20 us a call before it multiplies anything: bounds,
-    array conversions, two convolutions and _divide.  So when the nonzero
-    products number at most _SPARSE_WORK, det multiplies only the nonzero
-    coefficients, on Python ints, and reduces each nonzero coefficient of
-    degree phi + i with ``rows[i]``, the nonzero (row, coefficient) pairs
-    of x^(phi+i) mod Phi_M.  Those row entries count against the same
-    bound; past it the products go to :meth:`_divide`.  Otherwise, for
-    dense vectors, det takes numpy: one conversion of the four factors,
-    two convolutions, a subtraction and _divide.  :meth:`reduce` likewise
-    divides by the nonzero coefficients of Phi_M (``low``) on Python ints
-    while that takes at most _SPARSE_WORK multiply-adds, and goes to
-    _divide otherwise.
+    a*b - 0*0), and every reduction ends the same way: zeta^(M/2) = -1
+    folds each degree d >= M/2 onto d - M/2, negated, and division by the
+    monic Phi_M, of degree phi <= M/2, removes the k = M/2 - phi degrees
+    left above phi.  Two paths do that work, chosen per call.
 
-    _divide is the one numpy reduction: division by the monic Phi_M from
-    the top, phi - 1 degrees a step, with the table ``red``, whose column
-    i is x^(phi+i) mod Phi_M for i < phi - 1.  Those are the degrees a
-    product of two reduced elements reaches, so a product takes one step;
-    reduce's longer vector, every exponent below M/2 after folding with
-    zeta^(M/2) = -1, takes at most (M/2 - phi) / (phi - 1) + 1.  A step
-    runs in int64 when a bound on every partial sum proves it cannot
-    overflow, and on Python ints otherwise; a table whose next column's
-    bound would reach 2**62 is held in Python ints (``wide``), decided
-    once, when the columns are built.  numpy is imported only on the
-    dense paths, so a run whose products and reductions all stay on
-    Python ints never loads it.
+    On the nonzero coefficients: the coordinates of fans and their
+    altitude refinements have 2 to 4 nonzero coefficients.  When the
+    nonzero products number at most _SPARSE_WORK + phi, det multiplies
+    only those, on Python ints, folds, and divides by the nonzero
+    coefficients of Phi_M (``low``) from the top, while the multiply-adds
+    of both stay under that bound; :meth:`reduce` folds and divides in
+    the same way.  Otherwise the work is packed.
 
-    The columns come from the recurrence x^(phi+i+1) = x * x^(phi+i),
-    with x^phi = x^phi - Phi_M.  When phi <= _SPARSE_WORK, every column
-    fits a row, so they are built on Python ints and kept only as rows,
-    and the table is built from the rows the first time _divide needs it.
-    A larger field can have dense columns (up to 445 nonzeros at M =
-    4620), so numpy builds its table at once: rows on Python ints and a
-    table built later take four to six times as long there, from M = 1052
-    to 8156.  A column with more than _SPARSE_WORK nonzeros keeps an empty
-    row, since no call could use it: 741 of 959 columns at M = 4620, and
-    2 of 523 at M = 1052, the field of the fan of n = 263.  Products that
-    need such a column go to _divide; the others keep the Python path.
-    ``entries`` counts the table, built or not, and the rows for the
-    field cache.  The field also keeps its cosine tables
-    (:meth:`cos_table`), so a field dropped from the cache takes them
-    along.
+    Packed, by Kronecker substitution (A. Schonhage, EUROCAM 1982; D.
+    Harvey, J. Symbolic Comput. 44, 2009): a vector v becomes one
+    integer V = sum(v_i * 2**(s*i)), its slots s = 8w bits wide.  If
+    every |v_i| < 2**(s-1), the low s*j bits of V, read as the integer
+    between -2**(s*j-1) and 2**(s*j-1) they stand for, are
+    sum(v_i * 2**(s*i)) over i < j, which lies strictly in that range; so
+    V splits at any slot and determines v.  Products of vectors are
+    products of their packed integers, so a*b - c*d is A*B - C*D, and its
+    fold is V mod 2**(s*M/2) + 1: the low M/2 slots minus the rest.  A
+    factor with few nonzeros multiplies the other term by term, which at
+    large phi costs far less than a full product.
+
+    Then Barrett division.  Write v = v_lo + x^phi * v_hi, with v_hi of
+    k coefficients, and v = q * Phi_M + r.  Phi_M is palindromic, so
+    reversing both sides gives rev(q) = rev(v_hi) / Phi_M mod x^k.  The
+    series 1/Phi_M is -Psi_M / (1 - x^M), Psi_M = (x^M - 1) / Phi_M the
+    inverse cyclotomic polynomial (P. Moree, J. Number Theory 129, 2009),
+    so mod x^k it is -Psi_M's first k coefficients (``inverse``), which
+    are small.  Packed, q is the high k slots of V_hi times the reversed
+    series, and r is v_lo minus the low phi slots of q times Phi_M's low
+    part.  If every |v_i| <= B, every slot of those products and of r is
+    at most B * ``growth``, 1 + the l1 norm of the series times the
+    largest sum of k consecutive |Phi_M| coefficients, bounded above by
+    their l1 norm and by k times the largest.  det picks the slot width
+    from the factors' largest coefficients and nonzero counts so that
+    this bound, twice it when folding, and each factor fit.  At M = 4p,
+    p prime, the fans' fields, k = 2 and growth is 3.
+
+    Slots of 1, 2, 4 or 8 bytes pack and unpack through :mod:`array`,
+    wider ones through int.to_bytes: each coefficient is written in two's
+    complement, and xor with ``bias``, 2**(s-1) in every slot, makes each
+    slot the nonnegative v_i + 2**(s-1), so one int holds them all.  A
+    field keeps Phi_M, the series and, per slot size of an array, their
+    packed forms and masks: M/2 coefficients (``half``) and no table.
+    It also keeps its cosine tables (:meth:`cos_table`), so a field
+    dropped from the cache takes them along.
     """
 
     def __init__(self, modulus: int) -> None:
         degree = _checked_degree(modulus)
         self.modulus = modulus
         self.degree = degree
-        low = cyclotomic_polynomial(modulus)[:-1]
-        self.low = [(j, c) for j, c in enumerate(low) if c]
-        self._red = None
-        if degree > _SPARSE_WORK:
-            self._build_table(low)
-        else:
-            low_max = max(map(abs, low))
-            col, col_max = [-c for c in low], low_max  # x^phi = x^phi - Phi_M
-            self.red_max, self.wide, self.rows = 0, False, []
-            for _ in range(degree - 1):
-                self.rows.append([(j, q) for j, q in enumerate(col) if q])
-                self.red_max = max(self.red_max, col_max)
-                top = col[-1]
-                # would the next column's entries reach the int64 bound?
-                self.wide = self.wide or col_max + abs(top) * low_max >= _INT64_SAFE
-                col = [x - top * c for x, c in zip([0] + col[:-1], low)]
-                col_max = max(map(abs, col))
-        self.entries = degree * (degree - 1) + sum(map(len, self.rows))
+        self.half = modulus // 2
+        # Phi_M below its leading term, dense and as (degree, coefficient)
+        # pairs of its nonzeros
+        self.poly = cyclotomic_polynomial(modulus)[:-1]
+        self.low = [(j, c) for j, c in enumerate(self.poly) if c]
+        k = self.half - degree
+        self.inverse = _cyclotomic_series(modulus, k, -1)
+        window = min(sum(map(abs, self.poly)), k * max(map(abs, self.poly)))
+        self.growth = 1 + sum(map(abs, self.inverse)) * window
+        self.packed: dict[int, tuple[int, ...]] = {}
         self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
-
-    def _build_table(self, low: Sequence[int]) -> None:
-        # the recurrence in numpy, a column at a time, switching to Python
-        # ints from the first column whose bound would reach 2**62; the
-        # rows are read from the table
-        import numpy as np
-        # int64 holds Phi_M: phi <= PHI_LIMIT leaves M at most four odd
-        # primes, so its coefficients are below M**2 (Bateman, 1949)
-        low = np.array(low, np.int64)
-        low_max = int(abs(low).max())
-        n = self.degree
-        red = np.empty((n, n - 1), np.int64)
-        col, col_max = -low, low_max
-        self.red_max = 0
-        for i in range(n - 1):
-            red[:, i] = col
-            self.red_max = max(self.red_max, col_max)
-            top = int(col[-1])
-            if red.dtype != object and col_max + abs(top) * low_max >= _INT64_SAFE:
-                # the next column may overflow int64: go on with Python ints
-                red, low = red.astype(object), low.astype(object)
-            col = np.concatenate(([0], col[:-1])) - top * low
-            col_max = int(abs(col).max())
-        self._red, self.wide = red, red.dtype == object
-        # every column is nonzero, so an empty row marks a dense one
-        self.rows = [list(zip(np.flatnonzero(col).tolist(), col[col != 0].tolist()))
-                     if count <= _SPARSE_WORK else []
-                     for col, count in zip(red.T, np.count_nonzero(red, axis=0).tolist())]
-
-    @property
-    def red(self):
-        """The reduction table as a numpy array, int64 or, when ``wide``,
-        Python ints; a small field builds it from its rows on first use."""
-        if self._red is None:
-            import numpy as np
-            red = np.zeros((self.degree, self.degree - 1), object if self.wide else np.int64)
-            for i, row in enumerate(self.rows):
-                for j, q in row:
-                    red[j, i] = q
-            self._red = red
-        return self._red
 
     def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
         """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
@@ -334,33 +308,62 @@ class _Field:
             self.cos[prec] = tuple(lo), tuple(hi), w
         return self.cos[prec]
 
-    def _dtype(self, bound: int, length: int) -> type:
-        # int64 when no partial sum can overflow: the coefficients of a
-        # vector of this length are at most bound in absolute value, and
-        # each division step multiplies that by at most 1 + red_max*(phi-1)
-        import numpy as np
-        n = self.degree
-        steps = -(-(length - n) // (n - 1))
-        growth = (1 + self.red_max * (n - 1)) ** steps
-        if self.wide or bound * growth >= _INT64_SAFE:
-            return object
-        return np.int64
+    def _constants(self, width: int) -> tuple[int, ...]:
+        """For slots of width bytes: the bias over M/2 slots; Phi_M's low
+        part and the reversed series, packed; 2**(b - 1) and 2**b - 1 for
+        b the bits of phi slots; 2**(b - 1) for k - 1 slots; and
+        2**(b - 1) and 2**b - 1 for M/2 slots.  Kept for the slot sizes
+        of an array."""
+        got = self.packed.get(width)
+        if got is None:
+            s, n, half = 8 * width, self.degree, self.half
+            bias = _bias(width, half)
+            low, quotient, top = (1 << s * m for m in (n, max(half - n - 1, 0), half))
+            got = (bias, _pack(self.poly, width, bias), _pack(self.inverse[::-1], width, bias),
+                   low >> 1, low - 1, quotient >> 1, top >> 1, top - 1)
+            if width in _TYPECODES:
+                self.packed[width] = got
+        return got
 
-    def _divide(self, v) -> tuple[int, ...]:
-        # v is a numpy vector, or a list of Python ints to convert
-        if isinstance(v, list):
-            import numpy as np
-            v = np.array(v, self._dtype(max(map(abs, v)), len(v)))
-        n, red = self.degree, self.red
-        while len(v) > n:
-            start = max(len(v) - (n - 1), n)
-            v[start - n:start] += red[:, :len(v) - start] @ v[start:]
-            v = v[:start]
-        return tuple(v.tolist())
+    def _reduce_packed(self, v: int, width: int, constants: tuple[int, ...]) -> tuple[int, ...]:
+        """v packed in slots of width bytes, below degree M/2, and every
+        slot of it and of the products below within the bound growth
+        covers (see the class docstring), reduced mod Phi_M."""
+        n, s = self.degree, 8 * width
+        bias, poly, inverse, half_n, mask_n, half_k = constants[:6]
+        if self.half > n:
+            # v + half_n is v_lo + half_n + 2**(s*n) * v_hi, with the first
+            # two within its low s*n bits; likewise for the quotient
+            t = v + half_n
+            q = ((t >> s * n) * inverse + half_k) >> s * (self.half - n - 1)
+            v = (t & mask_n) - ((q * poly + half_n) & mask_n)
+        return _unpack(v, width, bias, n)
+
+    def _reduce_list(self, v: list[int], spent: int = 0) -> tuple[int, ...]:
+        # fold, then long division from the highest nonzero degree down, on
+        # Python ints when its multiply-adds fit what the bound leaves
+        n, half = self.degree, self.half
+        if len(v) > half:
+            for i in compress(range(half, len(v)), v[half:]):
+                v[i - half] -= v[i]
+            del v[half:]
+        tops = list(compress(range(n, len(v)), v[n:]))
+        if not tops:
+            return tuple(v[:n])
+        if spent + (tops[-1] - n + 1) * len(self.low) <= _SPARSE_WORK + n:
+            for k in range(tops[-1], n - 1, -1):
+                t = v[k]
+                if t:
+                    for j, c in self.low:
+                        v[k - n + j] -= t * c
+            return tuple(v[:n])
+        width = _width(max(max(v), -min(v)) * self.growth)
+        constants = self._constants(width)
+        return self._reduce_packed(_pack(v, width, constants[0]), width, constants)
 
     def reduce(self, terms: Iterable[tuple[int, int]]) -> tuple[int, ...]:
         """sum(c * zeta^e for (e, c) in terms) in the power basis."""
-        half = self.modulus // 2
+        half = self.half
         v = [0] * half
         for e, c in terms:
             e %= self.modulus
@@ -368,18 +371,7 @@ class _Field:
                 v[e] += c
             else:
                 v[e - half] -= c
-        # long division from the highest nonzero degree down, on Python
-        # ints when its multiply-adds fit the bound
-        n = self.degree
-        top = next((k for k in range(half - 1, n - 1, -1) if v[k]), n - 1)
-        if (top - n + 1) * len(self.low) <= _SPARSE_WORK:
-            for k in range(top, n - 1, -1):
-                t = v[k]
-                if t:
-                    for j, c in self.low:
-                        v[k - n + j] -= t * c
-            return tuple(v[:n])
-        return self._divide(v)
+        return self._reduce_list(v)
 
     def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
         zero = (0,) * self.degree
@@ -388,15 +380,13 @@ class _Field:
     def det(self, a: Sequence[int], b: Sequence[int],
             c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
         """a*b - c*d, unnormalized, with no CycloReal built on the way:
-        on Python ints when that takes at most _SPARSE_WORK multiply-adds,
-        with numpy otherwise (see the class docstring)."""
+        on the nonzero coefficients when that takes at most
+        _SPARSE_WORK + phi multiply-adds, packed otherwise (see the class
+        docstring)."""
         n = self.degree
-        # c and d are counted only if a and b leave room, so a dense
-        # product costs two counts
-        work = (n - a.count(0)) * (n - b.count(0))
-        if work <= _SPARSE_WORK:
-            work += (n - c.count(0)) * (n - d.count(0))
-        if work <= _SPARSE_WORK:
+        na, nb, nc, nd = n - a.count(0), n - b.count(0), n - c.count(0), n - d.count(0)
+        work = na * nb + nc * nd
+        if work <= _SPARSE_WORK + n:
             idx = range(n)
             v = [0] * (2 * n - 1)
             for x, y, s in ((a, b, 1), (c, d, -1)):
@@ -404,30 +394,26 @@ class _Field:
                 for i, p in zip(compress(idx, x), compress(x, x)):
                     for j, q in ys:
                         v[i + j] += p * q
-            top = v[n:]
-            cols = list(compress(idx, top))
-            rows = [self.rows[i] for i in cols]
-            if all(rows) and work + sum(map(len, rows)) <= _SPARSE_WORK:
-                for i, row in zip(cols, rows):
-                    p = top[i]
-                    for j, q in row:
-                        v[j] += p * q
-                return tuple(v[:n])
-            # a dense column or too many row entries: _divide reduces v
-            return self._divide(v)
-        # dense factors: one conversion and two convolutions for the four
-        import numpy as np
-        try:
-            f = np.array((a, b, c, d), np.int64)
-        except OverflowError:  # a coefficient past int64, even beside a zero
-            f = np.array((a, b, c, d), object)
-        ma, mb, mc, md = (max(hi, -lo) for hi, lo in zip(f.max(1).tolist(), f.min(1).tolist()))
-        if self._dtype((ma * mb + mc * md) * n, 2 * n - 1) is object:
-            f = f.astype(object)
-        v = np.convolve(f[0], f[1])
-        if mc and md:
-            v = v - np.convolve(f[2], f[3])
-        return self._divide(v)
+            return self._reduce_list(v, work)
+        # a factor with few nonzeros is kept as (degree, coefficient) pairs
+        few = [_FEW * k < n for k in (na, nb, nc, nd)]
+        factors = [list(compress(enumerate(x), x)) if f else x for x, f in zip((a, b, c, d), few)]
+        tops = [max([abs(t) for _, t in x], default=0) if f else max(max(x), -min(x))
+                for x, f in zip(factors, few)]
+        ma, mb, mc, md = tops
+        bound = min(na, nb) * ma * mb + min(nc, nd) * mc * md
+        fold = 2 * n - 1 > self.half
+        # each factor must fit its slot too, beside a zero one
+        width = _width(max((bound << fold) * self.growth, *tops))
+        constants = self._constants(width)
+        s = 8 * width
+        v = (_product(factors[0], few[0], factors[1], few[1], width, constants[0])
+             - _product(factors[2], few[2], factors[3], few[3], width, constants[0]))
+        if fold:
+            half, mask = constants[6:]
+            t = v + half
+            v = ((t & mask) - half) - (t >> s * self.half)
+        return self._reduce_packed(v, width, constants)
 
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
         # zeta^j -> zeta^-j
@@ -437,6 +423,67 @@ class _Field:
         # zeta_M = zeta_L^(L/M) for M | L
         step = target.modulus // self.modulus
         return target.reduce((j * step, c) for j, c in enumerate(a) if c)
+
+
+# array typecodes by item size: slots of 1, 2, 4 and 8 bytes pack and
+# unpack through an array of them, wider ones through int.to_bytes
+_TYPECODES = {array(t).itemsize: t for t in "bhilq"}
+_BIG_ENDIAN = sys.byteorder == "big"
+
+
+def _width(bound: int) -> int:
+    """Bytes a slot needs for integers below ``bound`` in absolute value:
+    1, 2, 4 or 8, or past 8 bytes the fewest that hold them."""
+    need = bound.bit_length() // 8 + 1
+    return (0, 1, 2, 4, 4, 8, 8, 8, 8)[need] if need <= 8 else need
+
+
+def _bias(width: int, slots: int) -> int:
+    # 2**(8*width - 1) in each of `slots` slots of width bytes
+    return int.from_bytes((bytes(width - 1) + b"\x80") * slots, "little")
+
+
+def _pack(x: Sequence[int], width: int, bias: int) -> int:
+    """sum(x[i] * 2**(8*width*i)) for |x[i]| < 2**(8*width - 1), from x in
+    two's complement: the xor with the bias turns each slot into
+    x[i] + 2**(8*width - 1), so subtracting it leaves x[i].  The bias may
+    span more slots than x."""
+    if width in _TYPECODES:
+        data = array(_TYPECODES[width], x)
+        if _BIG_ENDIAN:
+            data.byteswap()
+    else:
+        data = b"".join(t.to_bytes(width, "little", signed=True) for t in x)
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _product(x: Sequence, few_x: bool, y: Sequence, few_y: bool, width: int, bias: int) -> int:
+    """x*y packed in slots of width bytes, for x and y coefficient vectors
+    or, when few, lists of the (degree, coefficient) pairs of their
+    nonzeros.  A few factor multiplies the other term by term, and is
+    packed by shifts when the other is few too; two dense ones are packed
+    and multiplied once."""
+    if few_y and (not few_x or len(y) < len(x)):
+        x, few_x, y, few_y = y, few_y, x, few_x
+    if not few_x:
+        return _pack(x, width, bias) * _pack(y, width, bias)
+    s = 8 * width
+    packed = sum([t << s * i for i, t in y]) if few_y else _pack(y, width, bias)
+    return sum([t * packed << s * i for i, t in x])
+
+
+def _unpack(v: int, width: int, bias: int, slots: int) -> tuple[int, ...]:
+    """The first ``slots`` balanced digits of v = sum(c_i * 2**(8*width*i)),
+    each |c_i| < 2**(8*width - 1), none past those slots: _pack
+    inverted."""
+    data = ((v + bias) ^ bias).to_bytes(width * slots, "little")
+    if width in _TYPECODES:
+        out = array(_TYPECODES[width], data)
+        if _BIG_ENDIAN:
+            out.byteswap()
+        return tuple(out.tolist())
+    return tuple(int.from_bytes(data[i:i + width], "little", signed=True)
+                 for i in range(0, len(data), width))
 
 
 def _checked_degree(modulus: int) -> int:
@@ -461,12 +508,8 @@ _fields: OrderedDict[int, _Field] = OrderedDict()
 
 def _field(modulus: int) -> _Field:
     """Q(zeta_modulus), from a least-recently-used cache that holds at
-    most FIELD_CACHE_ENTRIES entries: phi * (phi - 1) a field for the
-    reduction table, built or not, and at most
-    min(phi, _SPARSE_WORK) * (phi - 1) for its sparse rows.  Any one
-    field fits, so the newest is always kept.
-    The oldest are dropped before a new one is built, so a large table is
-    never built beside a cached one it would evict."""
+    most FIELD_CACHE_ENTRIES entries, M/2 a field.  The oldest are
+    dropped before a new one is built, and the newest is always kept."""
     field = _fields.get(modulus)
     if field is not None:
         _fields.move_to_end(modulus)
@@ -474,11 +517,10 @@ def _field(modulus: int) -> _Field:
     if modulus < 4 or modulus % 4:
         raise ModulusError(
             f"modulus {echo(modulus)} is not a positive multiple of 4")
-    degree = _checked_degree(modulus)
-    held = sum(f.entries for f in _fields.values())
-    most = (degree + min(degree, _SPARSE_WORK)) * (degree - 1)
-    while _fields and held + most > FIELD_CACHE_ENTRIES:
-        held -= _fields.popitem(last=False)[1].entries
+    _checked_degree(modulus)
+    held = sum(f.half for f in _fields.values())
+    while _fields and held + modulus // 2 > FIELD_CACHE_ENTRIES:
+        held -= _fields.popitem(last=False)[1].half
     field = _fields[modulus] = _Field(modulus)
     return field
 

@@ -18,26 +18,25 @@ routine of its own: u . v is the cross product of u with v turned by
 Every exact predicate goes through one kernel.  ``_differences`` scales
 the six coordinates of a, b and c to one common denominator and returns
 u = b - a and v = c - a as integer coefficient vectors; ``_Field.det``
-computes a*b - c*d on such vectors.  It multiplies only the nonzero
-coefficients, on Python ints, when those products and their reduction
-take at most ``exact._SPARSE_WORK`` multiply-adds, as they do for the
-sparse coordinates of fans and refined tilings: at field degree 8 numpy
-spends 15 to 20 us a call on overhead alone.  Dense vectors take two
-numpy convolutions, a subtraction and one table reduction.  So u x v
-and u . v are one det each, and a CycloReal is built only for a value
-that leaves the kernel: an area, or a value whose sign is asked.  A
-Triangle runs _differences once and keeps the result, its kernel: one
-den, its three edge vectors, and the cross product X of the two edges
-out of a corner, which is the same at every corner; X / den**2 is the
-triangle's doubled area.  The angle tests of :mod:`tilegate.tiling`
-read u, v and X from it, and the verifier's area check sums the X of
-all triangles on Python ints.  The angle test's filter passes
-_box_sign an optional rotation, which :func:`_turn` builds once per
-angle from the float boxes of its cosine and sine: u is turned by it
-before the cross or dot product is taken.  An overflow makes the bound
-or the value inf or NaN, and then the comparison that decides is false,
-so a product past the float range, from coordinates of about 10**154 or
-more, or a box with an infinite end, sends the case to exact arithmetic.
+computes a*b - c*d on such vectors, on Python ints.  It multiplies only
+the nonzero coefficients when those products and their reduction take
+few multiply-adds, as they do for the sparse coordinates of fans and
+refined tilings; dense vectors are packed into one integer each, so a
+product is one big-int multiplication.  So u x v and u . v are one det
+each, and a CycloReal is built only for a value that leaves the kernel:
+an area, or a value whose sign is asked.  A Triangle runs _differences
+once and keeps the result, its kernel: one den, its three edge vectors,
+and the cross product X of the two edges out of a corner, which is the
+same at every corner; X / den**2 is the triangle's doubled area.  The
+angle tests of :mod:`tilegate.tiling` read u, v and X from it, and the
+verifier's area check sums the X of all triangles on Python ints.  The
+angle test's filter passes _box_sign an optional rotation, which
+:func:`_turn` builds once per angle from the float boxes of its cosine
+and sine: u is turned by it before the cross or dot product is taken.
+An overflow makes the bound or the value inf or NaN, and then the
+comparison that decides is false, so a product past the float range,
+from coordinates of about 10**154 or more, or a box with an infinite
+end, sends the case to exact arithmetic.
 
 A triangle's float box encloses its exact bounding box.  Two triangles
 whose boxes are disjoint have disjoint interiors, so

@@ -1,7 +1,7 @@
 """The one grammar tilegate reads fractions in, for tiling files and the
 command line alike, and nothing else: no state, no memo.  It does not
-import numpy, so the classify side of the command line can use it
-without loading it."""
+import the tiling side, so the classify side of the command line can
+use it without loading that."""
 from __future__ import annotations
 
 import re

@@ -350,15 +350,16 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
 assert "numpy" not in sys.modules and "mpmath" not in sys.modules
 import tilegate
 report = tilegate.verify(tilegate.gen_trivial(47)).to_obj()
-assert "numpy" in sys.modules and "mpmath" not in sys.modules
+assert "numpy" not in sys.modules and "mpmath" not in sys.modules
 print(json.dumps([json.loads(out.getvalue().splitlines()[-1]), report]))
 """
 
 
 def test_sparse_products_leave_numpy_unloaded(tmp_path):
     # the fields of an 8-gon run on Python ints alone; the rotation
-    # vectors of the fan of n = 47 (phi = 92) are dense, so verifying it
-    # loads numpy, and both reports are the ones this process computes
+    # vectors of the fan of n = 47 (phi = 92) are dense, and verifying it
+    # packs them into Python ints: neither loads numpy, and both reports
+    # are the ones this process computes
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     path = tmp_path / "t8.json"
     result = subprocess.run([sys.executable, "-c", SPARSE_ONLY, str(path)], capture_output=True,
@@ -399,6 +400,62 @@ def test_refined_signs_leave_mpmath_unloaded():
     # 2**-100 fails verify only after signs refined past 64 bits
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run([sys.executable, "-c", TRANSLATED_MUTANT], capture_output=True,
+                            text=True, check=False, timeout=120, env=env)
+    assert result.returncode == 0, result.stderr
+
+
+NO_NUMPY = """
+import contextlib, io, sys
+sys.modules["numpy"] = None  # from here on, import numpy raises ImportError
+from fractions import Fraction
+from random import Random
+from tilegate.cli import main
+from tilegate.exact import _field, cos_pi, sin_pi
+from tilegate.geometry import Point, Triangle
+from tilegate.tiling import Tiling, _corner_kinds, gen_trivial, verify
+with contextlib.redirect_stdout(io.StringIO()):
+    for n in ("17", "47"):
+        path = sys.argv[1] + "/fan" + n + ".json"
+        assert main(["gen-trivial", "--n", n, "--out", path]) == 0
+        assert main(["verify", path, "--json"]) == 0
+
+
+def refine(t):
+    # each triangle split at the foot of the altitude from its right corner
+    cos_a = cos_pi(t.alpha.numerator, 2 * t.alpha.denominator, t.modulus)
+    cos2 = cos_a * cos_a
+    tris = []
+    for tri in t.triangles:
+        kinds = _corner_kinds(tri, t.alpha)
+        a, b, r = (tri.vertices[kinds.index(k)] for k in ("alpha", "beta", "right"))
+        h = Point(a.x + cos2 * (b.x - a.x), a.y + cos2 * (b.y - a.y))
+        for half in (Triangle(a, h, r), Triangle(h, b, r)):
+            p, q, s = half.vertices
+            tris.append(half if half.orientation_sign() > 0 else Triangle(p, s, q))
+    return Tiling(t.n, t.alpha, t.modulus, tris)
+
+
+base = gen_trivial(8)
+assert verify(refine(refine(base))).verdict
+# a triangle moved by (cos t - x, sin t - y), x and y the roundings of
+# cos t and sin t to 100 bits, fails
+m = base.modulus
+offset = [value - round(value.enclosure(256)[0] * 2**100) / Fraction(2**100)
+          for value in (cos_pi(1, m // 2, m), sin_pi(1, m // 2, m))]
+moved = [Point(v.x + offset[0], v.y + offset[1]) for v in base.triangles[0].vertices]
+assert not verify(Tiling(base.n, base.alpha, m, [Triangle(*moved), *base.triangles[1:]])).verdict
+rng = Random(1604)
+_field(1604).det(*([rng.randrange(-2**1000, 2**1000) for _ in range(800)] for _ in range(4)))
+assert sys.modules["numpy"] is None
+"""
+
+
+def test_no_code_path_imports_numpy(tmp_path):
+    # with numpy unimportable: gen-trivial and verify of the fans of
+    # n = 17 and 47, whose products are dense, a refined 8-gon, a
+    # translated mutant, and a det of dense 1000-bit factors at M = 1604
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run([sys.executable, "-c", NO_NUMPY, str(tmp_path)], capture_output=True,
                             text=True, check=False, timeout=120, env=env)
     assert result.returncode == 0, result.stderr
 

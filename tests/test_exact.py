@@ -15,7 +15,6 @@ import weakref
 from fractions import Fraction
 
 import mpmath
-import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -97,19 +96,26 @@ def test_large_field_builds_quickly():
     assert time.perf_counter() - start < 8.0
 
 
-def _table_entries():
-    # reduction tables and their sparse rows
-    return sum(f.red.size + sum(map(len, f.rows or ())) for f in exact._fields.values())
+def _held_entries():
+    # the coefficients the cached fields keep: Phi_M's and the series'
+    return sum(len(f.poly) + len(f.inverse) for f in exact._fields.values())
 
 
-def test_field_cache_stays_within_its_budget():
+def test_field_cache_stays_within_its_budget(monkeypatch):
     exact._field.cache_clear()
     try:
-        # degrees 4032, 3456 and 2880: any two exceed the budget
+        # M/2 = 9030, 7770 and 6930: the budget holds all three, and one
+        # lowered to 14000 holds no two
+        for m in (18060, 15540, 13860):
+            assert exact._field(m).half == m // 2
+        assert list(exact._fields) == [18060, 15540, 13860]
+        assert _held_entries() == 23730 <= exact.FIELD_CACHE_ENTRIES
+        exact._field.cache_clear()
+        monkeypatch.setattr(exact, "FIELD_CACHE_ENTRIES", 14000)
         for m in (18060, 15540, 13860):
             field = exact._field(m)
             assert exact._fields[m] is field
-            assert _table_entries() <= exact.FIELD_CACHE_ENTRIES
+            assert _held_entries() <= exact.FIELD_CACHE_ENTRIES
         assert list(exact._fields) == [13860]
     finally:
         exact._field.cache_clear()
@@ -151,53 +157,70 @@ def test_evicted_field_leaves_no_cosine_table(monkeypatch):
         exact._field.cache_clear()
 
 
-def _reduction_table(m):
-    # x^(phi+i) mod Phi_M for i < phi - 1, on Python ints
-    low = cyclotomic_polynomial(m)[:-1]
-    col, cols = [-c for c in low], []
-    for _ in range(len(low) - 1):
-        cols.append(col)
-        col = [x - col[-1] * c for x, c in zip([0] + col[:-1], low)]
-    return cols
+def _packed(coeffs, width):
+    # sum(c * 2**(8*width*i)) on Python ints
+    return sum(c << 8 * width * i for i, c in enumerate(coeffs))
+
+
+def _inverse_cyclotomic(m):
+    # Psi_M = (x^M - 1) / Phi_M by long division on Python ints
+    phi = cyclotomic_polynomial(m)
+    n = len(phi) - 1
+    rem, quot = [-1] + [0] * (m - 1) + [1], [0] * (m - n + 1)
+    for k in range(m, n - 1, -1):
+        t = quot[k - n] = rem[k]
+        for i, c in enumerate(phi):
+            rem[k - n + i] -= t * c
+    assert not any(rem)
+    return quot
 
 
 @pytest.mark.parametrize("m", [4, 8, 12, 40, 60, 388, 420, 1260, 4620])
 def test_reduction_table_is_built_in_int64(m):
-    # a field of degree at most _SPARSE_WORK builds its table only when
-    # first asked for it (every m below 1260 here); a larger one at once
+    # what a field keeps to reduce: Phi_M below its top, dense and as its
+    # nonzeros; the series 1/Phi_M mod x^k, k = M/2 - phi, for Barrett
+    # division, which is -Psi_M's first k coefficients; growth, a bound
+    # on what packed division does to a coefficient; and, per slot size
+    # of an array, the two packed, built in int64 at 8-byte slots
     field = exact._Field(m)
-    cols = _reduction_table(m)
-    assert (field._red is None) == (field.degree <= exact._SPARSE_WORK) == (m < 1260)
-    assert field.red_max == max(abs(v) for col in cols for v in col)
-    # the sparse rows are each column's nonzeros; a column with more than
-    # det's Python path may spend keeps an empty row, and only m = 4620
-    # has such columns here
-    rows = [[(r, q) for r, q in enumerate(col) if q] for col in cols]
-    assert (max(map(len, rows)) > exact._SPARSE_WORK) == (m == 4620)
-    assert field.rows == [row if len(row) <= exact._SPARSE_WORK else [] for row in rows]
-    assert field.entries == len(cols) * len(cols[0]) + sum(map(len, field.rows))
-    assert not field.wide
-    assert field.red.dtype == np.int64
-    assert field.red.T.tolist() == cols
-    assert field.red is field.red
+    phi = cyclotomic_polynomial(m)
+    n, k = field.degree, m // 2 - field.degree
+    assert field.poly == phi[:-1]
+    assert field.low == [(j, c) for j, c in enumerate(phi[:-1]) if c]
+    assert len(field.poly) + len(field.inverse) == field.half == m // 2
+    product = [0] * k  # Phi_M * series mod x^k
+    for i, p in enumerate(phi[:k]):
+        for j, q in enumerate(field.inverse[:k - i]):
+            product[i + j] += p * q
+    assert product == [1, *[0] * (k - 1)][:k]
+    if m < 4620:
+        assert field.inverse == [-c for c in _inverse_cyclotomic(m)[:k]]
+    window = max(sum(map(abs, field.poly[i:i + k])) for i in range(n))
+    assert field.growth >= 1 + sum(map(abs, field.inverse)) * window
+    constants = field._constants(8)
+    assert constants[1:3] == (_packed(field.poly, 8), _packed(field.inverse[::-1], 8))
+    assert field.packed[8] is constants is field._constants(8)
 
 
 @pytest.mark.parametrize("m", [12, 40, 420])
 def test_reduction_table_falls_back_to_python_ints(m, monkeypatch):
-    # with the int64 bound lowered to 2, the first column whose bound
-    # reaches it switches the table to Python ints
+    # slots past 8 bytes have no array type: their constants are packed on
+    # Python ints, through int.to_bytes, and not kept, and a product whose
+    # coefficients pass int64 takes such slots and equals the sparse path's
     field = exact._field(m)
-    monkeypatch.setattr(exact, "_INT64_SAFE", 2)
-    small = exact._Field(m)
-    assert small.red.dtype == object
-    assert small.red.T.tolist() == _reduction_table(m)
-    assert small.red_max == field.red_max
-    assert small.rows == field.rows
+    constants = field._constants(9)
+    assert constants[1:3] == (_packed(field.poly, 9), _packed(field.inverse[::-1], 9))
+    assert 9 not in field.packed
     x = cos_pi(1, m // 4, m) * 3 + Fraction(1, 2)
     y = sin_pi(1, m // 4, m) - 2
-    # on the numpy side, so the product is reduced through the object table
-    monkeypatch.setattr(exact, "_SPARSE_WORK", 0)
-    assert small.mul(x.num, y.num) == field.mul(x.num, y.num)
+    big = [t << 70 for t in x.num]
+    widths, width = [], exact._width
+    monkeypatch.setattr(exact, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
+    monkeypatch.setattr(exact, "_SPARSE_WORK", -(1 << 60))
+    packed = field.mul(big, y.num)
+    assert widths and min(widths) > 8
+    monkeypatch.setattr(exact, "_SPARSE_WORK", 1 << 60)
+    assert packed == field.mul(big, y.num) == tuple(t << 70 for t in field.mul(x.num, y.num))
 
 
 # -- trigonometric constructors ---------------------------------------

@@ -8,21 +8,26 @@ the oracle.  Points come from trivial and altitude-refined tilings,
 moved by one rational affine map per draw, so coordinate denominators
 mix and coefficients pass 2**63.
 
-``det`` has two paths, numpy convolutions and sparse Python ints, chosen
+``det`` has two paths, products of the nonzero coefficients on Python
+ints and products of packed integers (Kronecker substitution), chosen
 per call by ``exact._SPARSE_WORK``, and so has ``reduce``, behind conj,
-embed, cos_pi and sin_pi.  Each check runs with that bound at 0 and at
-2**60, which force one path and then the other.  Dense and sparse
-vectors at composite moduli are also checked against schoolbook products
-and long division by Phi_M.  A triangle's kernel (Triangle._kernel: one
+embed, cos_pi and sin_pi.  Each check runs with that bound at -2**60 and
+at 2**60, which force one path and then the other.  Dense and sparse
+vectors at composite moduli, and dense vectors with coefficients of 3,
+60 and 1000 bits at moduli that reduce with few and with many degrees
+above phi, are also checked against schoolbook products and long
+division by Phi_M.  A triangle's kernel (Triangle._kernel: one
 den, the three edge vectors and the cross product X of the two out of a
 corner) must equal what _differences and _cross give corner by corner.
 """
 from __future__ import annotations
 
+import time
 from fractions import Fraction
+from random import Random
 from unittest import mock
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -86,8 +91,9 @@ def corners(draw):
     return t, [moved(p, s, tx, ty) for p in pts]
 
 
-# _SPARSE_WORK values that force det and reduce onto numpy, then onto Python ints
-PATHS = (0, 1 << 60)
+# _SPARSE_WORK values that force det and reduce onto packed ints, then
+# onto the nonzero coefficients
+PATHS = (-(1 << 60), 1 << 60)
 
 
 def forced(work: int):
@@ -133,14 +139,15 @@ def oracle_angle_matches(tri: Triangle, i: int, gamma: Fraction) -> bool:
 
 def schoolbook_det(modulus: int, a, b, c, d) -> tuple[int, ...]:
     # a*b - c*d by schoolbook products, then long division by the monic
-    # Phi_M from the top: no reduction table and no numpy
+    # Phi_M from the top: no folding, no packing and no series
     phi = cyclotomic_polynomial(modulus)
     n = len(phi) - 1
     v = [0] * (2 * n - 1)
     for x, y, s in ((a, b, 1), (c, d, -1)):
         for i, p in enumerate(x):
-            for j, q in enumerate(y):
-                v[i + j] += s * p * q
+            if p:
+                for j, q in enumerate(y):
+                    v[i + j] += s * p * q
     for k in range(len(v) - 1, n - 1, -1):
         t = v[k]
         for i, f in enumerate(phi):
@@ -238,8 +245,9 @@ def test_triangle_kernel_equals_the_kernel_of_each_corner(drawn, filled_first):
 
 
 def test_a_zero_factor_beside_one_past_int64_is_exact():
-    # every factor's magnitude picks the dtype, not only the products': a
-    # zero vector times one past 2**63 must not be converted to int64
+    # every factor's magnitude picks the slot width, not only the
+    # products': a zero vector times one past 2**63 must not be packed in
+    # 8-byte slots
     field = _field(12)
     zero, big, one = [0] * 4, [BIG, 0, -BIG, 1], [1, 0, 0, 0]
     for work in PATHS:
@@ -299,66 +307,142 @@ def reductions(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(reductions())
-def test_reduce_on_python_ints_equals_the_numpy_division(drawn):
-    # conj, embed, cos_pi and sin_pi, with reduce forced onto numpy and
-    # then onto Python ints; the Python path never calls _divide, and the
-    # numpy path does for cos(pi/(M/2)), whose zeta^(M/2 - 1) must be
-    # divided out whenever M/2 > phi
+def test_reduce_on_the_sparse_path_equals_the_packed_division(drawn):
+    # conj, embed, cos_pi and sin_pi, with reduce forced onto packed ints
+    # and then onto the nonzero coefficients; the sparse path never packs,
+    # and the packed path does for cos(pi/(M/2)), whose zeta^(M/2 - 1) must
+    # be divided out whenever M/2 > phi
     modulus, a, small, b, k, m = drawn
     field = _field(modulus)
-    divided, divide = [], exact._Field._divide
-    counted = mock.patch.object(exact._Field, "_divide",
-                                lambda f, v: divided.append(1) or divide(f, v))
+    packed, reduce_packed = [], exact._Field._reduce_packed
+    counted = mock.patch.object(exact._Field, "_reduce_packed",
+                                lambda f, *args: packed.append(1) or reduce_packed(f, *args))
     results = []
     for work in PATHS:
-        del divided[:]
+        del packed[:]
         with forced(work), counted:
             results.append((field.conj(a), _field(small).embed(b, field),
                              cos_pi(k, m, modulus).key(), sin_pi(k, m, modulus).key(),
                              cos_pi(1, modulus // 2, modulus).key()))
-        assert bool(divided) == (work == 0 and modulus // 2 > field.degree)
+        assert bool(packed) == (work < 0 and modulus // 2 > field.degree)
     assert results[0] == results[1]
+
+
+def counting(monkeypatch) -> tuple[list, list]:
+    # the packed products det computes, and the packed reductions
+    products, reductions = [], []
+    product, reduce_packed = exact._product, exact._Field._reduce_packed
+    monkeypatch.setattr(exact, "_product", lambda *args: products.append(1) or product(*args))
+    monkeypatch.setattr(exact._Field, "_reduce_packed",
+                        lambda f, *args: reductions.append(1) or reduce_packed(f, *args))
+    return products, reductions
 
 
 def test_each_path_is_taken_at_the_default_bound(monkeypatch):
     # a fan's difference vectors stay on Python ints; a few nonzeros at
     # high degree at phi = 96 multiply on Python ints but need too many
-    # row entries, so _divide reduces them; a dense product takes numpy
+    # long-division steps, so their reduction is packed; a dense product
+    # is packed
     field, u, v, _ = _differences(*gen_trivial(29).triangles[5].vertices)
-    convolved, convolve = [], np.convolve
-    monkeypatch.setattr(np, "convolve", lambda x, y: convolved.append(1) or convolve(x, y))
-    divided, divide = [], exact._Field._divide
-    monkeypatch.setattr(exact._Field, "_divide", lambda f, v: divided.append(1) or divide(f, v))
+    products, reductions = counting(monkeypatch)
     assert field.modulus == 116 and any(_cross(field, u, v))
-    assert (convolved, divided) == ([], [])
+    assert (products, reductions) == ([], [])
     field = _field(420)
     high = [0] * 90 + [1, -2, 3, -4, 5, -6]
     ones = [0] * 95 + [1]
     assert field.det(high, high, ones, high) == schoolbook_det(420, high, high, ones, high)
-    assert (convolved, divided) == ([], [1])
+    assert (products, reductions) == ([], [1])
     dense = list(range(1, 97))
     assert field.det(dense, dense, dense, ones) == schoolbook_det(420, dense, dense, dense, ones)
-    assert (convolved, divided) == ([1, 1], [1, 1])
+    assert (products, reductions) == ([1, 1], [1, 1])
 
 
-def test_sparse_columns_keep_their_rows_beside_dense_ones(monkeypatch):
-    # at M = 1052, the field of the fan of n = 263, columns 0 and 1 of the
-    # reduction table hold 262 nonzeros, past the bound, and the other 521
-    # hold one: a fan difference still multiplies and reduces on Python
-    # ints, and only a product that reaches a dense column goes to _divide
+def test_fan_products_at_1052_stay_on_python_ints(monkeypatch):
+    # at M = 1052, the field of the fan of n = 263, Phi_M has 262 nonzeros
+    # below its top, and each of the two degrees phi = 524 and 525 takes
+    # that many multiply-adds to divide out: a fan difference still
+    # multiplies and reduces on Python ints, and a product that reaches
+    # both degrees with 144 products of its own, past the bound of
+    # 96 + 524, is reduced packed
     field, u, v, _ = _differences(*gen_trivial(263).triangles[5].vertices)
-    assert field.modulus == 1052
-    assert [i for i, row in enumerate(field.rows) if not row] == [0, 1]
-    convolved, convolve = [], np.convolve
-    monkeypatch.setattr(np, "convolve", lambda x, y: convolved.append(1) or convolve(x, y))
-    divided, divide = [], exact._Field._divide
-    monkeypatch.setattr(exact._Field, "_divide", lambda f, v: divided.append(1) or divide(f, v))
+    assert field.modulus == 1052 and len(field.low) == 262
+    products, reductions = counting(monkeypatch)
     cross, dot = _cross(field, u, v), _cross(field, u, _turned(v))
-    assert (convolved, divided) == ([], [])
+    assert (products, reductions) == ([], [])
     assert any(cross) and any(dot)
     assert cross == schoolbook_det(1052, u[0], v[1], u[1], v[0])
     assert dot == schoolbook_det(1052, u[0], v[0], [-t for t in u[1]], v[1])
-    # x^262 * x^262 = x^524, whose reduction is column 0
-    half = [0] * 262 + [3] + [0] * 261
-    assert field.mul(half, half) == schoolbook_det(1052, half, half, [0], [0])
-    assert (convolved, divided) == ([], [1])
+    wide = [0] * 262 + [3] * 12 + [0] * 250
+    assert field.mul(wide, wide) == schoolbook_det(1052, wide, wide, [0], [0])
+    assert (products, reductions) == ([], [1])
+
+
+def schoolbook_reduce(modulus: int, terms) -> tuple[int, ...]:
+    # sum(c * zeta^e) by long division of the length-M vector by Phi_M
+    phi = cyclotomic_polynomial(modulus)
+    n = len(phi) - 1
+    v = [0] * modulus
+    for e, c in terms:
+        v[e % modulus] += c
+    for k in range(modulus - 1, n - 1, -1):
+        t = v[k]
+        if t:
+            for i, f in enumerate(phi):
+                v[k - n + i] -= t * f
+    return tuple(v[:n])
+
+
+# moduli whose M/2 - phi degrees above phi are few (188 = 4*47 and
+# 1604 = 4*401: two) and many (420, 660 and 4620: 114, 170 and 1350)
+WIDE_MODULI = (188, 420, 660, 1604, 4620)
+
+
+@pytest.mark.parametrize("modulus", WIDE_MODULI)
+@pytest.mark.parametrize("bits", [3, 60, 1000])
+def test_packed_products_match_schoolbook_division(modulus, bits):
+    # dense factors of mixed signs, and a zero factor beside a wide one;
+    # every call takes the packed path
+    rng = Random(modulus * bits)
+    n = _field(modulus).degree
+
+    def dense():
+        return [rng.randrange(-(1 << bits), 1 << bits) for _ in range(n)]
+
+    a, b, c, d = dense(), dense(), dense(), dense()
+    zero, wide = [0] * n, [0] * (n - 1) + [-(1 << 1000)]
+    # the oracle takes seconds a dense 1000-bit product at large phi
+    cases = [(a, b, wide, zero)]
+    if modulus < 4620 or bits < 1000:
+        cases.append((zero, wide, c, d))
+    if modulus < 1604 or bits < 1000:
+        cases.append((a, b, c, d))
+    for case in cases:
+        assert _field(modulus).det(*case) == schoolbook_det(modulus, *case)
+
+
+@pytest.mark.parametrize("modulus", WIDE_MODULI)
+def test_long_vectors_reduce_like_schoolbook_division(modulus):
+    # conj and embed of dense vectors, whose exponents reach M - 1 and
+    # whose reduction is packed, and reduce of every exponent below M
+    rng = Random(modulus)
+    field = _field(modulus)
+    for bits in (3, 60, 1000) if modulus < 4620 else (3, 60):
+        a = [rng.randrange(-(1 << bits), 1 << bits) for _ in range(field.degree)]
+        assert field.conj(a) == schoolbook_reduce(modulus, [(-j, c) for j, c in enumerate(a)])
+        small = _field(4 if modulus == 188 else 60 if modulus != 1604 else 4)
+        b = a[:small.degree]
+        step = modulus // small.modulus
+        assert small.embed(b, field) == schoolbook_reduce(modulus, [(j * step, c) for j, c in enumerate(b)])
+    terms = [(e, rng.randrange(-7, 8)) for e in range(modulus)]
+    assert field.reduce(terms) == schoolbook_reduce(modulus, terms)
+
+
+def test_a_wide_dense_det_finishes_quickly():
+    # one det of dense 1000-bit factors at M = 1604 (phi = 800): packed,
+    # it takes well under a second; on object arrays it took seconds
+    rng = Random(1604)
+    field = _field(1604)
+    a, b, c, d = ([rng.randrange(-(1 << 1000), 1 << 1000) for _ in range(800)] for _ in range(4))
+    start = time.perf_counter()
+    field.det(a, b, c, d)
+    assert time.perf_counter() - start < 2.0
