@@ -17,7 +17,7 @@ Numeric enclosures (used only to decide signs of provably nonzero
 values and to seed floating-point filters) are rigorous interval
 evaluations with exact rational endpoints.  The cosine enclosures they
 sum are integers over one power of two, computed on Python ints in fixed
-point with a counted error (see :meth:`_Field.cos_table`), so an
+point with a counted error (see :meth:`_Field.powers`), so an
 enclosure is an integer sum and one Fraction per endpoint.
 
 Products and reductions run on Python ints alone.  While their
@@ -37,7 +37,7 @@ from array import array
 from collections import OrderedDict
 from fractions import Fraction
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
 from .text import parse_fraction
@@ -181,6 +181,21 @@ def _cos_sin(t: int, bits: int) -> tuple[int, int, int]:
     return c, s, k
 
 
+class _Powers(dict):
+    """z_j = (re, im, D) keyed by j, at w bits: z_0 and z_1 from the
+    start, any other made when first asked for (see _Field.powers)."""
+
+    def __init__(self, w: int, z1: tuple[int, int, int]) -> None:
+        super().__init__({0: (1 << w, 0, 0), 1: z1})
+        self.w = w
+
+    def __missing__(self, j: int) -> tuple[int, int, int]:
+        (ar, ai, da), (br, bi, db), w = self[j >> 1], self[j - (j >> 1)], self.w
+        z = self[j] = ((ar * br - ai * bi) >> w, (ar * bi + ai * br) >> w,
+                       da + db + (da * db >> w) + 3)
+        return z
+
+
 class _Field:
     """Arithmetic in Q(zeta_M) = Q[x] / Phi_M, 4 | M, on integer
     coefficient tuples of length phi = phi(M) in the basis 1, x, ...,
@@ -234,7 +249,7 @@ class _Field:
     slot the nonnegative v_i + 2**(s-1), so one int holds them all.  A
     field keeps Phi_M, the series and, per slot size of an array, their
     packed forms and masks: M/2 coefficients (``half``) and no table.
-    It also keeps its cosine tables (:meth:`cos_table`), so a field
+    It also keeps its powers of zeta (:meth:`powers`), so a field
     dropped from the cache takes them along.
     """
 
@@ -252,61 +267,51 @@ class _Field:
         window = min(sum(map(abs, self.poly)), k * max(map(abs, self.poly)))
         self.growth = 1 + sum(map(abs, self.inverse)) * window
         self.packed: dict[int, tuple[int, ...]] = {}
-        self.cos: dict[int, tuple[tuple[int, ...], tuple[int, ...], int]] = {}
+        self.zeta: dict[int, _Powers] = {}
 
-    def cos_table(self, prec: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
-        """Rigorous enclosures lo[j] / 2**shift <= cos(2*pi*j/M) <= hi[j] / 2**shift
-        for j < phi(M), as two integer vectors over one power of two, each
-        of width below 2**-prec.
+    def powers(self, prec: int) -> _Powers:
+        """Enclosures of zeta^j = exp(i*j*theta), theta = 2*pi/M: at prec
+        bits, powers(prec)[j] = (re, im, D) is within D units of zeta^j, so
+        (re -+ D) / 2**w enclose cos(j*theta), under 2**-prec apart, j < phi.
 
         Computed on Python ints in fixed point (Brent and Zimmermann,
         Modern Computer Arithmetic, 2010, ch. 4): an integer x stands for
         x / 2**w, with w = prec + 24 + bitlen(phi) bits, and a unit is
         2**-w.  Every ``//`` and ``>>`` floors, losing less than one unit.
-        The table is [c_j - D_j, c_j + D_j] over 2**w, with c_j the
-        computed cosine and D_j a bound on its error in units:
 
-        - theta = 2*pi/M.  _atan_inv gives atan(1/5) and atan(1/239)
-          within 3n + 2 units of 2**-(w + 32) each, n its term count, so
-          Machin's pi = 16 atan(1/5) - 4 atan(1/239) gives p within
+        - _atan_inv gives atan(1/5) and atan(1/239) within 3n + 2 units
+          of 2**-(w + 32) each, n its term count, so Machin's
+          pi = 16 atan(1/5) - 4 atan(1/239) gives p within
           err = 16 (3 n_5 + 2) + 4 (3 n_239 + 2) of those units, and
           t = 2p // (M * 2**32) is within e = 2 err // (M * 2**32) + 2
           units of theta.
         - _cos_sin gives cos and sin of t / 2**w within 3k + 3 units
           each, k its term count.  cos and sin are 1-Lipschitz, so
-          z_1 = (c_1, s_1) is within d = 2(3k + 3 + e) units of
-          exp(i*theta) in modulus, with a factor 2 over sqrt(2).
-        - z_(j+1) is z_j * z_1 / 2**w, each part floored.  If z_j is
-          within D_j units of exp(i*j*theta) in modulus, then
-          |z_j z_1 - exp(i*(j+1)*theta) 2**(2w)| <= D_j (2**w + d) + 2**w d,
-          and the two floors add at most sqrt(2) units, so
-          D_(j+1) = D_j + d + 3 + (D_j * d >> w) bounds the error of
-          z_(j+1), from D_0 = 0 for the exact z_0 = 2**w.  c_j, the
-          real part of z_j, is within D_j units of cos(j*theta).
+          z_1 = (c_1, s_1) is within D_1 = d = 2(3k + 3 + e) units of
+          exp(i*theta) in modulus, a factor 2 over sqrt(2); D_0 = 0.
+        - Any other z_j is z_a * z_b / 2**w, a = j // 2 and b = j - a,
+          each part floored.  As |z_a z_b - exp(i*j*theta) 2**(2w)| is
+          at most 2**w (D_a + D_b) + D_a D_b, and the floors add less
+          than sqrt(2) units, D_j = D_a + D_b + (D_a * D_b >> w) + 3
+          bounds its error.  z_j depends on j alone, and costs one
+          product once all below it are made, at most 2 log2(j) alone.
 
-        D_j < j (d + 4) while D_j * d < 2**w, so the width 2 D_j / 2**w
-        stays below 2**(1 - prec) (d + 4) / 2**24, under 2**-prec since
-        d, at most about 6w / log2(w), is far below 2**23.
+        By induction D_j <= j (d + 3) - 3 while each D_a * D_b < 2**w,
+        as it is for prec >= 64: D_a D_b < phi**2 (d + 3)**2 / 4 with
+        phi <= 4096, and d < 6w + 40, since k <= w + 4 (the terms halve
+        after the third) and e = 2.  So 2 D_j / 2**w stays below
+        2**(1 - prec) (d + 3) / 2**24 < 2**-prec up to _PREC_CEILING.
         """
-        if prec not in self.cos:
-            m, n = self.modulus, self.degree
-            w = prec + 24 + n.bit_length()
-            a5, n5 = _atan_inv(5, w + 32)
-            a239, n239 = _atan_inv(239, w + 32)
+        powers = self.zeta.get(prec)
+        if powers is None:
+            w = prec + 24 + self.degree.bit_length()
+            (a5, n5), (a239, n239) = _atan_inv(5, w + 32), _atan_inv(239, w + 32)
             err = 16 * (3 * n5 + 2) + 4 * (3 * n239 + 2)
-            t = 2 * (16 * a5 - 4 * a239) // (m << 32)
-            e = 2 * err // (m << 32) + 2
+            t = 2 * (16 * a5 - 4 * a239) // (self.modulus << 32)
+            e = 2 * err // (self.modulus << 32) + 2
             c1, s1, k = _cos_sin(t, w)
-            d = 2 * (3 * k + 3 + e)
-            re, im, bound = 1 << w, 0, 0
-            lo, hi = [re], [re]
-            for _ in range(1, n):
-                re, im = (re * c1 - im * s1) >> w, (im * c1 + re * s1) >> w
-                bound += d + 3 + (bound * d >> w)
-                lo.append(re - bound)
-                hi.append(re + bound)
-            self.cos[prec] = tuple(lo), tuple(hi), w
-        return self.cos[prec]
+            powers = self.zeta[prec] = _Powers(w, (c1, s1, 2 * (3 * k + 3 + e)))
+        return powers
 
     def _constants(self, width: int) -> tuple[int, ...]:
         """For slots of width bytes: the bias over M/2 slots; Phi_M's low
@@ -730,36 +735,37 @@ class CycloReal:
     def enclosure(self, prec: int = 64) -> tuple[Fraction, Fraction]:
         """A rigorous rational interval containing the value, which is
         real (checked once, at construction).  Width shrinks as ``prec``
-        grows.  The endpoints are integer sums over the dyadic cosine
-        table, so each costs one Fraction and they are exactly the sums
-        of the table's rational endpoints."""
-        table_lo, table_hi, shift = _field(self.modulus).cos_table(prec)
-        lo = hi = 0
-        for c, tl, th in zip(self.num, table_lo, table_hi):
-            if c > 0:
-                lo += c * tl
-                hi += c * th
-            elif c < 0:
-                lo += c * th
-                hi += c * tl
-        den = self.den << shift
-        return Fraction(lo, den), Fraction(hi, den)
+        grows.  Each nonzero coefficient c_j adds c_j * re -+ |c_j| * D,
+        from zeta^j's entry (see _Field.powers), so an endpoint is an
+        integer sum over one power of two and costs one Fraction."""
+        num = self.num
+        powers = _field(self.modulus).powers(prec)
+        mid = rad = 0
+        for j in compress(range(len(num)), num):
+            re, _, bound = powers[j]
+            c = num[j]
+            mid += c * re
+            rad += abs(c) * bound
+        den = self.den << powers.w
+        return Fraction(mid - rad, den), Fraction(mid + rad, den)
 
-    def sign(self) -> int:
-        """Sign in {-1, 0, 1}.  Zero is decided symbolically; nonzero
-        values are separated from zero by interval refinement, which
-        terminates because the true value is nonzero."""
-        if self.is_zero():
-            return 0
+    def _separated(self) -> Iterator[tuple[Fraction, Fraction]]:
+        """The enclosures at 64, 128, ... bits that exclude zero, as a
+        nonzero value's come to; ResourceLimitError past _PREC_CEILING."""
         prec = 64
         while prec <= _PREC_CEILING:
             lo, hi = self.enclosure(prec)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+            if lo > 0 or hi < 0:
+                yield lo, hi
             prec *= 2
-        raise ResourceLimitError(f"sign not separated at {_PREC_CEILING} bits")
+        raise ResourceLimitError(f"value not resolved at {_PREC_CEILING} bits")
+
+    def sign(self) -> int:
+        """Sign in {-1, 0, 1}: zero is decided symbolically, any other
+        sign by the first enclosure that excludes zero."""
+        if self.is_zero():
+            return 0
+        return 1 if next(self._separated())[0] > 0 else -1
 
     def float_box(self) -> tuple[float, float]:
         """A float interval guaranteed to contain the value; an end may be infinite."""
@@ -770,23 +776,17 @@ class CycloReal:
         return self._box
 
     def __float__(self) -> float:
-        """The value within one ulp: 0.0 for zero, else the midpoint of
-        an enclosure refined, as sign() refines it, until it excludes
-        zero and is at most one ulp wide; +-inf past the float range."""
+        """The value within one ulp: 0.0 for zero, +-inf past the float
+        range, else the midpoint of a separated enclosure at most an ulp wide."""
         if self.is_zero():
             return 0.0
-        prec = 64
-        while prec <= _PREC_CEILING:
-            lo, hi = self.enclosure(prec)
-            if lo > 0 or hi < 0:
-                try:
-                    mid = float((lo + hi) / 2)
-                except OverflowError:
-                    return math.inf if lo > 0 else -math.inf
-                if hi - lo <= math.ulp(mid):
-                    return mid
-            prec *= 2
-        raise ResourceLimitError(f"value not resolved at {_PREC_CEILING} bits")
+        for lo, hi in self._separated():
+            try:
+                mid = float((lo + hi) / 2)
+            except OverflowError:
+                return math.inf if lo > 0 else -math.inf
+            if hi - lo <= math.ulp(mid):
+                return mid
 
     def __repr__(self) -> str:
         return (f"CycloReal(mod={self.modulus}, [{', '.join(self._coeff_strings())}] "

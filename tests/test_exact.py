@@ -149,7 +149,7 @@ def test_evicted_field_leaves_no_cosine_table(monkeypatch):
         x = cos_pi(1, 5, 20)
         boxes = x.enclosure(64), x.enclosure(128)
         field = weakref.ref(exact._fields[20])
-        assert set(field().cos) == {64, 128}
+        assert set(field().zeta) == {64, 128}
         cos_pi(1, 7, 28)
         assert list(exact._fields) == [28] and field() is None
         assert (x.enclosure(64), x.enclosure(128)) == boxes
@@ -541,22 +541,72 @@ def _mpmath_cosines(m, prec, js):
 @pytest.mark.parametrize("prec", [64, 128, 1024, 4096])
 @pytest.mark.parametrize("m", [4, 8, 12, 20, 188, 660, 1052, 8156])
 def test_cos_table_encloses_mpmath_at_four_times_the_precision(m, prec):
-    # each entry holds mpmath's interval at 4 * prec bits and is at most
-    # 2**(1 - prec) wide; a large field is sampled, up to its last entry,
-    # where the recurrence's error bound is largest
-    lo, hi, shift = exact._Field(m).cos_table(prec)
-    n = len(lo)
+    # each entry, asked for on its own on a fresh field, holds mpmath's
+    # interval at 4 * prec bits and is at most 2**(1 - prec) wide; a large
+    # field is sampled, up to its last entry, where the error bound is largest
+    powers = exact._Field(m).powers(prec)
+    n = field_degree(m)
     js = sorted({*range(0, n, max(1, n // 24)), *range(max(0, n - 3), n)})
     for j, (a, b) in zip(js, _mpmath_cosines(m, 4 * prec, js)):
-        holds = Fraction(lo[j], 2**shift) <= a <= b <= Fraction(hi[j], 2**shift)
-        assert holds, (m, prec, j)
-        assert hi[j] - lo[j] <= 2 ** (shift + 1 - prec), (m, prec, j)
+        re, _, bound = powers[j]
+        lo, hi = Fraction(re - bound, 2**powers.w), Fraction(re + bound, 2**powers.w)
+        assert lo <= a <= b <= hi, (m, prec, j)
+        assert 2 * bound <= 2 ** (powers.w + 1 - prec), (m, prec, j)
+
+
+@pytest.mark.parametrize("m, prec", [(660, 128), (1052, 1024)])
+def test_cosine_entries_do_not_depend_on_the_order_asked(m, prec):
+    # a few entries asked for first build a few of the others, and equal
+    # those of an ascending fill on another fresh field
+    n = field_degree(m)
+    sparse, filled = exact._Field(m).powers(prec), exact._Field(m).powers(prec)
+    js = [n - 1, n // 3, 7, n - 2]
+    picked = [sparse[j] for j in js]
+    assert len(sparse) <= 2 + 2 * len(js) * n.bit_length() < n
+    ascending = [filled[j] for j in range(n)]
+    assert picked == [ascending[j] for j in js]
+    assert [sparse[j] for j in range(n)] == ascending
 
 
 def test_cos_table_time():
+    # an ascending fill costs one product an entry
     start = time.perf_counter()
-    exact._Field(660).cos_table(4096)
+    powers = exact._Field(660).powers(4096)
+    for j in range(field_degree(660)):
+        powers[j]
     assert time.perf_counter() - start < 0.2
+
+
+def test_deep_sign_builds_only_the_entries_it_uses():
+    # x = cos(10 pi / 8156) - p / 2**12000, p the nearest integer: three
+    # nonzero coefficients, separated from zero at 16384 bits on a field of
+    # degree 4076
+    with mpmath.workprec(12200):
+        c = mpmath.cos(10 * mpmath.pi / 8156)
+        p = int(mpmath.nint(c * 2**12000))
+        want = int(mpmath.sign(c - mpmath.mpf(p) / 2**12000))
+    exact._field.cache_clear()
+    try:
+        x = cos_pi(5, 4078, 8156) - Fraction(p, 2**12000)
+        start = time.perf_counter()
+        assert x.sign() == want != 0
+        assert time.perf_counter() - start < 1
+    finally:
+        exact._field.cache_clear()
+
+
+def test_prec_ceiling_stops_sign_and_float(monkeypatch):
+    # cos(pi/5) = (1 + sqrt(5)) / 4 less its value rounded down to a
+    # multiple of 2**-102: a value in (0, 2**-102), which no enclosure at
+    # 64 bits separates from zero
+    x = cos_pi(1, 5, 20) - Fraction(2**100 + math.isqrt(5 << 200), 2**102)
+    monkeypatch.setattr(exact, "_PREC_CEILING", 64)
+    with pytest.raises(ResourceLimitError):
+        x.sign()
+    with pytest.raises(ResourceLimitError):
+        float(x)
+    monkeypatch.undo()
+    assert x.sign() == 1 and 0 < float(x) < 2.0**-102
 
 
 @functools.lru_cache(maxsize=None)
