@@ -210,10 +210,14 @@ class _Field:
     On the nonzero coefficients: the coordinates of fans and their
     altitude refinements have 2 to 4 nonzero coefficients.  When the
     nonzero products number at most _SPARSE_WORK + phi, det multiplies
-    only those, on Python ints, folds, and divides by the nonzero
-    coefficients of Phi_M (``low``) from the top, while the multiply-adds
-    of both stay under that bound; :meth:`reduce` folds and divides in
-    the same way.  Otherwise the work is packed.
+    only those, on Python ints, and folds as it multiplies: the term of
+    degrees i and j lands on slot i + j of M/2, or on i + j - M/2
+    negated, which is the whole fold, as i + j <= 2 phi - 2 < M.  Where
+    M/2 = phi, as for M a power of two, those slots are the product; else
+    det divides the k degrees above phi by the nonzero coefficients of
+    Phi_M (``low``) from the top, while the multiply-adds of both stay
+    under that bound; :meth:`reduce` folds and divides in the same way.
+    Past the bound, the work is packed.
 
     Packed, by Kronecker substitution (A. Schonhage, EUROCAM 1982; D.
     Harvey, J. Symbolic Comput. 44, 2009): a vector v becomes one
@@ -385,21 +389,27 @@ class _Field:
     def det(self, a: Sequence[int], b: Sequence[int],
             c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
         """a*b - c*d, unnormalized, with no CycloReal built on the way:
-        on the nonzero coefficients when that takes at most
-        _SPARSE_WORK + phi multiply-adds, packed otherwise (see the class
-        docstring)."""
+        on the nonzero coefficients, each term folded onto M/2 slots as it
+        is multiplied, when that takes at most _SPARSE_WORK + phi
+        multiply-adds, packed otherwise (see the class docstring)."""
         n = self.degree
         na, nb, nc, nd = n - a.count(0), n - b.count(0), n - c.count(0), n - d.count(0)
         work = na * nb + nc * nd
         if work <= _SPARSE_WORK + n:
-            idx = range(n)
-            v = [0] * (2 * n - 1)
-            for x, y, s in ((a, b, 1), (c, d, -1)):
-                ys = [(j, s * q) for j, q in zip(compress(idx, y), compress(y, y))]
-                for i, p in zip(compress(idx, x), compress(x, x)):
-                    for j, q in ys:
-                        v[i + j] += p * q
-            return self._reduce_list(v, work)
+            half = self.half
+            v = [0] * half
+            for x, y, s, k in ((a, b, 1, na * nb), (c, d, -1, nc * nd)):
+                if not k:
+                    continue
+                ys = [(j, s * q) for j, q in enumerate(y) if q]
+                for i, p in enumerate(x):
+                    if p:
+                        for j, q in ys:
+                            if i + j < half:
+                                v[i + j] += p * q
+                            else:
+                                v[i + j - half] -= p * q
+            return tuple(v) if half == n else self._reduce_list(v, work)
         # a factor with few nonzeros is kept as (degree, coefficient) pairs
         few = [_FEW * k < n for k in (na, nb, nc, nd)]
         factors = [list(compress(enumerate(x), x)) if f else x for x, f in zip((a, b, c, d), few)]

@@ -19,10 +19,11 @@ Every exact predicate goes through one kernel.  ``_differences`` scales
 the six coordinates of a, b and c to one common denominator and returns
 u = b - a and v = c - a as integer coefficient vectors; ``_Field.det``
 computes a*b - c*d on such vectors, on Python ints.  It multiplies only
-the nonzero coefficients when those products and their reduction take
-few multiply-adds, as they do for the sparse coordinates of fans and
-refined tilings; dense vectors are packed into one integer each, so a
-product is one big-int multiplication.  So u x v and u . v are one det
+the nonzero coefficients, folding each term by zeta^(M/2) = -1 as it
+goes, when those products and their reduction take few multiply-adds,
+as they do for the sparse coordinates of fans and refined tilings;
+dense vectors are packed into one integer each, so a product is one
+big-int multiplication.  So u x v and u . v are one det
 each, and a CycloReal is built only for a value that leaves the kernel:
 an area, or a value whose sign is asked.  A Triangle runs _differences
 once and keeps the result, its kernel: one den, its three edge vectors,
@@ -37,6 +38,13 @@ An overflow makes the bound or the value inf or NaN, and then the
 comparison that decides is false, so a product past the float range,
 from coordinates of about 10**154 or more, or a box with an infinite
 end, sends the case to exact arithmetic.
+
+Two points are one when their keys, the coefficients and denominators
+of both coordinates, are equal.  Each point hashes its key once, when it
+is built, and the predicates, like the verifier's polygon-vertex test,
+compare those hashes before the keys.  Equal keys have equal hashes, so
+a differing hash proves two points distinct, and an equal one decides
+nothing until the keys agree too.
 
 A triangle's float box encloses its exact bounding box.  Two triangles
 whose boxes are disjoint have disjoint interiors, so
@@ -70,7 +78,7 @@ Interval = tuple[float, float]
 class Point:
     """An exact point; both coordinates share one cyclotomic modulus."""
 
-    __slots__ = ("x", "y", "_key", "_box", "_mid")
+    __slots__ = ("x", "y", "_key", "_hash", "_box", "_mid")
 
     def __init__(self, x: CycloReal, y: CycloReal) -> None:
         if x.modulus != y.modulus:
@@ -80,6 +88,7 @@ class Point:
         self.x = x
         self.y = y
         self._key = (x.num, x.den, y.num, y.den)
+        self._hash = hash(self._key)
         self._box: tuple[Interval, Interval] | None = None
         self._mid: tuple[float, float, float] | None = None
 
@@ -225,6 +234,8 @@ Vector = tuple[Sequence[int], Sequence[int]]
 def _difference(p: CycloReal, q: CycloReal, den: int) -> list[int]:
     # the coefficients of (q - p) * den, for den a multiple of both denominators
     fp, fq = den // p.den, den // q.den
+    if fp == fq:
+        return [(s - r) * fp for r, s in zip(p.num, q.num)]
     return [s * fq - r * fp for r, s in zip(p.num, q.num)]
 
 
@@ -249,15 +260,17 @@ def _turned(v: Vector) -> Vector:
     return [-t for t in v[1]], v[0]
 
 
-def _sign(field: _Field, num: Sequence[int]) -> int:
-    # sign of the element with coefficients num over any positive denominator
-    return CycloReal._make(field.modulus, *_normalize(num, 1)).sign()
+def _sign(field: _Field, num: tuple[int, ...]) -> int:
+    # sign of the element with coefficients num over any positive
+    # denominator: over 1, num is already in normal form, zero included
+    return CycloReal._make(field.modulus, num, 1).sign()
 
 
 def orientation(a: Point, b: Point, c: Point) -> int:
     """+1 if a,b,c turn counterclockwise, -1 clockwise, 0 collinear."""
-    ka, kb, kc = a._key, b._key, c._key
-    if ka == kb or kb == kc or ka == kc:
+    ha, hb, hc = a._hash, b._hash, c._hash
+    if (ha == hb and a._key == b._key or hb == hc and b._key == c._key
+            or ha == hc and a._key == c._key):
         return 0
     s = _box_sign(a, b, c, False)
     if s is not None:
@@ -268,10 +281,10 @@ def orientation(a: Point, b: Point, c: Point) -> int:
 
 def sign_dot(a: Point, b: Point, c: Point) -> int:
     """Sign of (b - a) . (c - a)."""
-    ka, kb, kc = a._key, b._key, c._key
-    if ka == kb or ka == kc:
+    ha, hb, hc = a._hash, b._hash, c._hash
+    if ha == hb and a._key == b._key or ha == hc and a._key == c._key:
         return 0
-    if kb == kc:
+    if hb == hc and b._key == c._key:
         return 1  # |b - a|^2 with b != a
     s = _box_sign(a, b, c, True)
     if s is not None:
@@ -282,8 +295,8 @@ def sign_dot(a: Point, b: Point, c: Point) -> int:
 
 def on_open_segment(p: Point, a: Point, b: Point) -> bool:
     """True iff p lies on segment ab strictly between the endpoints."""
-    kp = p._key
-    if kp == a._key or kp == b._key:
+    hp = p._hash
+    if hp == a._hash and p._key == a._key or hp == b._hash and p._key == b._key:
         return False
     return orientation(a, b, p) == 0 and sign_dot(p, a, b) < 0
 

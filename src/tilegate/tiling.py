@@ -428,8 +428,8 @@ def _classify(pt: Point, tiling: Tiling, polygon: tuple[Point, ...],
     # which the triangle's float box encloses, so only the triangles
     # whose boxes meet the point's can count it
     n = tiling.n
-    key = pt.key()
-    if any(key == v.key() for v in polygon):
+    h, key = pt._hash, pt._key
+    if any(h == v._hash and key == v._key for v in polygon):
         return PointClass(PointKind.POLYGON_VERTEX)
     if any(on_open_segment(pt, polygon[i], polygon[(i + 1) % n]) for i in range(n)):
         return PointClass(PointKind.POLYGON_SIDE_INTERIOR)

@@ -7,6 +7,7 @@ and 60-digit numeric evaluation for irrational polygon points.
 from __future__ import annotations
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -31,7 +32,8 @@ from tilegate.geometry import (
     sign_dot,
     triangles_interior_disjoint,
 )
-from tilegate.tiling import angle_matches, gen_trivial
+from tilegate import geometry
+from tilegate.tiling import PointKind, Tiling, angle_matches, classify_point, gen_trivial
 
 
 def rp(x, y, modulus=4) -> Point:
@@ -70,6 +72,53 @@ def test_point_identity_and_midpoint():
     assert a.key() != b.key()
     assert midpoint(a, b) == rp(Fraction(1, 2), Fraction(3, 2))
     assert midpoint(a, b).key() == rp(Fraction(1, 2), Fraction(3, 2)).key()
+
+
+def test_distinct_equal_points_count_as_one_point(monkeypatch):
+    # "1/2" and "2/4" load as two CycloReals, so the 8-gon's vertex at 45
+    # degrees, written with "2/4" in the fan's second triangle, is one
+    # Point there and another, equal one in the third; the identity test
+    # alone must answer for the pair
+    obj = json.loads(json.dumps(gen_trivial(8).to_obj()))
+    for pair in obj["triangles"][1]["v"]:
+        for scalar in pair:
+            scalar["coeffs"] = ["2/4" if c == "1/2" else c for c in scalar["coeffs"]]
+    tiling = Tiling.from_obj(obj)
+    o, _, p = tiling.triangles[1].vertices
+    q = tiling.triangles[2].vertices[1]
+    assert p.key() == q.key() and p is not q and p.x is not q.x
+    assert classify_point(p, tiling).kind is classify_point(q, tiling).kind is PointKind.POLYGON_VERTEX
+
+    def unreachable(*args):
+        raise AssertionError("equal points reached the sign computation")
+
+    monkeypatch.setattr(geometry, "_box_sign", unreachable)
+    monkeypatch.setattr(geometry, "_differences", unreachable)
+    for a, b, c in ((p, q, o), (q, o, p), (o, p, q)):
+        assert orientation(a, b, c) == 0
+    assert sign_dot(p, q, o) == sign_dot(p, o, q) == 0
+    assert sign_dot(o, p, q) == 1
+    assert not on_open_segment(p, q, o) and not on_open_segment(q, o, p)
+
+
+def test_equal_hashes_do_not_make_points_equal():
+    # the cached hash may only rule equality out: three distinct points
+    # forced to one hash still get their exact signs
+    a, b, c = rp(0, 0), rp(2, 0), rp(3, 1)
+    m = midpoint(a, b)
+    triples = list(itertools.permutations((a, b, c)))
+    expected = [(orientation(*t), sign_dot(*t)) for t in triples]
+    assert all(s for pair in expected for s in pair)
+    assert on_open_segment(m, a, b)
+    for p in (b, c, m):
+        p._hash = a._hash
+    assert [(orientation(*t), sign_dot(*t)) for t in triples] == expected
+    assert on_open_segment(m, a, b)
+    # a side's midpoint with the hash of the polygon vertex (1, 0)
+    tiling = Tiling.from_obj(gen_trivial(8).to_obj())
+    _, corner, side = tiling.triangles[0].vertices
+    side._hash = corner._hash
+    assert classify_point(side, tiling).kind is PointKind.POLYGON_SIDE_INTERIOR
 
 
 # -- orientation and dot ------------------------------------------------------

@@ -257,12 +257,18 @@ def test_a_zero_factor_beside_one_past_int64_is_exact():
             assert field.det(big, one, zero, big) == tuple(big)
 
 
+# moduli with M/2 = phi, where det's fold leaves nothing to divide, and
+# composite ones where division by Phi_M follows the fold
+HALF_PHI_MODULI = (16, 32, 64)
+DIVIDED_MODULI = (24, 28, 36, 60, 420, 660)
+
+
 @st.composite
 def composite_products(draw):
-    # four vectors at a composite modulus, some entries past 2**63 and some
-    # within int64 whose products are not: dense, or a few nonzeros, whose
-    # reduction can read more row entries than the default bound allows
-    modulus = draw(st.sampled_from([420, 660]))
+    # four vectors, some entries past 2**63 and some within int64 whose
+    # products are not: dense, or a few nonzeros, whose reduction can read
+    # more row entries than the default bound allows
+    modulus = draw(st.sampled_from(HALF_PHI_MODULI + DIVIDED_MODULI))
     n = _field(modulus).degree
     entry = st.integers(-15, 15) | st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 70, 2 ** 70)
     if draw(st.booleans()):
@@ -276,7 +282,7 @@ def composite_products(draw):
     return modulus, vectors
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(composite_products())
 def test_products_at_composite_moduli_match_schoolbook_division(drawn):
     modulus, (a, b, c, d) = drawn
@@ -355,6 +361,29 @@ def test_each_path_is_taken_at_the_default_bound(monkeypatch):
     dense = list(range(1, 97))
     assert field.det(dense, dense, dense, ones) == schoolbook_det(420, dense, dense, dense, ones)
     assert (products, reductions) == ([1, 1], [1, 1])
+
+
+def test_products_where_half_m_is_phi_divide_nothing(monkeypatch):
+    # at M = 16, M/2 = phi = 8: det folds each product term onto the M/2
+    # slots as it multiplies and returns them, so the dets of the 8-gon's
+    # fan and of its refinements, sparse, never reach _reduce_list
+    tilings = gen_trivial(8), refine(refine(gen_trivial(8)))
+    divided, reduce_list = [], exact._Field._reduce_list
+    monkeypatch.setattr(exact._Field, "_reduce_list",
+                        lambda f, *args: divided.append(1) or reduce_list(f, *args))
+    products, reductions = counting(monkeypatch)
+    for t in tilings:
+        for tri in t.triangles:
+            field, u, v, _ = _differences(*tri.vertices)
+            assert field.modulus == 16
+            assert _cross(field, u, v) == schoolbook_det(16, u[0], v[1], u[1], v[0])
+            assert _cross(field, u, _turned(v)) == \
+                schoolbook_det(16, u[0], v[0], [-t for t in u[1]], v[1])
+    assert (divided, products, reductions) == ([], [], [])
+    # at M = 24, M/2 = 12 > phi = 8, the fold is followed by division
+    top = [0] * 7 + [1]
+    assert _field(24).mul(top, top) == schoolbook_det(24, top, top, [0], [0]) == (0, 0, -1) + (0,) * 5
+    assert divided == [1]
 
 
 def test_fan_products_at_1052_stay_on_python_ints(monkeypatch):
