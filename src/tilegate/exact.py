@@ -18,7 +18,10 @@ values and to seed floating-point filters) are rigorous interval
 evaluations with exact rational endpoints.  The cosine enclosures they
 sum are integers over one power of two, computed on Python ints in fixed
 point with a counted error (see :meth:`_Field.powers`), so an
-enclosure is an integer sum and one Fraction per endpoint.
+enclosure is an integer sum and one Fraction per endpoint, and a float
+box rounds the same integers with no Fraction at all.  Likewise an
+element read from text is built from the integer parts of its
+coefficients.
 
 Products and reductions run on Python ints alone.  While their
 multiply-adds stay under a bound that grows with the field degree, as
@@ -40,7 +43,7 @@ from itertools import compress
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
-from .text import parse_fraction
+from .text import fraction_parts
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -561,13 +564,24 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
     return num, den
 
 
-def _float_outward(q: Fraction, toward: float) -> float:
-    # q rounded one step toward the infinity `toward`, from the largest
-    # float of q's sign when q lies past the float range
-    try:
-        return math.nextafter(float(q), toward)
-    except OverflowError:
-        return math.nextafter(sys.float_info.max if q > 0 else -sys.float_info.max, toward)
+def _real_vector(modulus: int, ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
+    """The normalized (num, den) of the coefficients p/q, given as integer
+    pairs (p, q), q > 0, reduced or not, after the checks every element
+    read from outside passes: the modulus, the count phi(M) and reality."""
+    field = _field(modulus)
+    if len(ratios) != field.degree:
+        raise DomainError(
+            f"expected {field.degree} coefficients for modulus {modulus}, "
+            f"got {len(ratios)}"
+        )
+    den = math.lcm(*[q for _, q in ratios])
+    num, den = _normalize([p * (den // q) for p, q in ratios], den)
+    if field.conj(num) != num:
+        raise NonRealError(
+            f"coefficient vector is not fixed by conjugation in "
+            f"Q(zeta_{modulus})"
+        )
+    return num, den
 
 
 class CycloReal:
@@ -583,22 +597,8 @@ class CycloReal:
     __slots__ = ("modulus", "num", "den", "_box")
 
     def __init__(self, modulus: int, coeffs: Sequence[Fraction | int]) -> None:
-        field = _field(modulus)
-        if len(coeffs) != field.degree:
-            raise DomainError(
-                f"expected {field.degree} coefficients for modulus {modulus}, "
-                f"got {len(coeffs)}"
-            )
         # one as_integer_ratio call reads both parts of each coefficient
-        ratios = [c.as_integer_ratio() for c in coeffs]
-        den = math.lcm(*[q for _, q in ratios])
-        num, den = _normalize([p * (den // q) for p, q in ratios], den)
-        if field.conj(num) != num:
-            raise NonRealError(
-                f"coefficient vector is not fixed by conjugation in "
-                f"Q(zeta_{modulus})"
-            )
-        self._init_raw(modulus, num, den)
+        self._init_raw(modulus, *_real_vector(modulus, [c.as_integer_ratio() for c in coeffs]))
 
     def _init_raw(self, modulus: int, num: tuple[int, ...], den: int) -> None:
         object.__setattr__(self, "modulus", modulus)
@@ -742,12 +742,10 @@ class CycloReal:
 
     # -- numerics --------------------------------------------------------
 
-    def enclosure(self, prec: int = 64) -> tuple[Fraction, Fraction]:
-        """A rigorous rational interval containing the value, which is
-        real (checked once, at construction).  Width shrinks as ``prec``
-        grows.  Each nonzero coefficient c_j adds c_j * re -+ |c_j| * D,
-        from zeta^j's entry (see _Field.powers), so an endpoint is an
-        integer sum over one power of two and costs one Fraction."""
+    def _ends(self, prec: int) -> tuple[int, int, int]:
+        """Integers lo, hi and den with enclosure(prec) = (lo/den, hi/den):
+        each nonzero coefficient c_j adds c_j * re -+ |c_j| * D, from
+        zeta^j's entry (see _Field.powers), over den = self.den * 2**w."""
         num = self.num
         powers = _field(self.modulus).powers(prec)
         mid = rad = 0
@@ -756,8 +754,15 @@ class CycloReal:
             c = num[j]
             mid += c * re
             rad += abs(c) * bound
-        den = self.den << powers.w
-        return Fraction(mid - rad, den), Fraction(mid + rad, den)
+        return mid - rad, mid + rad, self.den << powers.w
+
+    def enclosure(self, prec: int = 64) -> tuple[Fraction, Fraction]:
+        """A rigorous rational interval containing the value, which is
+        real (checked once, at construction).  Width shrinks as ``prec``
+        grows.  An endpoint is an integer over den (see _ends) and costs
+        one Fraction."""
+        lo, hi, den = self._ends(prec)
+        return Fraction(lo, den), Fraction(hi, den)
 
     def _separated(self) -> Iterator[tuple[Fraction, Fraction]]:
         """The enclosures at 64, 128, ... bits that exclude zero, as a
@@ -778,11 +783,21 @@ class CycloReal:
         return 1 if next(self._separated())[0] > 0 else -1
 
     def float_box(self) -> tuple[float, float]:
-        """A float interval guaranteed to contain the value; an end may be infinite."""
+        """A float interval guaranteed to contain the value; an end may be
+        infinite.  Each end of enclosure(64) is rounded to the nearest
+        float by int true division, as float() rounds a Fraction, or to the
+        largest float of its sign past the float range, and then moved one
+        float outward; so no Fraction is built."""
         if self._box is None:
-            lo, hi = self.enclosure(64)
-            box = (_float_outward(lo, -math.inf), _float_outward(hi, math.inf))
-            object.__setattr__(self, "_box", box)
+            lo, hi, den = self._ends(64)
+            box = []
+            for end, toward in ((lo, -math.inf), (hi, math.inf)):
+                try:
+                    rounded = end / den
+                except OverflowError:
+                    rounded = sys.float_info.max if end > 0 else -sys.float_info.max
+                box.append(math.nextafter(rounded, toward))
+            object.__setattr__(self, "_box", tuple(box))
         return self._box
 
     def __float__(self) -> float:
@@ -805,12 +820,18 @@ class CycloReal:
     # -- serialization ---------------------------------------------------
 
     def _coeff_strings(self) -> list[str]:
-        # str(Fraction(v, den)) for each coefficient, from one gcd
+        # str(Fraction(v, den)) for each coefficient: v itself over den 1,
+        # else "0" for a zero and one gcd for any other
         den = self.den
+        if den == 1:
+            return [str(v) for v in self.num]
         out = []
         for v in self.num:
-            g = math.gcd(v, den)
-            out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+            if v:
+                g = math.gcd(v, den)
+                out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+            else:
+                out.append("0")
         return out
 
     def to_obj(self) -> dict:
@@ -819,10 +840,12 @@ class CycloReal:
     @classmethod
     def from_obj(cls, obj: object) -> "CycloReal":
         """Read ``{"modulus": M, "coeffs": [text, ...]}``, each text in
-        parse_fraction's grammar.  A text that repeats within the list is
-        parsed once; the first bad coefficient in list order is the one
-        reported."""
-        if not isinstance(obj, dict) or set(obj) != {"modulus", "coeffs"}:
+        the grammar of :func:`~tilegate.text.fraction_parts`, whose integer
+        parts build the element with no Fraction on the way.  A text that
+        repeats within the list is parsed once; the first bad coefficient
+        in list order is the one reported."""
+        if (not isinstance(obj, dict) or len(obj) != 2
+                or "modulus" not in obj or "coeffs" not in obj):
             raise FormatError(
                 "scalar must be an object with exactly the keys 'modulus' and 'coeffs'"
             )
@@ -832,12 +855,12 @@ class CycloReal:
             raise FormatError("scalar modulus must be an integer")
         if not isinstance(coeffs, list):
             raise FormatError("scalar coeffs must be a list of fraction strings")
-        values: dict = {}
+        parts: dict = {}
         for c in coeffs:
-            if type(c) is not str or c not in values:
-                values[c] = parse_fraction(c, "coefficient")
+            if type(c) is not str or c not in parts:
+                parts[c] = fraction_parts(c, "coefficient")
         try:
-            return cls(modulus, [values[c] for c in coeffs])
+            return cls._make(modulus, *_real_vector(modulus, [parts[c] for c in coeffs]))
         except (DomainError, ModulusError, NonRealError, ResourceLimitError) as exc:
             raise FormatError(str(exc)) from None
 

@@ -17,15 +17,22 @@ _DIGITS = f"[0-9]{{1,{FRACTION_DIGITS_LIMIT}}}"
 _FRACTION_TEXT = re.compile(rf"(-?{_DIGITS})(?:/(?!0*\Z)({_DIGITS}))?")
 
 
-def parse_fraction(text: object, what: str) -> Fraction:
-    """Read fraction text in the one grammar tilegate accepts, which is
-    what ``str(Fraction)`` writes: ``u`` or ``u/v``, 1 to 300 ASCII digits
-    a part, u signed, v nonzero.  The cap keeps any loaded value below
-    exact.PHI_LIMIT * 10**300 < 1.7e308, so float_box stays finite."""
+def fraction_parts(text: object, what: str) -> tuple[int, int]:
+    """The integers (u, v) of fraction text in the one grammar tilegate
+    accepts, which is what ``str(Fraction)`` writes: ``u`` or ``u/v``, 1
+    to 300 ASCII digits a part, u signed, v nonzero; v is 1 for ``u``.
+    The parts are read as written, so "2/4" gives (2, 4).  The cap keeps
+    any loaded value below exact.PHI_LIMIT * 10**300 < 1.7e308, so
+    float_box stays finite."""
     m = isinstance(text, str) and _FRACTION_TEXT.fullmatch(text)
     if not m:
         raise FormatError(
             f"{what} must be 'u' or 'u/v' with at most {FRACTION_DIGITS_LIMIT} "
             f"ASCII digits a part and v nonzero, got {echo(text)}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+    u, v = m.groups()
+    return int(u), int(v) if v else 1
 
+
+def parse_fraction(text: object, what: str) -> Fraction:
+    """The value of fraction text, in fraction_parts' grammar."""
+    return Fraction(*fraction_parts(text, what))

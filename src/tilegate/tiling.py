@@ -178,7 +178,7 @@ class Tiling:
         scalars: dict[tuple, CycloReal] = {}
         shared: dict[tuple[int, int], Point] = {}
         for i, item in enumerate(raw):
-            if not isinstance(item, dict) or set(item) != {"v"}:
+            if not isinstance(item, dict) or len(item) != 1 or "v" not in item:
                 raise FormatError(f"triangle {i}: expected an object with key 'v'")
             v = item["v"]
             if not isinstance(v, list) or len(v) != 3:
@@ -188,7 +188,7 @@ class Tiling:
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise FormatError(
                         f"triangle {i} vertex {j}: expected [x, y]")
-                x, y = (_load_scalar(c, scalars) for c in pair)
+                x, y = _load_scalar(pair[0], scalars), _load_scalar(pair[1], scalars)
                 # the pair's Point holds x and y, so their ids stay unique
                 point = shared.get((id(x), id(y)))
                 if point is None:
@@ -204,19 +204,21 @@ class Tiling:
 
 def _load_scalar(obj: object, scalars: dict) -> CycloReal:
     # CycloReal.from_obj(obj), shared through scalars by text: (modulus,
-    # *coeffs).  A text is stored only once its scalar has loaded, when
-    # every coefficient was a str, and only a str equals a str, so the
-    # coefficients need no type test here
-    if (type(obj) is dict and obj.keys() == {"modulus", "coeffs"}
-            and type(obj["modulus"]) is int and type(obj["coeffs"]) is list):
-        text = (obj["modulus"], *obj["coeffs"])
-        try:
-            scalar = scalars.get(text)
-        except TypeError:  # an unhashable coefficient, which cannot load
-            return CycloReal.from_obj(obj)
-        if scalar is None:
-            scalar = scalars[text] = CycloReal.from_obj(obj)
-        return scalar
+    # *coeffs).  A dict of two entries, an int modulus and a coeffs list,
+    # has just the keys from_obj asks for.  A text is stored only once its
+    # scalar has loaded, when every coefficient was a str, and only a str
+    # equals a str, so the coefficients need no type test here
+    if type(obj) is dict and len(obj) == 2:
+        modulus, coeffs = obj.get("modulus"), obj.get("coeffs")
+        if type(modulus) is int and type(coeffs) is list:
+            text = (modulus, *coeffs)
+            try:
+                scalar = scalars.get(text)
+            except TypeError:  # an unhashable coefficient, which cannot load
+                return CycloReal.from_obj(obj)
+            if scalar is None:
+                scalar = scalars[text] = CycloReal.from_obj(obj)
+            return scalar
     return CycloReal.from_obj(obj)
 
 

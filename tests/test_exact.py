@@ -27,7 +27,6 @@ from tilegate.exact import (
     cyclotomic_polynomial,
     euler_phi,
     field_degree,
-    parse_fraction,
     sin_pi,
 )
 from tilegate.errors import (
@@ -37,6 +36,7 @@ from tilegate.errors import (
     NonRealError,
     ResourceLimitError,
 )
+from tilegate.text import fraction_parts, parse_fraction
 from tilegate.tiling import default_modulus, gen_trivial, verify
 
 MODULI = [4, 8, 12, 16, 20, 24, 28, 36, 40, 48, 60]
@@ -652,6 +652,37 @@ def wide_elements(draw):
     return x
 
 
+def _reference_box(x):
+    # each end of enclosure(64) through float(Fraction), one float
+    # outward, from the largest float of its sign past the float range
+    box = []
+    for end, toward in zip(x.enclosure(64), (-math.inf, math.inf)):
+        try:
+            rounded = float(end)
+        except OverflowError:
+            rounded = sys.float_info.max if end > 0 else -sys.float_info.max
+        box.append(math.nextafter(rounded, toward))
+    return tuple(box)
+
+
+@functools.lru_cache(maxsize=None)
+def _fan_coordinates():
+    # every coordinate of the fan of n = 47, at M = 188 and phi = 92
+    return [c for tri in gen_trivial(47).triangles for v in tri.vertices for c in (v.x, v.y)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=wide_elements() | st.integers(0, 563).map(lambda i: _fan_coordinates()[i])
+       | st.sampled_from([1, -1]).map(lambda s: CycloReal.from_rational(s * 10**400, 4)))
+def test_float_box_is_the_reference_box_bit_for_bit(x):
+    # float_box rounds enclosure(64)'s integers by int true division; it
+    # must give the very floats float(Fraction) gives, or a filter
+    # decision, and so a pinned count, could move.  A fresh copy computes
+    # its box; hex tells -0.0 from 0.0
+    box = CycloReal._make(x.modulus, x.num, x.den).float_box()
+    assert [e.hex() for e in box] == [e.hex() for e in _reference_box(x)]
+
+
 @settings(max_examples=60, deadline=None)
 @given(x=wide_elements())
 def test_sign_enclosures_and_float_box_hold_the_value(x):
@@ -712,6 +743,26 @@ _PART = 10**300 - 1  # the largest 300-digit integer
 def test_parse_fraction_reads_what_str_writes(num, den):
     f = Fraction(num, den)
     assert parse_fraction(str(f), "coefficient") == f
+    assert fraction_parts(str(f), "coefficient") == (f.numerator, f.denominator)
+    # the parts as written, which only the Fraction view reduces
+    text = f"{num}/{den}"
+    assert fraction_parts(text, "coefficient") == (num, den)
+    assert parse_fraction(text, "coefficient") == f
+
+
+@pytest.mark.parametrize("text", ["1/0", "-3/000", "+1", " 1", "1 ", "1.5", "", "1/", "/2",
+                                  "1" * 301, "1/" + "1" * 301, "\u0661", 7, None],
+                         ids=["zero-den", "zeros-den", "plus", "lead-space", "trail-space",
+                              "decimal", "empty", "no-den", "no-num", "301-digits",
+                              "301-digit-den", "arabic-indic-digit", "int", "none"])
+def test_both_views_refuse_bad_text_alike(text):
+    errors = []
+    for view in (fraction_parts, parse_fraction):
+        with pytest.raises(FormatError) as info:
+            view(text, "coefficient")
+        errors.append(str(info.value))
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("coefficient must be 'u' or 'u/v' with at most 300 ")
 
 
 def test_immutability():

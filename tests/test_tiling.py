@@ -46,7 +46,7 @@ from tilegate.geometry import (
     on_open_segment,
     triangles_interior_disjoint,
 )
-from tilegate.text import parse_fraction
+from tilegate.text import fraction_parts, parse_fraction
 from tilegate.tiling import (
     CHECK_ORDER,
     Tiling,
@@ -1029,7 +1029,7 @@ def test_load_builds_one_scalar_per_distinct_scalar_text(tmp_path, monkeypatch):
 
     def counting_parse(text, what):
         parsed.append(text)
-        return parse_fraction(text, what)
+        return fraction_parts(text, what)
 
     def counting_from_obj(cls, obj):
         before = len(parsed)
@@ -1038,11 +1038,13 @@ def test_load_builds_one_scalar_per_distinct_scalar_text(tmp_path, monkeypatch):
                       len(set(obj["coeffs"]))))
         return scalar
 
-    monkeypatch.setattr("tilegate.exact.parse_fraction", counting_parse)
+    # the loader's entry point into the grammar; a load that parsed no
+    # coefficient would mean the count reads the wrong function
+    monkeypatch.setattr("tilegate.exact.fraction_parts", counting_parse)
     monkeypatch.setattr(CycloReal, "from_obj", classmethod(counting_from_obj))
     assert load_tiling(str(path)) == gen_trivial(47)
     assert sorted(text for text, _, _ in loads) == sorted(texts)
-    assert all(parses <= distinct for _, parses, distinct in loads)
+    assert all(1 <= parses <= distinct for _, parses, distinct in loads)
 
 
 @pytest.mark.parametrize("fault", [
