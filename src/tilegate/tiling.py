@@ -16,10 +16,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, FormatError, StructuralError, echo
 from .exact import CycloReal, _normalize, cos_pi, field_degree, sin_pi
@@ -70,7 +69,6 @@ def polygon_vertices(n: int, modulus: int) -> tuple[Point, ...]:
     )
 
 
-@dataclass(frozen=True)
 class Tiling:
     """n, alpha (units of pi/2), modulus, and the triangle list.
 
@@ -79,21 +77,18 @@ class Tiling:
     and every triangle counterclockwise with coordinates in that modulus,
     raising StructuralError (ResourceLimitError past the degree limit)
     naming any offending triangle.  So verify reports on every Tiling.
+    A Tiling is immutable and compares by its four fields.
     """
 
-    n: int
-    alpha: Fraction
-    modulus: int
-    triangles: tuple[Triangle, ...]
-
+    __slots__ = ("n", "alpha", "modulus", "triangles")
     __hash__ = None  # type: ignore[assignment]
 
-    def __post_init__(self) -> None:
-        n, modulus = self.n, self.modulus
+    def __init__(self, n: int, alpha: Fraction, modulus: int,
+                 triangles: Iterable[Triangle]) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 5:
             raise StructuralError(
                 f"polygon parameter must be an integer >= 5, got {echo(n)}")
-        alpha = as_fraction(self.alpha, "smaller acute angle")
+        alpha = as_fraction(alpha, "smaller acute angle")
         if not 0 < alpha <= Fraction(1, 2):
             raise StructuralError(
                 f"smaller acute angle must lie in (0, 1/2] right angles, got {echo(alpha)}")
@@ -105,7 +100,12 @@ class Tiling:
             raise StructuralError(f"modulus {echo(modulus)} "
                                   f"is not divisible by {echo(req)}")
         field_degree(modulus)  # refuses a field over the degree limit
-        triangles = tuple(self.triangles)
+        try:
+            items = iter(triangles)
+        except TypeError:
+            raise StructuralError(
+                f"triangles must be an iterable of Triangles, got {echo(triangles)}") from None
+        triangles = tuple(items)
         for i, tri in enumerate(triangles):
             if not isinstance(tri, Triangle):
                 raise StructuralError(f"triangle {i} is not a Triangle")
@@ -118,8 +118,24 @@ class Tiling:
                 raise StructuralError(f"triangle {i} is degenerate")
             if s < 0:
                 raise StructuralError(f"triangle {i} is not counterclockwise")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "triangles", triangles)
+        for name, value in zip(self.__slots__, (n, alpha, modulus, triangles)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.alpha, self.modulus, self.triangles)
+                == (other.n, other.alpha, other.modulus, other.triangles))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses
+        return self.__class__, (self.n, self.alpha, self.modulus, self.triangles)
 
     def __repr__(self) -> str:
         return (f"Tiling(n={self.n}, alpha={self.alpha}, "
@@ -462,18 +478,18 @@ def classify_point(pt: Point, tiling: Tiling) -> PointClass:
     return _classify(pt, tiling, polygon, boxes)
 
 
-@dataclass
 class _VerifyRun:
     """What the stages of one verify call share: the tiling, its polygon,
     and what earlier stages derived for later ones."""
 
-    tiling: Tiling
-    polygon: tuple[Point, ...]
-    certificate: tuple[int, int, int] = (0, 0, 0)
-    # distinct vertex points, in first-occurrence order: key -> (point,
-    # first owning triangle, incident (alpha, beta, right) corner counts)
-    points: dict = field(default_factory=dict)
-    ledger: tuple[LedgerEntry, ...] = ()
+    def __init__(self, tiling: Tiling, polygon: tuple[Point, ...]) -> None:
+        self.tiling = tiling
+        self.polygon = polygon
+        self.certificate: tuple[int, int, int] = (0, 0, 0)
+        # distinct vertex points, in first-occurrence order: key -> (point,
+        # first owning triangle, incident (alpha, beta, right) corner counts)
+        self.points: dict = {}
+        self.ledger: tuple[LedgerEntry, ...] = ()
 
     @cached_property
     def boxes(self):

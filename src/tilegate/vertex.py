@@ -46,7 +46,6 @@ bounds, which holds for any 0 < a < 1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, NamedTuple
@@ -161,20 +160,29 @@ class PointKind(Enum):
     FREE_INTERIOR = "FreeInterior"
 
 
-@dataclass(frozen=True)
-class PointClass:
-    """Where a tiling point sits; flat_sides counts the open triangle
-    sides passing through it (TriangleSideInterior only)."""
-
+class _PointClassFields(NamedTuple):
     kind: PointKind
     flat_sides: int = 0
 
-    def __post_init__(self) -> None:
-        if self.kind is PointKind.TRIANGLE_SIDE_INTERIOR:
-            if self.flat_sides < 1:
+
+class PointClass(_PointClassFields):
+    """Where a tiling point sits; flat_sides counts the open triangle
+    sides passing through it (TriangleSideInterior only)."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: PointKind, flat_sides: int = 0) -> PointClass:
+        if kind is PointKind.TRIANGLE_SIDE_INTERIOR:
+            if flat_sides < 1:
                 raise DomainError("TriangleSideInterior needs at least one flat side")
-        elif self.flat_sides:
-            raise DomainError(f"{self.kind.value} does not carry flat sides")
+        elif flat_sides:
+            raise DomainError(f"{kind.value} does not carry flat sides")
+        return super().__new__(cls, kind, flat_sides)
+
+    @classmethod
+    def _make(cls, iterable) -> PointClass:
+        # _replace builds through _make, which would skip __new__
+        return cls(*iterable)
 
     def __str__(self) -> str:
         if self.kind is PointKind.TRIANGLE_SIDE_INTERIOR:
@@ -210,8 +218,7 @@ def point_target(pc: PointClass, n: int) -> Fraction:
 # -- corner families -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AngleFamily:
+class AngleFamily(NamedTuple):
     """Angles of the form numerator/s for positive integers s."""
 
     numerator: Fraction

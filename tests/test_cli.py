@@ -313,9 +313,20 @@ def test_gen_trivial_rejects_small_n(run_cli, tmp_path):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+# the modules no tilegate import, command or __all__ lookup may load;
+# site hooks may load modules of their own, so the second set counts only
+# what was added after the snapshot taken before tilegate's first import
+UNWANTED = """
+def unwanted():
+    added = set(sys.modules) - before
+    return {"numpy", "mpmath"} & set(sys.modules) | {"dataclasses", "inspect"} & added
+"""
+
 CLASSIFY_ONLY = """
 import contextlib, io, sys
+before = set(sys.modules)
 import tilegate.cli
+""" + UNWANTED + """
 with contextlib.redirect_stdout(io.StringIO()):
     for argv in (["candidates", "--range", "5..30", "--json"],
                  ["audit", "--n", "8", "--alpha", "1/5"],
@@ -324,12 +335,10 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["lemmas", "--which", "5", "--max-den", "30", "--n-range", "5..40"],
                  ["lemmas", "--which", "6", "--n-range", "5..27"]):
         assert tilegate.cli.main(argv) == 0, argv
-loaded = {"numpy", "mpmath"} & set(sys.modules)
-assert not loaded, loaded
+assert not unwanted(), unwanted()
 for name in tilegate.__all__:
     getattr(tilegate, name)
-loaded = {"numpy", "mpmath"} & set(sys.modules)
-assert not loaded, loaded
+assert not unwanted(), unwanted()
 """
 
 
@@ -342,15 +351,17 @@ def test_classify_commands_load_neither_numpy_nor_mpmath():
 
 SPARSE_ONLY = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from tilegate.cli import main
+""" + UNWANTED + """
 path = sys.argv[1]
 with contextlib.redirect_stdout(io.StringIO()) as out:
     assert main(["gen-trivial", "--n", "8", "--out", path]) == 0
     assert main(["verify", path, "--json"]) == 0
-assert "numpy" not in sys.modules and "mpmath" not in sys.modules
+assert not unwanted(), unwanted()
 import tilegate
 report = tilegate.verify(tilegate.gen_trivial(47)).to_obj()
-assert "numpy" not in sys.modules and "mpmath" not in sys.modules
+assert not unwanted(), unwanted()
 print(json.dumps([json.loads(out.getvalue().splitlines()[-1]), report]))
 """
 
@@ -358,8 +369,9 @@ print(json.dumps([json.loads(out.getvalue().splitlines()[-1]), report]))
 def test_sparse_products_leave_numpy_unloaded(tmp_path):
     # the fields of an 8-gon run on Python ints alone; the rotation
     # vectors of the fan of n = 47 (phi = 92) are dense, and verifying it
-    # packs them into Python ints: neither loads numpy, and both reports
-    # are the ones this process computes
+    # packs them into Python ints: neither loads numpy, nor does the CLI
+    # load dataclasses or inspect, and both reports are the ones this
+    # process computes
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     path = tmp_path / "t8.json"
     result = subprocess.run([sys.executable, "-c", SPARSE_ONLY, str(path)], capture_output=True,

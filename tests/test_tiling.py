@@ -195,6 +195,28 @@ def test_tiling_structural_errors():
         Tiling(5, Fraction(2, 5), 20, [clockwise])
     with pytest.raises(StructuralError):
         Tiling(5, Fraction(2, 5), 20, ["nope"])
+    for not_a_list in (5, None):
+        with pytest.raises(StructuralError, match="iterable of Triangles"):
+            Tiling(8, Fraction(1, 4), 16, not_a_list)
+
+
+def test_tiling_is_an_immutable_value(tmp_path):
+    t = gen_trivial(8)
+    path = tmp_path / "t8.json"
+    save_tiling(t, str(path))
+    assert load_tiling(str(path)) == load_tiling(str(path)) == t
+    same = Tiling(n=8, alpha=Fraction(1, 4), modulus=16, triangles=list(t.triangles))
+    assert same == t and same.triangles == t.triangles
+    assert t != Tiling(8, Fraction(1, 4), 16, t.triangles[1:])
+    assert repr(t) == "Tiling(n=8, alpha=1/4, modulus=16, triangles=<16>)"
+    with pytest.raises(TypeError):
+        hash(t)
+    with pytest.raises(AttributeError):
+        t.n = 9
+    with pytest.raises(AttributeError):
+        del t.triangles
+    assert (t.n, t.alpha, t.modulus) == (8, Fraction(1, 4), 16)
+    assert copy.copy(t) == t
 
 
 @st.composite

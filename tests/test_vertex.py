@@ -139,6 +139,29 @@ def test_point_class_validation():
     assert str(PointClass(PointKind.POLYGON_VERTEX)) == "PolygonVertex"
 
 
+def test_value_types_keep_their_repr_hash_and_rule():
+    # the repr strings are part of the interface, so they are pinned
+    corner = PointClass(PointKind.POLYGON_VERTEX)
+    assert repr(corner) == ("PointClass(kind=<PointKind.POLYGON_VERTEX: "
+                            "'PolygonVertex'>, flat_sides=0)")
+    family = corner_families(8)[0]
+    assert repr(family) == "AngleFamily(numerator=Fraction(3, 2), label='(2-4/8)')"
+    for a, b in ((corner, PointClass(PointKind.POLYGON_VERTEX, 0)),
+                 (PointClass(PointKind.TRIANGLE_SIDE_INTERIOR, 2),
+                  PointClass(kind=PointKind.TRIANGLE_SIDE_INTERIOR, flat_sides=2)),
+                 (family, AngleFamily(Fraction(3, 2), "(2-4/8)"))):
+        assert a == b and hash(a) == hash(b)
+    flat = PointClass(PointKind.TRIANGLE_SIDE_INTERIOR, 2)
+    assert flat._replace(flat_sides=3) == PointClass(PointKind.TRIANGLE_SIDE_INTERIOR, 3)
+    for build in (lambda: flat._replace(flat_sides=0),
+                  lambda: corner._replace(flat_sides=1),
+                  lambda: corner._replace(kind=PointKind.TRIANGLE_SIDE_INTERIOR),
+                  lambda: PointClass._make((PointKind.FREE_INTERIOR, 1)),
+                  lambda: PointClass(PointKind.TRIANGLE_SIDE_INTERIOR)):
+        with pytest.raises(DomainError):
+            build()
+
+
 # -- corner families --------------------------------------------------------
 
 
