@@ -32,8 +32,8 @@ print("\ncorner solutions at n=8, a=1/4:")
 for sol in enumerate_solutions(target, Fraction(1, 4)):
     print("  (p, q, r) =", tuple(sol))
 
-# The counting lemmas are audited by brute force over a finite range.
-# The interior count (every solution of the target-4 equation has
+# The counting lemmas are audited on finite sets listed in closed form:
+# only the angles in them can break a lemma.  The interior count (every solution of the target-4 equation has
 # p >= q) holds for every angle except five exceptional values, and at
 # each exception the audit exhibits a concrete violating solution.
 report = audit_lemma("4", max_den=40)

@@ -7,8 +7,10 @@ to a target ``S`` determined by where the point sits, so the
 non-negative integer solutions of ``p*a + q*(1-a) + r = S`` drive both
 the angle classification and the tiling verifier.
 
-The audit functions confirm, over finite parameter ranges, the four
-counting facts the classification rests on:
+The audit functions check the four counting facts the classification
+rests on.  L3, L4 and L5 read finite sets, listed in closed form, that
+cover every denominator, and report on the angles with denominator up
+to max_den:
 
   L3: S = 3/2, 0 < a < 1/2, a != 1/4  ->  p > q and a = 3/(2s).
   L4: S = 4, 0 < a < 1/2, a outside the exceptional set  ->  p >= q.
@@ -17,9 +19,8 @@ counting facts the classification rests on:
   L6: exceptional a lying in a corner family  ->  a or 1-a is an
       allowed angle for n (fails exactly at n = 28).
 
-L3, L4 and L5 report only the solutions with p < q or p <= q, and the
-sweeps visit only the (q, r) where those can lie.  For any a > 0 the
-equation reads
+L3, L4 and L5 report only the solutions with p < q or p <= q, and those
+lie in a finite window.  For any a > 0 the equation reads
 
   q - (S - r) = a*(q - p),
 
@@ -37,18 +38,48 @@ q < 2*(S - r) unless q = 0.  At each r, then, only a q in
   L5 (S = 2 - 4/n, p <= q)   q in {2, 3} at r = 0 and q = 1 at r = 1,
                              fewer for n <= 8
 
-The sweeps clear denominators: a'*p + b'*q + c*r = T with a' + b' = c.
-For the rest m = T - c*r the identity reads c*q - m = a'*(q - p), so
-p < q exactly when c*q > m, p <= q exactly when c*q >= m, and p >= 0
-exactly when b'*q <= m.  _violators visits only the q between those
-bounds, which holds for any 0 < a < 1.
+Each (p, q, r) with p < q there fixes a = (q - S + r)/(q - p), and that
+a is below 1/2 exactly when p < 2*(S - r) - q.  So the a in (0, 1/2)
+with a solution p < q form a finite set, and _q_over_p lists it with its
+solutions by looping over r, the q window and those p.  When S is not an
+integer the same set holds every solution p <= q, because p = q forces
+q = S - r.  (At an integer S, p = q = S - r solves the equation for
+every a, so there the p <= q set is not finite.)
+
+The audits test the rest of each statement on that set alone.  A solution
+with p > q has q < S - r, that is q + r < S:
+
+  L3: S = 3/2 leaves (q, r) in {(0, 0), (1, 0), (0, 1)}, and p*a = 3/2,
+      (p - 1)*a = 1/2 or p*a = 1/2 makes a = 3/(2s) with s = p, 3(p - 1)
+      or 3p.
+  L5: S = 2 - 4/n lies in [6/5, 2) for n >= 5, which leaves the same
+      (q, r), and p*a = 2 - 4/n, (p - 1)*a = 1 - 4/n or p*a = 1 - 4/n puts
+      a in one of the two corner_families(n).
+
+So an a that has a solution but is not of the form 3/(2s), or is in
+neither corner family, has one with p <= q, and lies in the set.
+
+L6 visits only the n where an exception can lie in a corner family.  The
+family numerators 2 - 4/n and 1 - 4/n reduce to t/d and t'/d with
+d = n/gcd(n, 4) (see _corner_target; gcd(n - 4, n) = gcd(4, n) too).  In
+lowest terms t/(d*s) has the denominator d*s/gcd(t, s), a multiple of d,
+so an exception u/v in a family at n needs n/gcd(n, 4) to divide v, and
+n <= 4*v.  For the five exceptions that leaves n in {5, 6, 7, 8, 10, 12,
+14, 16, 20, 28}.
+
+enumerate_solutions clears denominators: a'*p + b'*q + c*r = T with
+a' + b' = c.  For the rest m = T - c*r the identity reads
+c*q - m = a'*(q - p), so p < q exactly when c*q > m, p <= q exactly
+when c*q >= m, and p >= 0 exactly when b'*q <= m.  _violators visits
+only the q between those bounds, which holds for any 0 < a < 1.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ResourceLimitError, echo
 from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
@@ -295,13 +326,12 @@ class AuditReport(NamedTuple):
 
 
 def _check_max_den(max_den: int) -> None:
-    # _reduced_angles yields about 0.15 * max_den**2 pairs (608,293 at
-    # MAX_DEN_LIMIT), so the audits grow about fourfold per doubling.  L5
-    # tests, per n, the pairs whose v is a multiple of n // gcd(n, 4), at
-    # most half of them.  On a 2-vCPU Xeon VM, L3 and L4 each take about
-    # 1 s at MAX_DEN_LIMIT, and L5 about 0.013 s at 196 * 100**2 and about
-    # 1 s at L5_SIZE_LIMIT with n = 5, 6, 8, 12, 16, the five n with the
-    # most such pairs.
+    # The audits read the closed-form sets, so max_den no longer bounds
+    # their cost: on a 2-vCPU Xeon VM L3 and L4 take about 0.01 and
+    # 0.03 ms and L5 about 2.5 us per n, at any max_den.  MAX_DEN_LIMIT
+    # and L5_SIZE_LIMIT stay as the interface: the same arguments are
+    # accepted and the same ones exit 2 as when the audits swept every
+    # u/v up to max_den.
     if not isinstance(max_den, int) or isinstance(max_den, bool):
         raise DomainError(f"max_den must be an integer, got {echo(max_den)}")
     if max_den < 3:
@@ -310,14 +340,24 @@ def _check_max_den(max_den: int) -> None:
         raise ResourceLimitError(f"max_den exceeds the limit {MAX_DEN_LIMIT}")
 
 
-def _reduced_angles(max_den: int) -> Iterator[tuple[int, int]]:
-    # all u/v in lowest terms with 0 < u/v < 1/2, v <= max_den
-    return (
-        (u, v)
-        for v in range(3, max_den + 1)
-        for u in range(1, (v - 1) // 2 + 1)
-        if math.gcd(u, v) == 1
-    )
+def _q_over_p(t: int, d: int) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
+    # every a = u/v in (0, 1/2), in lowest terms, with a solution p < q of
+    # p*a + q*(1-a) + r = t/d, for t/d >= 0 in lowest terms, mapped to all
+    # such (p, q, r) in order.  For d > 1 these are also all the solutions
+    # with p <= q; see the module docstring.  m = d*(S - r), and
+    # a = (d*q - m)/(d*(q - p)), where d*q - m = d*(q + r) - t is prime
+    # to d, as t is
+    found: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for r in range(t // d + 1):
+        m = t - d * r
+        for q in range(m // d + 1, -(-2 * m // d)):
+            over = d * q - m
+            for p in range(-(-(2 * m - d * q) // d)):
+                g = math.gcd(over, q - p)
+                found.setdefault((over // g, d * (q - p) // g), []).append((p, q, r))
+    for sols in found.values():
+        sols.sort()
+    return found
 
 
 def _n_range(ns: Iterable[int]) -> list[int]:
@@ -333,20 +373,15 @@ def _n_range(ns: Iterable[int]) -> list[int]:
 
 def _audit_l3(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
-    for u, v in _reduced_angles(max_den):
-        if 4 * u == v:
+    for (u, v), sols in _q_over_p(3, 2).items():
+        if v > max_den or 4 * u == v:
             continue
-        # 3/2 = p u/v + q (v-u)/v + r, scaled by 2v
-        coefs = (2 * u, 2 * (v - u), 2 * v, 3 * v)
-        # a = 3/(2s) solves it with (s, 0, 0); any other a that admits
-        # a solution is a counterexample, and so is each p <= q
-        of_form = (3 * v) % (2 * u) == 0
-        if of_form or _violators(*coefs):
-            a = Fraction(u, v)
-            for sol in _violators(*coefs, strict=False):
-                bad.append(AuditCase(a, None, VertexSolution._make(sol), "p <= q"))
-            if not of_form:
-                bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
+        # every p <= q is a counterexample, and so is an a not of the form
+        # 3/(2s), which has a solution only if it has one with p <= q
+        a = Fraction(u, v)
+        bad += (AuditCase(a, None, VertexSolution._make(sol), "p <= q") for sol in sols)
+        if (3 * v) % (2 * u):
+            bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
     witnesses = [
         AuditCase(Fraction(1, 4), None, VertexSolution._make(sol), "q > p at excluded a = 1/4")
         for sol in _violators(2, 6, 8, 12, strict=True)
@@ -363,12 +398,11 @@ def _audit_l4(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
     exceptions = sorted(LEMMA4_EXCEPTIONS)
     skipped = {(e.numerator, e.denominator) for e in exceptions}
-    for u, v in _reduced_angles(max_den):
-        if (u, v) in skipped:
+    for (u, v), sols in _q_over_p(4, 1).items():
+        if v > max_den or (u, v) in skipped:
             continue
-        # 4 = p u/v + q (v-u)/v + r, scaled by v
-        for sol in _violators(u, v - u, v, 4 * v, strict=True):
-            bad.append(AuditCase(Fraction(u, v), None, VertexSolution._make(sol), "q > p"))
+        a = Fraction(u, v)
+        bad += (AuditCase(a, None, VertexSolution._make(sol), "q > p") for sol in sols)
     witnesses: list[AuditCase] = []
     for e in exceptions:
         u, v = e.numerator, e.denominator
@@ -387,34 +421,24 @@ def _audit_l4(max_den: int) -> AuditReport:
 
 
 def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
-    numerators: dict[int, list[int]] = {}
-    for u, v in _reduced_angles(max_den):
-        numerators.setdefault(v, []).append(u)
     bad: list[AuditCase] = []
     for n in ns:
-        # every coefficient of n*(p*u + q*(v-u) + r*v) = (2n-4)*v is a
-        # multiple of n, so a solution needs n | 4v: visit only those v
-        step = n // math.gcd(n, 4)
-        for v in range(step, max_den + 1, step):
-            # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
-            total = (2 * n - 4) * v
-            c_coef = n * v
-            family_2 = (n - 4) * v
-            for u in numerators.get(v, ()):
-                # skip the allowed set {2/n, 4/n, (n+4)/(3n)}
-                if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
-                    continue
-                a_coef = n * u
-                b_coef = c_coef - a_coef
-                # a = (2-4/n)/s or a = (1-4/n)/s; any other a that admits a
-                # solution is a counterexample, and so is each p <= q
-                in_family = total % a_coef == 0 or family_2 % a_coef == 0
-                if in_family or _violators(a_coef, b_coef, c_coef, total):
-                    a = Fraction(u, v)
-                    for sol in _violators(a_coef, b_coef, c_coef, total, strict=False):
-                        bad.append(AuditCase(a, n, VertexSolution._make(sol), "p <= q"))
-                    if not in_family:
-                        bad.append(AuditCase(a, n, None, "a is in neither corner family"))
+        t, d = _corner_target(n)
+        # a solution needs n | 4v, that is d | v: no v <= max_den has one
+        if d > max_den:
+            continue
+        for (u, v), sols in _q_over_p(t, d).items():
+            # skip the allowed set {2/n, 4/n, (n+4)/(3n)}
+            if (v > max_den or u * n == 2 * v or u * n == 4 * v
+                    or 3 * n * u == (n + 4) * v):
+                continue
+            # every p <= q is a counterexample, and so is an a outside
+            # (2-4/n)/s and (1-4/n)/s, which has a solution only if it has
+            # one with p <= q
+            a = Fraction(u, v)
+            bad += (AuditCase(a, n, VertexSolution._make(sol), "p <= q") for sol in sols)
+            if (2 * n - 4) * v % (n * u) and (n - 4) * v % (n * u):
+                bad.append(AuditCase(a, n, None, "a is in neither corner family"))
     return AuditReport(
         "L5",
         {"n": [ns[0], ns[-1]], "max_den": max_den, "target": "2-4/n"},
@@ -428,7 +452,13 @@ def _audit_l6(ns: Iterable[int]) -> AuditReport:
     bad: list[AuditCase] = []
     witnesses: list[AuditCase] = []
     exceptions = sorted(LEMMA4_EXCEPTIONS)
-    for n in ns:
+    # an exception u/v lies in a corner family at n only if
+    # n // gcd(n, 4) divides v, so n <= 4v (module docstring)
+    dens = {e.denominator for e in exceptions}
+    for n in ns[:bisect_right(ns, 4 * max(dens, default=0))]:
+        step = n // math.gcd(n, 4)
+        if all(v % step for v in dens):
+            continue
         allowed = set(allowed_angles(n))
         families = corner_families(n)
         for e in exceptions:
@@ -455,8 +485,10 @@ def audit_lemma(
     max_den: int | None = None,
     ns: Iterable[int] | None = None,
 ) -> AuditReport:
-    """Brute-force confirmation of one of the four lemmas over a finite
-    range; see the module docstring for the statements."""
+    """Check one of the four lemmas: L3, L4 and L5 over every a in
+    (0, 1/2) with denominator up to max_den, read off the finite
+    closed-form sets, and L6 over the n in ns.  See the module docstring
+    for the statements and the proofs."""
     key = str(lemma_id).upper()
     if key in ("3", "L3", "4", "L4"):
         if max_den is None:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
 import os
 import subprocess
@@ -251,6 +252,31 @@ def test_lemmas_counterexample_exits_one(run_cli):
     assert result.returncode == 1
     assert "counterexample" in result.stdout
     assert "3/7" in result.stdout
+
+
+# sha256 of the stdout of `lemmas --which 6 --n-range 5..200 --json`, as
+# it read while L6 still tested every n of its range
+L6_5_TO_200_SHA256 = "27c0df5071acdd984f17976add5b70aa01dbf1ea581b0e4aafd1ac358434c435"
+
+
+def test_lemmas_l6_golden_report(capsys):
+    assert main(["lemmas", "--which", "6", "--n-range", "5..200", "--json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == L6_5_TO_200_SHA256
+
+
+def test_lemmas_l6_widest_range_is_bounded(capsys):
+    # only n <= 28 can report, so the widest range the CLI takes finds
+    # what 5..200 finds; building the range is most of the time
+    start = time.perf_counter()
+    assert main(["lemmas", "--which", "6", "--n-range", "5..999999", "--json"]) == 1
+    assert time.perf_counter() - start < 2.0
+    wide = json.loads(capsys.readouterr().out)
+    main(["lemmas", "--which", "6", "--n-range", "5..200", "--json"])
+    narrow = json.loads(capsys.readouterr().out)
+    assert wide["range"]["n"] == [5, 999999]
+    assert {**wide, "range": narrow["range"]} == narrow
 
 
 def test_lemmas_missing_parameters(run_cli):

@@ -2,7 +2,9 @@
 
 The enumeration oracle is an independent full scan over the cube
 p, q, r <= ceil(S / min(a, 1-a, 1)); the small-range audit oracle
-re-runs each sweep with plain Fraction arithmetic.
+re-runs each sweep with plain Fraction arithmetic, and the sweeps over
+every u/v up to max_den, which the closed-form audits replaced, are the
+differential oracle for those.
 """
 from __future__ import annotations
 
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tilegate import vertex
 from tilegate.classify import impossibility_audit
 from tilegate.errors import DomainError, ResourceLimitError, TilegateError
 from tilegate.vertex import (
@@ -33,7 +36,7 @@ from tilegate.vertex import (
     enumerate_solutions,
     point_target,
 )
-from tilegate.vertex import _audit_l5, _violators
+from tilegate.vertex import _q_over_p, _violators
 
 
 def oracle_solutions(target: Fraction, a: Fraction) -> set[tuple[int, int, int]]:
@@ -595,13 +598,214 @@ def test_audit_l5_matches_the_full_sweep(ns, max_den):
     assert report.to_obj() == full_sweep_audit_l5(sorted(set(ns)), max_den).to_obj()
 
 
+# -- the closed form against the sweeps it replaced ---------------------------
+
+
+def reduced_angles(max_den):
+    # all u/v in lowest terms with 0 < u/v < 1/2, v <= max_den
+    return [(u, v) for v in range(3, max_den + 1) for u in range(1, (v - 1) // 2 + 1)
+            if math.gcd(u, v) == 1]
+
+
+def sweep_audit_l3(max_den, pairs=None):
+    # the L3 audit as a sweep over every (u, v) in pairs, by default every
+    # reduced u/v < 1/2 up to max_den
+    bad = []
+    for u, v in reduced_angles(max_den) if pairs is None else pairs:
+        if 4 * u == v:
+            continue
+        # 3/2 = p u/v + q (v-u)/v + r, scaled by 2v
+        coefs = (2 * u, 2 * (v - u), 2 * v, 3 * v)
+        of_form = (3 * v) % (2 * u) == 0
+        if of_form or _violators(*coefs):
+            a = Fraction(u, v)
+            for sol in _violators(*coefs, strict=False):
+                bad.append(AuditCase(a, None, VertexSolution._make(sol), "p <= q"))
+            if not of_form:
+                bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
+    witnesses = [AuditCase(Fraction(1, 4), None, VertexSolution._make(sol),
+                           "q > p at excluded a = 1/4")
+                 for sol in _violators(2, 6, 8, 12, strict=True)]
+    return AuditReport(
+        "L3",
+        {"max_den": max_den, "a": "(0,1/2) minus {1/4}", "target": "3/2"},
+        tuple(sorted(bad, key=AuditCase.sort_key)),
+        tuple(sorted(witnesses, key=AuditCase.sort_key)),
+    )
+
+
+def sweep_audit_l4(max_den):
+    bad = []
+    # the listed exceptions as they stand at call time
+    exceptions = sorted(vertex.LEMMA4_EXCEPTIONS)
+    skipped = {(e.numerator, e.denominator) for e in exceptions}
+    for u, v in reduced_angles(max_den):
+        if (u, v) in skipped:
+            continue
+        # 4 = p u/v + q (v-u)/v + r, scaled by v
+        for sol in _violators(u, v - u, v, 4 * v, strict=True):
+            bad.append(AuditCase(Fraction(u, v), None, VertexSolution._make(sol), "q > p"))
+    witnesses = []
+    for e in exceptions:
+        u, v = e.numerator, e.denominator
+        violating = _violators(u, v - u, v, 4 * v, strict=True)
+        if violating:
+            witnesses.append(AuditCase(
+                e, None, VertexSolution._make(min(violating)), f"q > p at exceptional a = {e}"))
+        else:
+            bad.append(AuditCase(e, None, None, "listed exception admits no q > p"))
+    return AuditReport(
+        "L4",
+        {"max_den": max_den, "a": "(0,1/2) minus exceptions", "target": "4"},
+        tuple(sorted(bad, key=AuditCase.sort_key)),
+        tuple(witnesses),
+    )
+
+
+def sweep_audit_l5(ns, max_den, pairs=None):
+    # the L5 audit as a sweep over the (u, v) in pairs, by default every
+    # reduced u/v < 1/2 up to max_den, visiting at each n only the v that
+    # n // gcd(n, 4) divides
+    numerators = {}
+    for u, v in reduced_angles(max_den) if pairs is None else pairs:
+        numerators.setdefault(v, []).append(u)
+    bad = []
+    for n in ns:
+        step = n // math.gcd(n, 4)
+        for v in range(step, max_den + 1, step):
+            # 2 - 4/n = p u/v + q (v-u)/v + r, scaled by n*v
+            total = (2 * n - 4) * v
+            c_coef = n * v
+            for u in numerators.get(v, ()):
+                if u * n == 2 * v or u * n == 4 * v or 3 * n * u == (n + 4) * v:
+                    continue
+                a_coef = n * u
+                b_coef = c_coef - a_coef
+                in_family = total % a_coef == 0 or (n - 4) * v % a_coef == 0
+                if in_family or _violators(a_coef, b_coef, c_coef, total):
+                    a = Fraction(u, v)
+                    for sol in _violators(a_coef, b_coef, c_coef, total, strict=False):
+                        bad.append(AuditCase(a, n, VertexSolution._make(sol), "p <= q"))
+                    if not in_family:
+                        bad.append(AuditCase(a, n, None, "a is in neither corner family"))
+    return AuditReport(
+        "L5",
+        {"n": [ns[0], ns[-1]], "max_den": max_den, "target": "2-4/n"},
+        tuple(sorted(bad, key=AuditCase.sort_key)),
+        (),
+    )
+
+
+def sweep_audit_l6(ns):
+    # the L6 audit at every n of the range
+    ns = sorted(set(ns))
+    bad, witnesses = [], []
+    exceptions = sorted(vertex.LEMMA4_EXCEPTIONS)
+    for n in ns:
+        allowed = set(allowed_angles(n))
+        for e in exceptions:
+            for family in corner_families(n):
+                s = family.parameter_for(e)
+                if s is not None:
+                    case = AuditCase(e, n, None, f"family {family.instance_label(s)}")
+                    (witnesses if e in allowed or 1 - e in allowed else bad).append(case)
+    return AuditReport(
+        "L6",
+        {"n": [ns[0], ns[-1]], "exceptional": [str(e) for e in exceptions]},
+        tuple(sorted(bad, key=AuditCase.sort_key)),
+        tuple(sorted(witnesses, key=AuditCase.sort_key)),
+    )
+
+
+def test_audit_l3_and_l4_equal_the_sweeps():
+    for max_den in [*range(3, 61), 100, 200, 2000]:
+        assert audit_lemma("L3", max_den=max_den) == sweep_audit_l3(max_den)
+        assert audit_lemma("L4", max_den=max_den) == sweep_audit_l4(max_den)
+
+
+def test_audit_l5_equals_the_sweep():
+    ns = list(range(5, 201))
+    for max_den in [*range(3, 61), 100, 200]:
+        assert audit_lemma("L5", ns=ns, max_den=max_den) == sweep_audit_l5(ns, max_den)
+
+
+@pytest.mark.parametrize("planted", [
+    None,
+    frozenset({Fraction(1, 9), Fraction(2, 11), Fraction(5, 12), Fraction(7, 30)}),
+], ids=["listed", "planted"])
+def test_audit_l6_equals_the_sweep(planted, monkeypatch):
+    # the bound on n holds for the listed exceptions and for others
+    if planted is not None:
+        monkeypatch.setattr("tilegate.vertex.LEMMA4_EXCEPTIONS", LEMMA4_EXCEPTIONS | planted)
+    for ns in (range(5, 5000), [8], [28, 10 ** 30], range(29, 200)):
+        assert audit_lemma("L6", ns=ns) == sweep_audit_l6(ns)
+    if planted is None:
+        visited = {case.n for case in audit_lemma("L6", ns=range(5, 5000)).witnesses}
+        assert visited | {28} == {5, 6, 7, 8, 10, 12, 14, 16, 20, 28}
+
+
+def check_closed_form_at(target, a, found):
+    # a is in the set exactly when it has a solution p < q, with the same
+    # solutions; off the integers these are also the solutions p <= q
+    sols = enumerate_solutions(target, a)
+    got = found.get((a.numerator, a.denominator), [])
+    assert got == [tuple(s) for s in sols if s.p < s.q]
+    if target.denominator > 1:
+        assert got == [tuple(s) for s in sols if s.p <= s.q]
+    else:
+        # the precondition: p = q = S - r solves every a at an integer S
+        assert {tuple(s) for s in sols if s.p == s.q} == {
+            (target - r, target - r, r) for r in range(int(target) + 1)}
+
+
+def closed_form(target):
+    # the set at target, each key checked to be a reduced u/v < 1/2 whose
+    # v is below 2t, as a = (q - S + r)/(q - p) with q - p < 2S makes it
+    t = target.numerator
+    found = _q_over_p(t, target.denominator)
+    for u, v in found:
+        assert 0 < 2 * u < v < 2 * t and math.gcd(u, v) == 1
+    return found
+
+
+@settings(max_examples=300, deadline=None)
+@given(target=st.fractions(min_value=0, max_value=7, max_denominator=12), data=st.data())
+def test_closed_form_is_the_enumeration_filtered(target, data):
+    found = closed_form(target)
+    members = [Fraction(u, v) for u, v in found]
+    bound = max(3, 2 * target.numerator)
+    a = data.draw(st.one_of(
+        st.fractions(min_value=0, max_value=Fraction(1, 2), max_denominator=bound)
+        .filter(lambda a: 0 < a < Fraction(1, 2)),
+        *([st.sampled_from(members)] if members else [])))
+    check_closed_form_at(target, a, found)
+
+
+def test_closed_form_lists_every_angle_of_small_targets():
+    # every a < 1/2 that can be a member, for each t/d <= 3 with d <= 6
+    for d in range(1, 7):
+        for t in range(3 * d + 1):
+            if math.gcd(t, d) == 1:
+                target = Fraction(t, d)
+                found = closed_form(target)
+                for v in range(3, 2 * t):
+                    for u in range(1, (v + 1) // 2):
+                        if math.gcd(u, v) == 1:
+                            check_closed_form_at(target, Fraction(u, v), found)
+
+
+def test_closed_form_sets_of_l3_and_l4():
+    assert _q_over_p(3, 2) == {(1, 4): [(0, 2, 0)]}
+    assert {Fraction(u, v) for u, v in _q_over_p(4, 1)} == LEMMA4_EXCEPTIONS
+
+
 def test_audit_l5_skips_only_unsolvable_denominators_below_5():
     # Lemma 5 holds from n = 5 on, so its reports there are empty.  Below 5
     # the corner equation has solutions with p <= q at many u/v, odd and
     # even v alike, so these reports are long and show every v the sweep
     # visits (n = 4 and 2 take every v, n = 3 every third).
     for n in (1, 2, 3, 4):
-        report = _audit_l5([n], 60)
+        report = sweep_audit_l5([n], 60)
         assert report.to_obj() == full_sweep_audit_l5([n], 60).to_obj()
         if n > 1:
             assert report.counterexamples
@@ -611,23 +815,50 @@ def every_angle_pair(max_den):
     return [(u, v) for v in range(2, max_den + 1) for u in range(1, v)]
 
 
-def test_audit_l5_visits_every_solvable_denominator(monkeypatch):
+def test_audit_l5_visits_every_solvable_denominator():
     # Over every u/v < 1, reduced or not, the corner equation has
     # solutions with p <= q from n = 5 on as well, so with the sweep fed
     # every pair the reports show which v it visits at each n
-    monkeypatch.setattr("tilegate.vertex._reduced_angles", every_angle_pair)
-    assert {case.a.denominator for case in _audit_l5([9], 40).counterexamples} == {9, 18, 27, 36}
+    pairs = every_angle_pair(40)
+    assert {case.a.denominator for case in sweep_audit_l5([9], 40, pairs).counterexamples} == {
+        9, 18, 27, 36}
     for n in range(5, 41):
-        report = _audit_l5([n], 40)
+        report = sweep_audit_l5([n], 40, pairs)
         assert report.counterexamples
-        assert report.to_obj() == full_sweep_audit_l5([n], 40, every_angle_pair(40)).to_obj()
+        assert report.to_obj() == full_sweep_audit_l5([n], 40, pairs).to_obj()
 
 
-def test_audit_l3_reports_every_pair_it_is_fed(monkeypatch):
+def test_closed_form_reports_every_pair_it_is_fed(monkeypatch):
+    # the L3 and L5 reports, fed in place of the closed form every u/v < 1,
+    # reduced or not, with its solutions p <= q, are the sweeps' reports
+    # over the same pairs: counterexamples and all
+    pairs = every_angle_pair(40)
+
+    def every_pair(t, d):
+        found = {}
+        for u, v in pairs:
+            sols = enumerate_solutions(Fraction(t, d), Fraction(u, v))
+            if any(s.p <= s.q for s in sols):
+                found[(u, v)] = [tuple(s) for s in sols if s.p <= s.q]
+        return found
+
+    monkeypatch.setattr("tilegate.vertex._q_over_p", every_pair)
+    report = audit_lemma("L3", max_den=24)
+    assert (Fraction(5, 8), None) in [(case.a, case.solution) for case in report.counterexamples]
+    assert report == sweep_audit_l3(24, every_angle_pair(24))
+    details = set()
+    for n in range(5, 41):
+        for max_den in {40, max(3, n // math.gcd(n, 4))}:
+            report = audit_lemma("L5", ns=[n], max_den=max_den)
+            assert report == sweep_audit_l5([n], max_den, pairs)
+            details |= {case.detail for case in report.counterexamples}
+    assert details == {"p <= q", "a is in neither corner family"}
+
+
+def test_audit_l3_reports_every_pair_it_is_fed():
     # Lemma 3 holds on the reduced a < 1/2, so its reports there are empty;
     # fed every u/v < 1, the sweep must report what a full enumeration
     # finds, the "not of the form 3/(2s)" cases included (a = 5/8: (0, 4, 0))
-    monkeypatch.setattr("tilegate.vertex._reduced_angles", every_angle_pair)
     expected = []
     for u, v in every_angle_pair(24):
         if 4 * u == v:
@@ -637,7 +868,7 @@ def test_audit_l3_reports_every_pair_it_is_fed(monkeypatch):
         expected += [(a, s) for s in sols if s.p <= s.q]
         if sols and (Fraction(3, 2) / a).denominator != 1:
             expected.append((a, None))
-    report = audit_lemma("L3", max_den=24)
+    report = sweep_audit_l3(24, every_angle_pair(24))
     got = [(case.a, case.solution) for case in report.counterexamples]
     assert (Fraction(5, 8), None) in got
     assert got == sorted(expected, key=lambda c: (c[0], c[1] or VertexSolution(0, 0, 0)))
