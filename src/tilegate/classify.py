@@ -9,8 +9,10 @@ tiling exists.
 
 The corner check, where most audits end, runs on ints: the audit writes
 the text of a and of the corner target 2 - 4/n from their lowest-terms
-ints and hands those to vertex.solutions_on_ints, so an audit that stops
-at corner_unsolvable builds no Fraction.
+ints, and vertex._corner_solutions reads the corner solutions off the
+closed form: a per-n table of those with p <= q, and two divisibility
+tests for those with p > q.  So an audit that stops at
+corner_unsolvable builds no Fraction.
 """
 from __future__ import annotations
 
@@ -22,12 +24,12 @@ from .errors import DomainError, echo
 from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 from .vertex import (
     LEMMA4_EXCEPTIONS,
+    _corner_solutions,
     _corner_target,
     allowed_angles,
     as_fraction,
     check_polygon_n,
     corner_families,
-    solutions_on_ints,
 )
 
 
@@ -202,7 +204,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             data={"corner_target": target_text},
         ),))
 
-    sols = solutions_on_ints(u, v, t, d)
+    sols = _corner_solutions(n, u, v)
     if not sols:
         return Verdict(n, a, Outcome.IMPOSSIBLE, (TraceStep(
             "corner_unsolvable",

@@ -99,7 +99,7 @@ def _case_line(case) -> str:
 
 
 def _cmd_lemmas(args) -> int:
-    ns = list(_parse_range(args.n_range)) if args.n_range else None
+    ns = _parse_range(args.n_range) if args.n_range else None
     report = audit_lemma(args.which, max_den=args.max_den, ns=ns)
     if args.json:
         _emit_json(report.to_obj())

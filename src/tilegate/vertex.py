@@ -57,7 +57,9 @@ with p > q has q < S - r, that is q + r < S:
       a in one of the two corner_families(n).
 
 So an a that has a solution but is not of the form 3/(2s), or is in
-neither corner family, has one with p <= q, and lies in the set.
+neither corner family, has one with p <= q, and lies in the set.  The
+impossibility audit reads every corner solution the same way: those with
+p <= q from the set, and the rest from the three (q, r) (_corner_solutions).
 
 L6 visits only the n where an exception can lie in a corner family.  The
 family numerators 2 - 4/n and 1 - 4/n reduce to t/d and t'/d with
@@ -79,6 +81,7 @@ import math
 from bisect import bisect_right
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, ResourceLimitError, echo
@@ -89,10 +92,9 @@ from .text import FRACTION_DIGITS_BOUND, FRACTION_DIGITS_LIMIT
 MAX_DEN_LIMIT = 2000
 L5_SIZE_LIMIT = 2 * 10 ** 7
 
-# Most (q, r) pairs enumerate_solutions and solutions_on_ints may try;
-# about 0.05 s at the limit on a 2-vCPU Xeon VM (target 257, a = 1/3).
-# classify and vertex call them with target below 2 and a <= 1/2, at
-# most 15 pairs.
+# Most (q, r) pairs enumerate_solutions may try; about 0.05 s at the
+# limit on a 2-vCPU Xeon VM (target 257, a = 1/3).  Nothing in the
+# package calls it: the audits read the closed-form sets.
 SOLUTIONS_LIMIT = 10 ** 5
 
 # Values of a for which S = 4 admits q > p (stored, not re-derived;
@@ -160,12 +162,6 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
     t, d = target.numerator, target.denominator
     if t < 0:
         raise DomainError(f"target must be non-negative, got {echo(target)}")
-    return solutions_on_ints(u, v, t, d)
-
-
-def solutions_on_ints(u: int, v: int, t: int, d: int) -> tuple[VertexSolution, ...]:
-    """enumerate_solutions at a = u/v and target = t/d, for ints with
-    0 < u < v, t >= 0 and d > 0, which it does not check."""
     scale = math.lcm(v, d)
     k = scale // v
     a_coef, b_coef = u * k, (v - u) * k
@@ -175,10 +171,7 @@ def solutions_on_ints(u: int, v: int, t: int, d: int) -> tuple[VertexSolution, .
         raise ResourceLimitError(
             f"enumeration would try {echo(pairs)} (q, r) pairs, over the "
             f"limit {SOLUTIONS_LIMIT}")
-    sols = _violators(a_coef, b_coef, scale, total)
-    if not sols:
-        return ()
-    return tuple(map(VertexSolution._make, sorted(sols)))
+    return tuple(map(VertexSolution._make, sorted(_violators(a_coef, b_coef, scale, total))))
 
 
 # -- point classes -------------------------------------------------------
@@ -360,9 +353,42 @@ def _q_over_p(t: int, d: int) -> dict[tuple[int, int], list[tuple[int, int, int]
     return found
 
 
-def _n_range(ns: Iterable[int]) -> list[int]:
+@lru_cache(maxsize=256)
+def _corner_table(n: int) -> tuple[int, int, dict[tuple[int, int], tuple[VertexSolution, ...]]]:
+    # 2 - 4/n as t/d, and its p <= q set (_q_over_p) with the solutions as
+    # VertexSolutions; built on the first audit of each n
+    t, d = _corner_target(n)
+    return t, d, {key: tuple(map(VertexSolution._make, sols))
+                  for key, sols in _q_over_p(t, d).items()}
+
+
+def _corner_solutions(n: int, u: int, v: int) -> tuple[VertexSolution, ...]:
+    # enumerate_solutions(2 - 4/n, u/v) for n >= 5 and u/v in (0, 1/2) in
+    # lowest terms: the p <= q solutions from the per-n table, and the
+    # p > q ones from the three (q, r) the module docstring's L5 paragraph
+    # leaves, p*a = t/d at (0, 0) and (p - 1)*a = (t - d)/d at (1, 0) or
+    # p*a = (t - d)/d at (0, 1)
+    t, d, table = _corner_table(n)
+    du = d * u
+    k, rest = divmod((t - d) * v, du)
+    strict = () if rest else (VertexSolution(k, 0, 1), VertexSolution(k + 1, 1, 0))
+    if not t * v % du:
+        strict += (VertexSolution(t * v // du, 0, 0),)
+    sols = table.get((u, v), ())
+    return tuple(sorted(sols + strict)) if strict else sols
+
+
+def _n_range(ns: Iterable[int]) -> list[int] | range:
     # sorted distinct n values of an audit range, each checked before
-    # sorting compares them
+    # sorting compares them.  A range of step 1, as the command line
+    # passes, is sorted and distinct already, and a member fails the check
+    # only if its first member does or its last one is too large
+    if isinstance(ns, range) and ns.step == 1:
+        if not ns:
+            raise DomainError("empty n range")
+        check_polygon_n(ns[0])
+        check_polygon_n(ns[-1])
+        return ns
     ns = list(ns)
     for n in ns:
         check_polygon_n(n)

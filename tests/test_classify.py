@@ -202,10 +202,17 @@ def test_audit_domain_errors(n, a, message):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.integers(5, 10 ** 4), st.integers(3, 10 ** 3), st.data())
-def test_audit_corner_check_on_ints_equals_the_fraction_enumeration(n, v, data):
-    a = Fraction(data.draw(st.integers(1, (v - 1) // 2)), v)
+@given(st.integers(5, 10 ** 6), st.data())
+def test_audit_corner_check_on_ints_equals_the_fraction_enumeration(n, data):
+    # a random u/v, or a member (2-4/n)/s or (1-4/n)/s of a corner family,
+    # where the corner solutions with p > q lie
     target = Fraction(2 * n - 4, n)
+    a = data.draw(st.one_of(
+        st.builds(lambda v, u: Fraction(u % ((v - 1) // 2) + 1, v),
+                  st.integers(3, 10 ** 3), st.integers(0, 10 ** 3)),
+        st.builds(lambda s: target / s, st.integers(1, 10 ** 9)),
+        st.builds(lambda s: (target - 1) / s, st.integers(1, 10 ** 9)),
+    ).filter(lambda a: 2 * a < 1))
     sols = enumerate_solutions(target, a)
     verdict = impossibility_audit(n, a)
     first = verdict.trace[0]
@@ -217,7 +224,8 @@ def test_audit_corner_check_on_ints_equals_the_fraction_enumeration(n, v, data):
         assert first.claim == (f"no (p, q, r) solves p*a + q*(1-a) + r = "
                                f"{target} at a = {a}")
     else:
-        assert first.kind in ("corner_violation", "corner_strict")
+        strict = all(s.p > s.q for s in sols)
+        assert first.kind == ("corner_strict" if strict else "corner_violation")
         assert first.data["solutions"] == [list(s) for s in sols]
 
 

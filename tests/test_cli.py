@@ -12,9 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from tilegate import vertex
 from tilegate.cli import main
 from tilegate.exact import CycloReal
 from tilegate.tiling import Tiling, gen_trivial, load_tiling, save_tiling, verify
+from tilegate.vertex import check_polygon_n
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -268,7 +270,7 @@ def test_lemmas_l6_golden_report(capsys):
 
 def test_lemmas_l6_widest_range_is_bounded(capsys):
     # only n <= 28 can report, so the widest range the CLI takes finds
-    # what 5..200 finds; building the range is most of the time
+    # what 5..200 finds
     start = time.perf_counter()
     assert main(["lemmas", "--which", "6", "--n-range", "5..999999", "--json"]) == 1
     assert time.perf_counter() - start < 2.0
@@ -277,6 +279,30 @@ def test_lemmas_l6_widest_range_is_bounded(capsys):
     narrow = json.loads(capsys.readouterr().out)
     assert wide["range"]["n"] == [5, 999999]
     assert {**wide, "range": narrow["range"]} == narrow
+
+
+def test_lemmas_wide_range_checks_only_its_ends(monkeypatch, capsys):
+    # the command line passes the range it parsed, and the audits check a
+    # range of step 1 at its two ends, not at each n: the L5 size refusal
+    # and an L6 range above n = 28, which visits no n, make two checks
+    checked = []
+
+    def counting_check(n):
+        checked.append(n)
+        check_polygon_n(n)
+
+    monkeypatch.setattr(vertex, "check_polygon_n", counting_check)
+    assert main(["lemmas", "--which", "5", "--max-den", "2000", "--n-range", "5..999999"]) == 2
+    assert "exceeds the limit" in capsys.readouterr().err
+    assert checked == [5, 999999]
+    checked.clear()
+    assert main(["lemmas", "--which", "6", "--n-range", "29..999999", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["range"]["n"] == [29, 999999]
+    assert checked == [29, 999999]
+    checked.clear()
+    assert main(["lemmas", "--which", "6", "--n-range", "3..999999"]) == 2
+    assert capsys.readouterr().err == "tilegate: n must be at least 5, got 3\n"
+    assert checked == [3]
 
 
 def test_lemmas_missing_parameters(run_cli):
@@ -362,6 +388,9 @@ with contextlib.redirect_stdout(io.StringIO()):
                  ["lemmas", "--which", "6", "--n-range", "5..27"]):
         assert tilegate.cli.main(argv) == 0, argv
 assert not unwanted(), unwanted()
+# the tiling side loads on first use, so these keep the start-up short
+tiling_side = {"tilegate.exact", "tilegate.geometry", "tilegate.tiling"} & set(sys.modules)
+assert not tiling_side, tiling_side
 for name in tilegate.__all__:
     getattr(tilegate, name)
 assert not unwanted(), unwanted()

@@ -36,7 +36,7 @@ from tilegate.vertex import (
     enumerate_solutions,
     point_target,
 )
-from tilegate.vertex import _q_over_p, _violators
+from tilegate.vertex import _corner_solutions, _corner_table, _q_over_p, _violators
 
 
 def oracle_solutions(target: Fraction, a: Fraction) -> set[tuple[int, int, int]]:
@@ -737,7 +737,8 @@ def test_audit_l6_equals_the_sweep(planted, monkeypatch):
     # the bound on n holds for the listed exceptions and for others
     if planted is not None:
         monkeypatch.setattr("tilegate.vertex.LEMMA4_EXCEPTIONS", LEMMA4_EXCEPTIONS | planted)
-    for ns in (range(5, 5000), [8], [28, 10 ** 30], range(29, 200)):
+    for ns in (range(5, 5000), [8], [28, 10 ** 30], range(29, 200), range(200, 4, -3),
+               range(5, 200, 7)):
         assert audit_lemma("L6", ns=ns) == sweep_audit_l6(ns)
     if planted is None:
         visited = {case.n for case in audit_lemma("L6", ns=range(5, 5000)).witnesses}
@@ -797,6 +798,19 @@ def test_closed_form_lists_every_angle_of_small_targets():
 def test_closed_form_sets_of_l3_and_l4():
     assert _q_over_p(3, 2) == {(1, 4): [(0, 2, 0)]}
     assert {Fraction(u, v) for u, v in _q_over_p(4, 1)} == LEMMA4_EXCEPTIONS
+
+
+def test_corner_solutions_equal_the_enumeration():
+    # the per-n table and the three p > q forms give every corner solution
+    _corner_table.cache_clear()
+    for n in range(5, 61):
+        target = 2 - Fraction(4, n)
+        for v in range(3, 121):
+            for u in range(1, (v + 1) // 2):
+                if math.gcd(u, v) == 1:
+                    assert _corner_solutions(n, u, v) == enumerate_solutions(
+                        target, Fraction(u, v)), (n, u, v)
+    assert _corner_table.cache_info().currsize == 56
 
 
 def test_audit_l5_skips_only_unsolvable_denominators_below_5():
