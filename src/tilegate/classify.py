@@ -10,8 +10,8 @@ tiling exists.
 The corner check, where most audits end, runs on ints: the audit writes
 the text of a and of the corner target 2 - 4/n from their lowest-terms
 ints, and vertex._corner_solutions reads the corner solutions off the
-closed form: a per-n table of those with p <= q, and two divisibility
-tests for those with p > q.  So an audit that stops at
+closed form: the per-target table of those with p <= q, and two
+divisibility tests for those with p > q.  So an audit that stops at
 corner_unsolvable builds no Fraction.
 """
 from __future__ import annotations
@@ -204,7 +204,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             data={"corner_target": target_text},
         ),))
 
-    sols = _corner_solutions(n, u, v)
+    sols = _corner_solutions(t, d, u, v)
     if not sols:
         return Verdict(n, a, Outcome.IMPOSSIBLE, (TraceStep(
             "corner_unsolvable",
@@ -213,11 +213,11 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             data={"corner_target": target_text},
         ),))
 
-    violating = next((s for s in sols if s.p <= s.q), None)
+    violating = next((s for s in sols if s[0] <= s[1]), None)
     if violating is not None:
         return Verdict(n, a, Outcome.NOT_EXCLUDED, (TraceStep(
             "corner_violation",
-            f"corner solution {tuple(violating)} has p <= q; the counting "
+            f"corner solution {violating} has p <= q; the counting "
             f"argument does not apply",
             point_class="PolygonVertex",
             data={"solutions": [list(s) for s in sols]},
@@ -244,27 +244,16 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     # exceptional a: the interior counts can fail, fall back to the
     # family analysis of the exceptional values
     allowed = allowed_angles(n)
+    data = {"allowed": [str(v) for v in allowed]}
     if (1 - a) in allowed:
-        return Verdict(n, a, Outcome.IMPOSSIBLE, (strict, TraceStep(
-            "exceptional_complement",
-            f"a = {a_text} is exceptional and lies in a corner family; the "
-            f"family analysis places only its complement 1-a = {1 - a} in "
-            f"the allowed set, so the smaller angle a itself stays excluded",
-            lemma="L6",
-            data={
-                "allowed": [str(v) for v in allowed],
-                "complement": str(1 - a),
-                "families": families,
-            },
-        )))
-
-    return Verdict(n, a, Outcome.NOT_EXCLUDED, (strict, TraceStep(
-        "exceptional_escape",
-        f"a = {a_text} is exceptional and neither a nor 1-a = {1 - a} is in the "
-        f"allowed set; the family analysis yields no contradiction",
-        lemma="L6",
-        data={
-            "allowed": [str(v) for v in allowed],
-            "families": families,
-        },
-    )))
+        kind, outcome = "exceptional_complement", Outcome.IMPOSSIBLE
+        claim = (f"a = {a_text} is exceptional and lies in a corner family; the "
+                 f"family analysis places only its complement 1-a = {1 - a} in "
+                 f"the allowed set, so the smaller angle a itself stays excluded")
+        data["complement"] = str(1 - a)
+    else:
+        kind, outcome = "exceptional_escape", Outcome.NOT_EXCLUDED
+        claim = (f"a = {a_text} is exceptional and neither a nor 1-a = {1 - a} is in the "
+                 f"allowed set; the family analysis yields no contradiction")
+    data["families"] = families
+    return Verdict(n, a, outcome, (strict, TraceStep(kind, claim, lemma="L6", data=data)))

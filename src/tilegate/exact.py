@@ -352,13 +352,10 @@ class _Field:
         return _unpack(v, width, bias, n)
 
     def _reduce_list(self, v: list[int], spent: int = 0) -> tuple[int, ...]:
-        # fold, then long division from the highest nonzero degree down, on
-        # Python ints when its multiply-adds fit what the bound leaves
-        n, half = self.degree, self.half
-        if len(v) > half:
-            for i in compress(range(half, len(v)), v[half:]):
-                v[i - half] -= v[i]
-            del v[half:]
+        # v is M/2 slots, already folded by zeta^(M/2) = -1: long division
+        # from the highest nonzero degree down, on Python ints when its
+        # multiply-adds fit what the bound leaves
+        n = self.degree
         tops = list(compress(range(n, len(v)), v[n:]))
         if not tops:
             return tuple(v[:n])

@@ -44,7 +44,9 @@ with a solution p < q form a finite set, and _q_over_p lists it with its
 solutions by looping over r, the q window and those p.  When S is not an
 integer the same set holds every solution p <= q, because p = q forces
 q = S - r.  (At an integer S, p = q = S - r solves the equation for
-every a, so there the p <= q set is not finite.)
+every a, so there the p <= q set is not finite.)  _q_over_p keeps each
+set in one bounded cache, a table per target that the L3, L4 and L5
+audits and the impossibility audit all read.
 
 The audits test the rest of each statement on that set alone.  A solution
 with p > q has q < S - r, that is q + r < S:
@@ -68,12 +70,6 @@ lowest terms t/(d*s) has the denominator d*s/gcd(t, s), a multiple of d,
 so an exception u/v in a family at n needs n/gcd(n, 4) to divide v, and
 n <= 4*v.  For the five exceptions that leaves n in {5, 6, 7, 8, 10, 12,
 14, 16, 20, 28}.
-
-enumerate_solutions clears denominators: a'*p + b'*q + c*r = T with
-a' + b' = c.  For the rest m = T - c*r the identity reads
-c*q - m = a'*(q - p), so p < q exactly when c*q > m, p <= q exactly
-when c*q >= m, and p >= 0 exactly when b'*q <= m.  _violators visits
-only the q between those bounds, which holds for any 0 < a < 1.
 """
 from __future__ import annotations
 
@@ -135,23 +131,6 @@ class VertexSolution(NamedTuple):
     r: int
 
 
-def _violators(a_coef: int, b_coef: int, c_coef: int, total: int,
-               strict: bool | None = None) -> list[tuple[int, int, int]]:
-    # the (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total, for
-    # a_coef + b_coef == c_coef: every one (strict None), or those with
-    # p < q (strict) or p <= q, whose q window comes from the identity in
-    # the module docstring
-    out = []
-    for r in range(total // c_coef + 1):
-        rem = total - c_coef * r
-        lo = 0 if strict is None else rem // c_coef + 1 if strict else -(-rem // c_coef)
-        for q in range(lo, rem // b_coef + 1):
-            rest = rem - b_coef * q
-            if rest % a_coef == 0:
-                out.append((rest // a_coef, q, r))
-    return out
-
-
 def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, ...]:
     """All (p, q, r) with p*a + q*(1-a) + r = target, lexicographic."""
     a = as_fraction(a, "a")
@@ -171,7 +150,14 @@ def enumerate_solutions(target: Fraction, a: Fraction) -> tuple[VertexSolution, 
         raise ResourceLimitError(
             f"enumeration would try {echo(pairs)} (q, r) pairs, over the "
             f"limit {SOLUTIONS_LIMIT}")
-    return tuple(map(VertexSolution._make, sorted(_violators(a_coef, b_coef, scale, total))))
+    out = []
+    for r in range(total // scale + 1):
+        rem = total - scale * r
+        for q in range(rem // b_coef + 1):
+            rest = rem - b_coef * q
+            if rest % a_coef == 0:
+                out.append(VertexSolution(rest // a_coef, q, r))
+    return tuple(sorted(out))
 
 
 # -- point classes -------------------------------------------------------
@@ -242,6 +228,12 @@ def point_target(pc: PointClass, n: int) -> Fraction:
 # -- corner families -----------------------------------------------------
 
 
+def _family_index(t: int, d: int, u: int, v: int) -> int | None:
+    # the integer s >= 1 with (t/d)/s == u/v, for d, u, v > 0, or None
+    s, rest = divmod(t * v, d * u)
+    return s if rest == 0 and s >= 1 else None
+
+
 class AngleFamily(NamedTuple):
     """Angles of the form numerator/s for positive integers s."""
 
@@ -252,9 +244,8 @@ class AngleFamily(NamedTuple):
         """The s with numerator/s == a, or None if a is not a member."""
         if a <= 0:
             return None
-        s, rest = divmod(self.numerator.numerator * a.denominator,
-                         self.numerator.denominator * a.numerator)
-        return s if rest == 0 and s >= 1 else None
+        return _family_index(self.numerator.numerator, self.numerator.denominator,
+                             a.numerator, a.denominator)
 
     def instance_label(self, s: int) -> str:
         return f"{self.label}/{s}"
@@ -320,8 +311,9 @@ class AuditReport(NamedTuple):
 
 def _check_max_den(max_den: int) -> None:
     # The audits read the closed-form sets, so max_den no longer bounds
-    # their cost: on a 2-vCPU Xeon VM L3 and L4 take about 0.01 and
-    # 0.03 ms and L5 about 2.5 us per n, at any max_den.  MAX_DEN_LIMIT
+    # their cost: on a 2-vCPU Xeon VM, at any max_den, L3 and L4 take
+    # about 0.005 and 0.02 ms and L5 about 2.6 us per n with the tables
+    # built, 0.6 us per n once they are cached.  MAX_DEN_LIMIT
     # and L5_SIZE_LIMIT stay as the interface: the same arguments are
     # accepted and the same ones exit 2 as when the audits swept every
     # u/v up to max_den.
@@ -333,13 +325,15 @@ def _check_max_den(max_den: int) -> None:
         raise ResourceLimitError(f"max_den exceeds the limit {MAX_DEN_LIMIT}")
 
 
+@lru_cache(maxsize=256)
 def _q_over_p(t: int, d: int) -> dict[tuple[int, int], list[tuple[int, int, int]]]:
     # every a = u/v in (0, 1/2), in lowest terms, with a solution p < q of
     # p*a + q*(1-a) + r = t/d, for t/d >= 0 in lowest terms, mapped to all
     # such (p, q, r) in order.  For d > 1 these are also all the solutions
     # with p <= q; see the module docstring.  m = d*(S - r), and
     # a = (d*q - m)/(d*(q - p)), where d*q - m = d*(q + r) - t is prime
-    # to d, as t is
+    # to d, as t is.  Built on the first read of each target; callers
+    # share the cached dict and lists and must not change them
     found: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for r in range(t // d + 1):
         m = t - d * r
@@ -353,29 +347,19 @@ def _q_over_p(t: int, d: int) -> dict[tuple[int, int], list[tuple[int, int, int]
     return found
 
 
-@lru_cache(maxsize=256)
-def _corner_table(n: int) -> tuple[int, int, dict[tuple[int, int], tuple[VertexSolution, ...]]]:
-    # 2 - 4/n as t/d, and its p <= q set (_q_over_p) with the solutions as
-    # VertexSolutions; built on the first audit of each n
-    t, d = _corner_target(n)
-    return t, d, {key: tuple(map(VertexSolution._make, sols))
-                  for key, sols in _q_over_p(t, d).items()}
-
-
-def _corner_solutions(n: int, u: int, v: int) -> tuple[VertexSolution, ...]:
-    # enumerate_solutions(2 - 4/n, u/v) for n >= 5 and u/v in (0, 1/2) in
-    # lowest terms: the p <= q solutions from the per-n table, and the
-    # p > q ones from the three (q, r) the module docstring's L5 paragraph
-    # leaves, p*a = t/d at (0, 0) and (p - 1)*a = (t - d)/d at (1, 0) or
-    # p*a = (t - d)/d at (0, 1)
-    t, d, table = _corner_table(n)
+def _corner_solutions(t: int, d: int, u: int, v: int) -> tuple[tuple[int, int, int], ...]:
+    # enumerate_solutions(t/d, u/v) for t/d = 2 - 4/n in lowest terms with
+    # n >= 5 and u/v in (0, 1/2) in lowest terms: the p <= q solutions
+    # from the target's table, and the p > q ones from the three (q, r)
+    # the module docstring's L5 paragraph leaves, p*a = t/d at (0, 0) and
+    # (p - 1)*a = (t - d)/d at (1, 0) or p*a = (t - d)/d at (0, 1)
     du = d * u
     k, rest = divmod((t - d) * v, du)
-    strict = () if rest else (VertexSolution(k, 0, 1), VertexSolution(k + 1, 1, 0))
+    strict = [] if rest else [(k, 0, 1), (k + 1, 1, 0)]
     if not t * v % du:
-        strict += (VertexSolution(t * v // du, 0, 0),)
-    sols = table.get((u, v), ())
-    return tuple(sorted(sols + strict)) if strict else sols
+        strict.append((t * v // du, 0, 0))
+    sols = _q_over_p(t, d).get((u, v), ())
+    return tuple(sorted([*sols, *strict])) if strict else tuple(sols)
 
 
 def _n_range(ns: Iterable[int]) -> list[int] | range:
@@ -399,24 +383,23 @@ def _n_range(ns: Iterable[int]) -> list[int] | range:
 
 def _audit_l3(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
-    for (u, v), sols in _q_over_p(3, 2).items():
+    table = _q_over_p(3, 2)
+    for (u, v), sols in table.items():
         if v > max_den or 4 * u == v:
             continue
         # every p <= q is a counterexample, and so is an a not of the form
         # 3/(2s), which has a solution only if it has one with p <= q
         a = Fraction(u, v)
         bad += (AuditCase(a, None, VertexSolution._make(sol), "p <= q") for sol in sols)
-        if (3 * v) % (2 * u):
+        if _family_index(3, 2, u, v) is None:
             bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
-    witnesses = [
-        AuditCase(Fraction(1, 4), None, VertexSolution._make(sol), "q > p at excluded a = 1/4")
-        for sol in _violators(2, 6, 8, 12, strict=True)
-    ]
+    # the table lists 1/4's solutions p < q in order
     return AuditReport(
         "L3",
         {"max_den": max_den, "a": "(0,1/2) minus {1/4}", "target": "3/2"},
         tuple(sorted(bad, key=AuditCase.sort_key)),
-        tuple(sorted(witnesses, key=AuditCase.sort_key)),
+        tuple(AuditCase(Fraction(1, 4), None, VertexSolution._make(sol),
+                        "q > p at excluded a = 1/4") for sol in table[(1, 4)]),
     )
 
 
@@ -424,18 +407,18 @@ def _audit_l4(max_den: int) -> AuditReport:
     bad: list[AuditCase] = []
     exceptions = sorted(LEMMA4_EXCEPTIONS)
     skipped = {(e.numerator, e.denominator) for e in exceptions}
-    for (u, v), sols in _q_over_p(4, 1).items():
+    table = _q_over_p(4, 1)
+    for (u, v), sols in table.items():
         if v > max_den or (u, v) in skipped:
             continue
         a = Fraction(u, v)
         bad += (AuditCase(a, None, VertexSolution._make(sol), "q > p") for sol in sols)
     witnesses: list[AuditCase] = []
     for e in exceptions:
-        u, v = e.numerator, e.denominator
-        violating = _violators(u, v - u, v, 4 * v, strict=True)
+        violating = table.get((e.numerator, e.denominator))
         if violating:
             witnesses.append(AuditCase(
-                e, None, VertexSolution._make(min(violating)), f"q > p at exceptional a = {e}"))
+                e, None, VertexSolution._make(violating[0]), f"q > p at exceptional a = {e}"))
         else:
             bad.append(AuditCase(e, None, None, "listed exception admits no q > p"))
     return AuditReport(
@@ -463,7 +446,7 @@ def _audit_l5(ns: list[int], max_den: int) -> AuditReport:
             # one with p <= q
             a = Fraction(u, v)
             bad += (AuditCase(a, n, VertexSolution._make(sol), "p <= q") for sol in sols)
-            if (2 * n - 4) * v % (n * u) and (n - 4) * v % (n * u):
+            if _family_index(t, d, u, v) is None and _family_index(t - d, d, u, v) is None:
                 bad.append(AuditCase(a, n, None, "a is in neither corner family"))
     return AuditReport(
         "L5",

@@ -36,7 +36,7 @@ from tilegate.vertex import (
     enumerate_solutions,
     point_target,
 )
-from tilegate.vertex import _corner_solutions, _corner_table, _q_over_p, _violators
+from tilegate.vertex import _corner_solutions, _corner_target, _q_over_p
 
 
 def oracle_solutions(target: Fraction, a: Fraction) -> set[tuple[int, int, int]]:
@@ -485,6 +485,24 @@ def scaled(target, a):
     return int(a * d), int((1 - a) * d), d, int(target * d)
 
 
+def violators(a_coef, b_coef, c_coef, total, strict=None):
+    # the (p, q, r) >= 0 with a_coef*p + b_coef*q + c_coef*r == total, for
+    # a_coef + b_coef == c_coef: every one (strict None), or those with
+    # p < q (strict) or p <= q.  For the rest m = total - c_coef*r the
+    # equation reads c_coef*q - m = a_coef*(q - p), so p < q exactly when
+    # c_coef*q > m, p <= q exactly when c_coef*q >= m, and p >= 0 exactly
+    # when b_coef*q <= m: only the q between those bounds are visited
+    out = []
+    for r in range(total // c_coef + 1):
+        rem = total - c_coef * r
+        lo = 0 if strict is None else rem // c_coef + 1 if strict else -(-rem // c_coef)
+        for q in range(lo, rem // b_coef + 1):
+            rest = rem - b_coef * q
+            if rest % a_coef == 0:
+                out.append((rest // a_coef, q, r))
+    return out
+
+
 @settings(max_examples=400, deadline=None)
 @given(
     a=angles(40),
@@ -500,9 +518,9 @@ def test_violator_windows_are_the_enumeration_and_its_filters(a, target):
     # whole enumeration
     sols = enumerate_solutions(target, a) if target >= 0 else ()
     coefs = scaled(target, a)
-    assert tuple(map(VertexSolution._make, sorted(_violators(*coefs)))) == sols
-    assert sorted(_violators(*coefs, strict=True)) == [tuple(s) for s in sols if s.p < s.q]
-    assert sorted(_violators(*coefs, strict=False)) == [tuple(s) for s in sols if s.p <= s.q]
+    assert tuple(map(VertexSolution._make, sorted(violators(*coefs)))) == sols
+    assert sorted(violators(*coefs, strict=True)) == [tuple(s) for s in sols if s.p < s.q]
+    assert sorted(violators(*coefs, strict=False)) == [tuple(s) for s in sols if s.p <= s.q]
 
 
 def test_one_corner_target():
@@ -524,7 +542,7 @@ def test_violator_windows_of_the_lemmas():
         seen = set()
         for v in range(3, 61):
             for u in range(1, (v + 1) // 2):
-                seen |= {(q, r) for _, q, r in _violators(*scaled(target, Fraction(u, v)), strict)}
+                seen |= {(q, r) for _, q, r in violators(*scaled(target, Fraction(u, v)), strict)}
         return seen
     assert pairs(Fraction(4), True) == {(5, 0), (6, 0), (7, 0), (4, 1), (5, 1), (3, 2)}
     assert pairs(Fraction(3, 2), False) == {(2, 0)}
@@ -617,15 +635,15 @@ def sweep_audit_l3(max_den, pairs=None):
         # 3/2 = p u/v + q (v-u)/v + r, scaled by 2v
         coefs = (2 * u, 2 * (v - u), 2 * v, 3 * v)
         of_form = (3 * v) % (2 * u) == 0
-        if of_form or _violators(*coefs):
+        if of_form or violators(*coefs):
             a = Fraction(u, v)
-            for sol in _violators(*coefs, strict=False):
+            for sol in violators(*coefs, strict=False):
                 bad.append(AuditCase(a, None, VertexSolution._make(sol), "p <= q"))
             if not of_form:
                 bad.append(AuditCase(a, None, None, "a is not of the form 3/(2s)"))
     witnesses = [AuditCase(Fraction(1, 4), None, VertexSolution._make(sol),
                            "q > p at excluded a = 1/4")
-                 for sol in _violators(2, 6, 8, 12, strict=True)]
+                 for sol in violators(2, 6, 8, 12, strict=True)]
     return AuditReport(
         "L3",
         {"max_den": max_den, "a": "(0,1/2) minus {1/4}", "target": "3/2"},
@@ -643,12 +661,12 @@ def sweep_audit_l4(max_den):
         if (u, v) in skipped:
             continue
         # 4 = p u/v + q (v-u)/v + r, scaled by v
-        for sol in _violators(u, v - u, v, 4 * v, strict=True):
+        for sol in violators(u, v - u, v, 4 * v, strict=True):
             bad.append(AuditCase(Fraction(u, v), None, VertexSolution._make(sol), "q > p"))
     witnesses = []
     for e in exceptions:
         u, v = e.numerator, e.denominator
-        violating = _violators(u, v - u, v, 4 * v, strict=True)
+        violating = violators(u, v - u, v, 4 * v, strict=True)
         if violating:
             witnesses.append(AuditCase(
                 e, None, VertexSolution._make(min(violating)), f"q > p at exceptional a = {e}"))
@@ -682,9 +700,9 @@ def sweep_audit_l5(ns, max_den, pairs=None):
                 a_coef = n * u
                 b_coef = c_coef - a_coef
                 in_family = total % a_coef == 0 or (n - 4) * v % a_coef == 0
-                if in_family or _violators(a_coef, b_coef, c_coef, total):
+                if in_family or violators(a_coef, b_coef, c_coef, total):
                     a = Fraction(u, v)
-                    for sol in _violators(a_coef, b_coef, c_coef, total, strict=False):
+                    for sol in violators(a_coef, b_coef, c_coef, total, strict=False):
                         bad.append(AuditCase(a, n, VertexSolution._make(sol), "p <= q"))
                     if not in_family:
                         bad.append(AuditCase(a, n, None, "a is in neither corner family"))
@@ -801,16 +819,40 @@ def test_closed_form_sets_of_l3_and_l4():
 
 
 def test_corner_solutions_equal_the_enumeration():
-    # the per-n table and the three p > q forms give every corner solution
-    _corner_table.cache_clear()
+    # the per-target table and the three p > q forms give every corner solution
+    _q_over_p.cache_clear()
     for n in range(5, 61):
         target = 2 - Fraction(4, n)
+        t, d = _corner_target(n)
         for v in range(3, 121):
             for u in range(1, (v + 1) // 2):
                 if math.gcd(u, v) == 1:
-                    assert _corner_solutions(n, u, v) == enumerate_solutions(
+                    assert _corner_solutions(t, d, u, v) == enumerate_solutions(
                         target, Fraction(u, v)), (n, u, v)
-    assert _corner_table.cache_info().currsize == 56
+    assert _q_over_p.cache_info().currsize == 56
+
+
+def test_one_table_serves_every_classification_path():
+    # L5 builds one table per n; the impossibility audit at the same n and
+    # a repeated L3 or L4 audit read the cached tables, each audit once,
+    # and build none
+    _q_over_p.cache_clear()
+    audit_lemma("L5", ns=range(5, 41), max_den=40)
+    assert _q_over_p.cache_info().misses == 36
+    audits = 0
+    for n in range(5, 41):
+        for v in range(3, 41):
+            for u in range(1, (v + 1) // 2):
+                if math.gcd(u, v) == 1:
+                    impossibility_audit(n, Fraction(u, v))
+                    audits += 1
+    assert _q_over_p.cache_info()[:2] == (audits, 36)
+    audit_lemma("L3", max_den=40)
+    audit_lemma("L4", max_den=40)
+    hits, misses = _q_over_p.cache_info()[:2]
+    audit_lemma("L3", max_den=2000)
+    audit_lemma("L4", max_den=2000)
+    assert _q_over_p.cache_info()[:2] == (hits + 2, misses)
 
 
 def test_audit_l5_skips_only_unsolvable_denominators_below_5():
