@@ -9,7 +9,8 @@ denominator, reduced modulo the M-th cyclotomic polynomial; that
 canonical form is unique, so equality and zero tests are exact symbol
 comparisons and never rely on numerics.
 
-Every CycloReal is real: reality is checked once, in the constructor,
+Every CycloReal is real: reality is checked once, in the constructor
+(:meth:`_Field.is_real`, at the cost of the nonzeros for most vectors),
 and every other instance comes from an operation that keeps values real
 (ring operations, rational scaling, embedding, cos_pi and sin_pi).
 
@@ -23,14 +24,18 @@ box rounds the same integers with no Fraction at all.  Likewise an
 element read from text is built from the integer parts of its
 coefficients.
 
-Products and reductions run on Python ints alone.  While their
+Products and reductions run on Python ints alone.  The factors of a
+product are pair lists, the (degree, coefficient) pairs of their nonzero
+coefficients (:meth:`CycloReal.pairs`, computed once per element), so a
+product costs the nonzeros of its factors and not phi.  While their
 multiply-adds stay under a bound that grows with the field degree, as
-they do for the sparse coordinates of fans and refined tilings, they
-take only the nonzero coefficients; past it, each vector is packed into
+they do for the sparse coordinates of fans and refined tilings, the
+pairs are multiplied as they are; past it, each factor is packed into
 one integer (Kronecker substitution), so a product is one big-int
 multiplication, and Phi_M divides it by Barrett's method with the
-inverse cyclotomic series (see :class:`_Field`).  No module of the
-package imports anything outside the standard library.
+inverse cyclotomic series (see :class:`_Field`).  Results are dense
+coefficient tuples, normalized before they become a CycloReal.  No
+module of the package imports anything outside the standard library.
 """
 from __future__ import annotations
 
@@ -44,6 +49,11 @@ from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, FormatError, ModulusError, NonRealError, ResourceLimitError, echo
 from .text import fraction_parts
+
+# A pair list: the (degree, coefficient) pairs of a vector's nonzero
+# coefficients, each degree once, in any order; a zero coefficient may
+# stand in it, at the cost of a pair
+Pairs = Sequence[tuple[int, int]]
 
 # Largest permitted field degree phi(M).  Work above this is refused
 # rather than attempted.
@@ -66,9 +76,9 @@ PHI_LIMIT = 4096
 # small phi; its per-coefficient passes, the growth with phi.
 _SPARSE_WORK = 96
 
-# A factor of det's packed path with fewer than phi / _FEW nonzeros is
-# taken as its nonzeros: packed by shifts, or multiplying the other
-# factor term by term, not through an array.
+# A factor of det's packed path with fewer than phi / _FEW pairs stays a
+# pair list: packed by shifts, or multiplying the other factor term by
+# term, not through an array.
 _FEW = 8
 
 # Most coefficients the field cache holds, M/2 a field (_Field.half):
@@ -201,11 +211,13 @@ class _Powers(dict):
 
 class _Field:
     """Arithmetic in Q(zeta_M) = Q[x] / Phi_M, 4 | M, on integer
-    coefficient tuples of length phi = phi(M) in the basis 1, x, ...,
-    x^(phi-1).
+    coefficients in the basis 1, x, ..., x^(phi-1), phi = phi(M): the
+    factors of a product are pair lists (see ``Pairs``), its result a
+    tuple of all phi coefficients.
 
     Every product is one routine, :meth:`det`, a*b - c*d (:meth:`mul` is
-    a*b - 0*0), and every reduction ends the same way: zeta^(M/2) = -1
+    a*b - 0*0), whose cost follows the nonzeros of its factors, and
+    every reduction ends the same way: zeta^(M/2) = -1
     folds each degree d >= M/2 onto d - M/2, negated, and division by the
     monic Phi_M, of degree phi <= M/2, removes the k = M/2 - phi degrees
     left above phi.  Two paths do that work, chosen per call.
@@ -231,8 +243,9 @@ class _Field:
     V splits at any slot and determines v.  Products of vectors are
     products of their packed integers, so a*b - c*d is A*B - C*D, and its
     fold is V mod 2**(s*M/2) + 1: the low M/2 slots minus the rest.  A
-    factor with few nonzeros multiplies the other term by term, which at
-    large phi costs far less than a full product.
+    factor with few nonzeros, under phi / _FEW, multiplies the other term
+    by term, which at large phi costs far less than a full product; only
+    the other factors are laid out densely, phi slots each.
 
     Then Barrett division.  Write v = v_lo + x^phi * v_hi, with v_hi of
     k coefficients, and v = q * Phi_M + r.  Phi_M is palindromic, so
@@ -382,40 +395,36 @@ class _Field:
                 v[e - half] -= c
         return self._reduce_list(v)
 
-    def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-        zero = (0,) * self.degree
-        return self.det(a, b, zero, zero)
+    def mul(self, a: Pairs, b: Pairs) -> tuple[int, ...]:
+        return self.det(a, b, (), ())
 
-    def det(self, a: Sequence[int], b: Sequence[int],
-            c: Sequence[int], d: Sequence[int]) -> tuple[int, ...]:
-        """a*b - c*d, unnormalized, with no CycloReal built on the way:
-        on the nonzero coefficients, each term folded onto M/2 slots as it
-        is multiplied, when that takes at most _SPARSE_WORK + phi
-        multiply-adds, packed otherwise (see the class docstring)."""
+    def det(self, a: Pairs, b: Pairs, c: Pairs, d: Pairs) -> tuple[int, ...]:
+        """a*b - c*d, unnormalized, from the pair lists of the four
+        factors, with no CycloReal built on the way: on the pairs, each
+        term folded onto M/2 slots as it is multiplied, when that takes at
+        most _SPARSE_WORK + phi multiply-adds, packed otherwise (see the
+        class docstring).  Either way it costs the pairs it is given and
+        the phi coefficients of the result, not phi per factor."""
         n = self.degree
-        na, nb, nc, nd = n - a.count(0), n - b.count(0), n - c.count(0), n - d.count(0)
+        na, nb, nc, nd = len(a), len(b), len(c), len(d)
         work = na * nb + nc * nd
         if work <= _SPARSE_WORK + n:
             half = self.half
             v = [0] * half
-            for x, y, s, k in ((a, b, 1, na * nb), (c, d, -1, nc * nd)):
-                if not k:
-                    continue
-                ys = [(j, s * q) for j, q in enumerate(y) if q]
-                for i, p in enumerate(x):
-                    if p:
-                        for j, q in ys:
-                            if i + j < half:
-                                v[i + j] += p * q
-                            else:
-                                v[i + j - half] -= p * q
+            for x, y, s in ((a, b, 1), (c, d, -1)):
+                for i, p in x:
+                    p *= s
+                    for j, q in y:
+                        if i + j < half:
+                            v[i + j] += p * q
+                        else:
+                            v[i + j - half] -= p * q
             return tuple(v) if half == n else self._reduce_list(v, work)
-        # a factor with few nonzeros is kept as (degree, coefficient) pairs
+        # a factor with few nonzeros stays a pair list; the others are laid
+        # out densely
         few = [_FEW * k < n for k in (na, nb, nc, nd)]
-        factors = [list(compress(enumerate(x), x)) if f else x for x, f in zip((a, b, c, d), few)]
-        tops = [max([abs(t) for _, t in x], default=0) if f else max(max(x), -min(x))
-                for x, f in zip(factors, few)]
-        ma, mb, mc, md = tops
+        factors = [x if f else _dense(x, n) for x, f in zip((a, b, c, d), few)]
+        ma, mb, mc, md = tops = [max([abs(t) for _, t in x], default=0) for x in (a, b, c, d)]
         bound = min(na, nb) * ma * mb + min(nc, nd) * mc * md
         fold = 2 * n - 1 > self.half
         # each factor must fit its slot too, beside a zero one
@@ -431,13 +440,46 @@ class _Field:
         return self._reduce_packed(v, width, constants)
 
     def conj(self, a: Sequence[int]) -> tuple[int, ...]:
-        # zeta^j -> zeta^-j
-        return self.reduce((-j, c) for j, c in enumerate(a) if c)
+        # zeta^j -> zeta^-j = -zeta^(M/2 - j), each nonzero placed on its
+        # slot of M/2, then the degrees above phi divided down
+        half, v = self.half, [0] * self.half
+        v[0] = a[0]
+        for j in compress(range(1, self.degree), a[1:]):
+            v[half - j] = -a[j]
+        return self._reduce_list(v)
+
+    def is_real(self, a: tuple[int, ...]) -> bool:
+        """conj(a) == a, for a tuple a.  conj sends zeta^j, 0 < j < phi, to
+        -zeta^(M/2 - j): a basis element for j > k = M/2 - phi, and a
+        degree that reduce divides down for j <= k.  So when a has no
+        coefficient at degrees 1..k, conj only negates and moves its
+        others, and a is real iff a[M/2 - j] = -a[j] at each of its
+        nonzeros j > k: a check that costs those nonzeros.  Else conj."""
+        half, k = self.half, self.half - self.degree
+        if any(a[1:k + 1]):
+            return self.conj(a) == a
+        for j in compress(range(k + 1, self.degree), a[k + 1:]):
+            if a[half - j] != -a[j]:
+                return False
+        return True
 
     def embed(self, a: Sequence[int], target: "_Field") -> tuple[int, ...]:
         # zeta_M = zeta_L^(L/M) for M | L
         step = target.modulus // self.modulus
-        return target.reduce((j * step, c) for j, c in enumerate(a) if c)
+        return target.reduce([(j * step, c) for j, c in compress(enumerate(a), a)])
+
+
+def _nonzeros(v: Sequence[int]) -> tuple[tuple[int, int], ...]:
+    """The pair list of the coefficient vector v: its nonzeros, ascending."""
+    return tuple(compress(enumerate(v), v))
+
+
+def _dense(x: Pairs, n: int) -> list[int]:
+    # the n coefficients of the pair list x
+    v = [0] * n
+    for j, t in x:
+        v[j] = t
+    return v
 
 
 # array typecodes by item size: slots of 1, 2, 4 and 8 bytes pack and
@@ -474,10 +516,9 @@ def _pack(x: Sequence[int], width: int, bias: int) -> int:
 
 def _product(x: Sequence, few_x: bool, y: Sequence, few_y: bool, width: int, bias: int) -> int:
     """x*y packed in slots of width bytes, for x and y coefficient vectors
-    or, when few, lists of the (degree, coefficient) pairs of their
-    nonzeros.  A few factor multiplies the other term by term, and is
-    packed by shifts when the other is few too; two dense ones are packed
-    and multiplied once."""
+    or, when few, pair lists.  A few factor multiplies the other term by
+    term, and is packed by shifts when the other is few too; two dense
+    ones are packed and multiplied once."""
     if few_y and (not few_x or len(y) < len(x)):
         x, few_x, y, few_y = y, few_y, x, few_x
     if not few_x:
@@ -573,7 +614,7 @@ def _real_vector(modulus: int, ratios: Sequence[tuple[int, int]]) -> tuple[tuple
         )
     den = math.lcm(*[q for _, q in ratios])
     num, den = _normalize([p * (den // q) for p, q in ratios], den)
-    if field.conj(num) != num:
+    if not field.is_real(num):
         raise NonRealError(
             f"coefficient vector is not fixed by conjugation in "
             f"Q(zeta_{modulus})"
@@ -589,9 +630,10 @@ class CycloReal:
     the represented value is ``sum(num[j] * zeta_M**j) / den``.  The
     pair is kept normalized (gcd of all entries and den is 1), so two
     elements of the same modulus are equal iff their fields are equal.
+    :meth:`pairs` gives the nonzero coefficients, which products read.
     """
 
-    __slots__ = ("modulus", "num", "den", "_box")
+    __slots__ = ("modulus", "num", "den", "_box", "_pairs")
 
     def __init__(self, modulus: int, coeffs: Sequence[Fraction | int]) -> None:
         # one as_integer_ratio call reads both parts of each coefficient
@@ -602,6 +644,7 @@ class CycloReal:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
         object.__setattr__(self, "_box", None)
+        object.__setattr__(self, "_pairs", None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycloReal is immutable")
@@ -638,22 +681,24 @@ class CycloReal:
             return CycloReal.from_rational(other, self.modulus)
         return None
 
-    def _aligned(self, other: "CycloReal") -> tuple["_Field", tuple[int, ...], int, tuple[int, ...], int]:
+    def _aligned(self, other: "CycloReal") -> tuple["CycloReal", "CycloReal"]:
+        # self and other in one field, Q(zeta_L) for L the lcm of their
+        # moduli; embedding keeps an element normalized, as Z[zeta_M] is a
+        # direct summand of Z[zeta_L]
         if self.modulus == other.modulus:
-            return _field(self.modulus), self.num, self.den, other.num, other.den
+            return self, other
         big = math.lcm(self.modulus, other.modulus)
         field = _field(big)
-        a = _field(self.modulus).embed(self.num, field)
-        b = _field(other.modulus).embed(other.num, field)
-        return field, a, self.den, b, other.den
+        return tuple(CycloReal._make(big, _field(x.modulus).embed(x.num, field), x.den)
+                     for x in (self, other))
 
     def _plus(self, other: "CycloReal", sign: int) -> "CycloReal":
         # self + sign * other in one pass over the coefficients
-        field, a, da, b, db = self._aligned(other)
-        den = math.lcm(da, db)
-        fa, fb = den // da, sign * (den // db)
-        num = tuple(x * fa + y * fb for x, y in zip(a, b))
-        return CycloReal._make(field.modulus, *_normalize(num, den))
+        a, b = self._aligned(other)
+        den = math.lcm(a.den, b.den)
+        fa, fb = den // a.den, sign * (den // b.den)
+        num = tuple(x * fa + y * fb for x, y in zip(a.num, b.num))
+        return CycloReal._make(a.modulus, *_normalize(num, den))
 
     def _scaled(self, p: int, q: int) -> "CycloReal":
         # self * p/q for integers p and q > 0
@@ -694,9 +739,9 @@ class CycloReal:
                 return self._scaled(other.num[0], other.den)
             if self.is_rational():
                 return other._scaled(self.num[0], self.den)
-        field, a, da, b, db = self._aligned(other)
-        num = field.mul(a, b)
-        return CycloReal._make(field.modulus, *_normalize(num, da * db))
+        a, b = self._aligned(other)
+        num = _field(a.modulus).mul(a.pairs(), b.pairs())
+        return CycloReal._make(a.modulus, *_normalize(num, a.den * b.den))
 
     __rmul__ = __mul__
 
@@ -726,16 +771,22 @@ class CycloReal:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        if self.modulus == rhs.modulus:
-            return self.num == rhs.num and self.den == rhs.den
-        _, a, da, b, db = self._aligned(rhs)
-        return da == db and a == b
+        a, b = self._aligned(rhs)
+        return a.num == b.num and a.den == b.den
 
     __hash__ = None  # canonical forms are keyed via .key() per modulus
 
     def key(self) -> tuple:
         """Hashable exact identity within a fixed modulus."""
         return (self.modulus, self.num, self.den)
+
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """The (degree, coefficient) pairs of the nonzero coefficients of
+        num, ascending: the pair list products take (see _Field.det),
+        computed on first use and kept."""
+        if self._pairs is None:
+            object.__setattr__(self, "_pairs", _nonzeros(self.num))
+        return self._pairs
 
     # -- numerics --------------------------------------------------------
 
@@ -817,18 +868,16 @@ class CycloReal:
     # -- serialization ---------------------------------------------------
 
     def _coeff_strings(self) -> list[str]:
-        # str(Fraction(v, den)) for each coefficient: v itself over den 1,
-        # else "0" for a zero and one gcd for any other
-        den = self.den
-        if den == 1:
-            return [str(v) for v in self.num]
-        out = []
-        for v in self.num:
-            if v:
-                g = math.gcd(v, den)
-                out.append(str(v // g) if g == den else f"{v // g}/{den // g}")
+        # str(Fraction(v, den)) for each coefficient: "0" for a zero, and
+        # for a nonzero v itself over den 1, else after one gcd
+        num, den = self.num, self.den
+        out = ["0"] * len(num)
+        for j, v in compress(enumerate(num), num):
+            if den == 1:
+                out[j] = str(v)
             else:
-                out.append("0")
+                g = math.gcd(v, den)
+                out[j] = str(v // g) if g == den else f"{v // g}/{den // g}"
         return out
 
     def to_obj(self) -> dict:
@@ -874,10 +923,11 @@ def _trig_step(name: str, k: int, m: int, modulus: int) -> int:
     return modulus // (2 * m)
 
 
-def _zeta_mean(modulus: int, t: int) -> CycloReal:
-    # (zeta^t + zeta^-t) / 2 = cos(2*pi*t/modulus)
-    num = _field(modulus).reduce(((t, 1), (-t, 1)))
-    return CycloReal._make(modulus, *_normalize(num, 2))
+def _zeta_mean(modulus: int, *ts: int) -> CycloReal:
+    # the mean of (zeta^t + zeta^-t) / 2 = cos(2*pi*t/modulus) over ts, as
+    # one reduction
+    num = _field(modulus).reduce([(e, 1) for t in ts for e in (t, -t)])
+    return CycloReal._make(modulus, *_normalize(num, 2 * len(ts)))
 
 
 def cos_pi(k: int, m: int, modulus: int) -> CycloReal:

@@ -17,13 +17,17 @@ routine of its own: u . v is the cross product of u with v turned by
 
 Every exact predicate goes through one kernel.  ``_differences`` scales
 the six coordinates of a, b and c to one common denominator and returns
-u = b - a and v = c - a as integer coefficient vectors; ``_Field.det``
-computes a*b - c*d on such vectors, on Python ints.  It multiplies only
-the nonzero coefficients, folding each term by zeta^(M/2) = -1 as it
-goes, when those products and their reduction take few multiply-adds,
-as they do for the sparse coordinates of fans and refined tilings;
-dense vectors are packed into one integer each, so a product is one
-big-int multiplication.  So u x v and u . v are one det
+u = b - a and v = c - a as integer vectors, each coordinate a pair list
+(``exact.Pairs``: the (degree, coefficient) pairs of its nonzeros, built
+from the points' own pairs, so a difference costs the nonzeros of its
+two ends and not the field degree).  ``_Field.det`` computes a*b - c*d
+from four pair lists, on Python ints, at the cost of their pairs: it
+multiplies them, folding each term by zeta^(M/2) = -1 as it goes, when
+those products and their reduction take few multiply-adds, as they do
+for the sparse coordinates of fans and refined tilings; denser factors
+are packed into one integer each, so a product is one big-int
+multiplication.  Its result is dense, phi coefficients, as a CycloReal
+holds them.  So u x v and u . v are one det
 each, and a CycloReal is built only for a value that leaves the kernel:
 an area, or a value whose sign is asked.  A Triangle runs _differences
 once and keeps the result, its kernel: one den, its three edge vectors,
@@ -70,7 +74,7 @@ from math import frexp, inf, lcm, ldexp, nextafter
 from typing import Sequence
 
 from .errors import DomainError
-from .exact import CycloReal, _field, _Field, _normalize
+from .exact import CycloReal, Pairs, _field, _Field, _normalize
 
 Interval = tuple[float, float]
 
@@ -228,25 +232,27 @@ def _box_sign(
     return None
 
 
-Vector = tuple[Sequence[int], Sequence[int]]
+Vector = tuple[Pairs, Pairs]
 
 
-def _difference(p: CycloReal, q: CycloReal, den: int) -> list[int]:
-    # the coefficients of (q - p) * den, for den a multiple of both denominators
-    fp, fq = den // p.den, den // q.den
-    if fp == fq:
-        return [(s - r) * fp for r, s in zip(p.num, q.num)]
-    return [s * fq - r * fp for r, s in zip(p.num, q.num)]
+def _combine(q: Pairs, fq: int, p: Pairs, fp: int) -> list[tuple[int, int]]:
+    # the pair list of fq*q - fp*p: q's pairs, then p's merged in, so a
+    # degree where the two cancel keeps a zero pair
+    out = {j: t * fq for j, t in q}
+    for j, t in p:
+        out[j] = out.get(j, 0) - t * fp
+    return list(out.items())
 
 
 def _differences(a: Point, b: Point, c: Point) -> tuple[_Field, Vector, Vector, int]:
     """The field of a, b and c, and u = b - a and v = c - a as integer
-    coefficient vectors over one common denominator den, returned last."""
+    vectors of pair lists over one common denominator den, returned last."""
     if not a.modulus == b.modulus == c.modulus:
         raise DomainError("points must share a modulus")
     den = lcm(a.x.den, a.y.den, b.x.den, b.y.den, c.x.den, c.y.den)
-    u = _difference(a.x, b.x, den), _difference(a.y, b.y, den)
-    v = _difference(a.x, c.x, den), _difference(a.y, c.y, den)
+    ax, fx, ay, fy = a.x.pairs(), den // a.x.den, a.y.pairs(), den // a.y.den
+    u = _combine(b.x.pairs(), den // b.x.den, ax, fx), _combine(b.y.pairs(), den // b.y.den, ay, fy)
+    v = _combine(c.x.pairs(), den // c.x.den, ax, fx), _combine(c.y.pairs(), den // c.y.den, ay, fy)
     return _field(a.modulus), u, v, den
 
 
@@ -257,7 +263,7 @@ def _cross(field: _Field, u: Vector, v: Vector) -> tuple[int, ...]:
 
 def _turned(v: Vector) -> Vector:
     # v turned by +90 degrees, so that u . v = u x _turned(v)
-    return [-t for t in v[1]], v[0]
+    return [(j, -t) for j, t in v[1]], v[0]
 
 
 def _sign(field: _Field, num: tuple[int, ...]) -> int:
@@ -306,7 +312,8 @@ class Triangle:
 
     Like its float box, a triangle computes its exact kernel once, on
     first use (``_kernel``): the field, one common denominator den of its
-    six coordinates, its three edge vectors over den, and X = u x v.  The
+    six coordinates, its three edge vectors over den as pair lists, and
+    X = u x v, dense.  The
     edges out of corner i are u = edges[i] and v = -edges[i - 1], as
     _differences gives them for the vertices taken from corner i.  X is
     the same at every corner, since the cross product of consecutive
@@ -328,8 +335,8 @@ class Triangle:
         # and v = -edges[i - 1]
         if self._kern is None:
             field, u, v, den = _differences(*self.vertices)
-            w = [q - p for p, q in zip(u[0], v[0])], [q - p for p, q in zip(u[1], v[1])]
-            back = [-t for t in v[0]], [-t for t in v[1]]
+            w = _combine(v[0], 1, u[0], 1), _combine(v[1], 1, u[1], 1)
+            back = [(j, -t) for j, t in v[0]], [(j, -t) for j, t in v[1]]
             self._kern = field, den, (u, w, back), _cross(field, u, v)
         return self._kern
 

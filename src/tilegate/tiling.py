@@ -21,7 +21,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, FormatError, StructuralError, echo
-from .exact import CycloReal, _normalize, cos_pi, field_degree, sin_pi
+from .exact import CycloReal, _nonzeros, _normalize, _zeta_mean, cos_pi, field_degree, sin_pi
 from .geometry import (
     Point,
     Triangle,
@@ -31,7 +31,6 @@ from .geometry import (
     _turn,
     box_columns,
     boxes_meeting,
-    midpoint,
     on_open_segment,
     orientation,
     triangles_interior_disjoint,
@@ -141,6 +140,10 @@ class Tiling:
         return (f"Tiling(n={self.n}, alpha={self.alpha}, "
                 f"modulus={self.modulus}, triangles=<{len(self.triangles)}>)")
 
+    def _header(self) -> dict:
+        return {"format": FORMAT_TAG, "n": self.n, "alpha": str(self.alpha),
+                "modulus": self.modulus}
+
     def to_obj(self) -> dict:
         """JSON-ready document in the tilegate-tiling/1 format.  Each
         distinct Point object is serialized once, so a point that several
@@ -151,10 +154,7 @@ class Tiling:
                 if id(v) not in pairs:
                     pairs[id(v)] = [v.x.to_obj(), v.y.to_obj()]
         return {
-            "format": FORMAT_TAG,
-            "n": self.n,
-            "alpha": str(self.alpha),
-            "modulus": self.modulus,
+            **self._header(),
             "triangles": [
                 {"v": [pairs[id(v)] for v in tri.vertices]}
                 for tri in self.triangles
@@ -247,16 +247,21 @@ def save_tiling(tiling: Tiling, path: str) -> None:
     """Write the canonical text of tiling.to_obj(): sorted keys, no
     spaces, one trailing newline, the bytes of json.dumps(obj,
     sort_keys=True, separators=(",", ":")) + "\n".  The C encoder writes
-    the header and then one triangle at a time ("triangles" sorts last),
-    so the whole text is never held in memory at once."""
-    obj = tiling.to_obj()
-    triangles = obj.pop("triangles")
+    the header ("triangles" sorts last) and the [x, y] text of each
+    distinct Point object, once, as to_obj serializes it once; each
+    triangle joins the texts of its vertices, so the whole text is never
+    held in memory at once."""
+    texts: dict[int, str] = {}
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_ENCODE(obj)[:-1] + ',"triangles":[')
-        for i, tri in enumerate(triangles):
-            if i:
-                fh.write(",")
-            fh.write(_ENCODE(tri))
+        fh.write(_ENCODE(tiling._header())[:-1] + ',"triangles":[')
+        for i, tri in enumerate(tiling.triangles):
+            vertices = []
+            for v in tri.vertices:
+                text = texts.get(id(v))
+                if text is None:
+                    text = texts[id(v)] = _ENCODE([v.x.to_obj(), v.y.to_obj()])
+                vertices.append(text)
+            fh.write(('{"v":[' if not i else ',{"v":[') + ",".join(vertices) + "]}")
         fh.write("]}\n")
 
 
@@ -274,33 +279,39 @@ def load_tiling(path: str) -> Tiling:
 def gen_trivial(n: int) -> Tiling:
     """The trivial tiling: join the center to every vertex and drop the
     apothem in each central triangle, giving 2n congruent right triangles
-    with smaller acute angle pi/n (a = 2/n)."""
+    with smaller acute angle pi/n (a = 2/n).
+
+    V_k = (cos, sin)(2k*pi/n) is (zeta^a + zeta^-a, zeta^(M/4-a) +
+    zeta^-(M/4-a)) / 2 with a = kM/n, so the foot of the apothem, the
+    midpoint of V_k and V_(k+1), is one reduction per coordinate."""
     check_polygon_n(n)
     alpha = Fraction(2, n)
     modulus = default_modulus(n, alpha)
     verts = polygon_vertices(n, modulus)
     zero = CycloReal.zero(modulus)
     center = Point(zero, zero)
+    step, quarter = modulus // n, modulus // 4
     triangles = []
     for k in range(n):
         v0, v1 = verts[k], verts[(k + 1) % n]
-        foot = midpoint(v0, v1)
+        a, b = k * step, (k + 1) * step
+        foot = Point(_zeta_mean(modulus, a, b), _zeta_mean(modulus, quarter - a, quarter - b))
         triangles.append(Triangle(center, v0, foot))
         triangles.append(Triangle(center, foot, v1))
     return Tiling(n, alpha, modulus, triangles)
 
 
 @lru_cache(maxsize=256)
-def _rotation(num: int, den: int, modulus: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+def _rotation(num: int, den: int, modulus: int) -> tuple[tuple, tuple, tuple]:
     # the cosine and sine of gamma*pi/2 = (gamma/2)*pi, gamma = num/den in
-    # lowest terms, as integer vectors over one positive denominator, which
+    # lowest terms, as pair lists over one positive denominator, which
     # scales every exact test alike, and the rotation for the filter, from
     # their float boxes; keyed on ints, which hash faster than a Fraction
     half = Fraction(num, 2 * den)
     cosg = cos_pi(half.numerator, half.denominator, modulus)
     sing = sin_pi(half.numerator, half.denominator, modulus)
-    cos_n = tuple(t * sing.den for t in cosg.num)
-    sin_n = tuple(t * cosg.den for t in sing.num)
+    cos_n = tuple((j, t * sing.den) for j, t in cosg.pairs())
+    sin_n = tuple((j, t * cosg.den) for j, t in sing.pairs())
     return cos_n, sin_n, _turn(cosg.float_box(), sing.float_box())
 
 
@@ -350,16 +361,17 @@ def angle_matches(tri: Triangle, corner_index: int, gamma: Fraction) -> bool:
     # u = edges[i] and v = -edges[i - 1] = -(ex, ey), so v turned by
     # +90 degrees, (-vy, vx), is (ey, -ex)
     u, (ex, ey) = edges[corner_index], edges[corner_index - 1]
-    dot = _cross(field, u, (ey, [-t for t in ex]))
+    dot = _cross(field, u, (ey, [(j, -t) for j, t in ex]))
     if not right:
-        if any(field.det(cos_n, cross, sin_n, dot)):
+        x, d = _nonzeros(cross), _nonzeros(dot)
+        if any(field.det(cos_n, x, sin_n, d)):
             return False
     elif any(dot):
         return False
     s = _box_sign(a, b, c, not right, rot)
     if s is None:
         s = _sign(field, cross if right
-                  else field.det(cos_n, dot, [-t for t in sin_n], cross))
+                  else field.det(cos_n, d, [(j, -t) for j, t in sin_n], x))
     return s > 0
 
 

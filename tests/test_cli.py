@@ -512,7 +512,7 @@ offset = [value - round(value.enclosure(256)[0] * 2**100) / Fraction(2**100)
 moved = [Point(v.x + offset[0], v.y + offset[1]) for v in base.triangles[0].vertices]
 assert not verify(Tiling(base.n, base.alpha, m, [Triangle(*moved), *base.triangles[1:]])).verdict
 rng = Random(1604)
-_field(1604).det(*([rng.randrange(-2**1000, 2**1000) for _ in range(800)] for _ in range(4)))
+_field(1604).det(*([(j, rng.randrange(-2**1000, 2**1000)) for j in range(800)] for _ in range(4)))
 assert sys.modules["numpy"] is None
 """
 

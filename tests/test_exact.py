@@ -213,14 +213,15 @@ def test_reduction_table_falls_back_to_python_ints(m, monkeypatch):
     assert 9 not in field.packed
     x = cos_pi(1, m // 4, m) * 3 + Fraction(1, 2)
     y = sin_pi(1, m // 4, m) - 2
-    big = [t << 70 for t in x.num]
+    big = [(j, t << 70) for j, t in x.pairs()]
     widths, width = [], exact._width
     monkeypatch.setattr(exact, "_width", lambda bound: widths.append(width(bound)) or widths[-1])
     monkeypatch.setattr(exact, "_SPARSE_WORK", -(1 << 60))
-    packed = field.mul(big, y.num)
+    packed = field.mul(big, y.pairs())
     assert widths and min(widths) > 8
     monkeypatch.setattr(exact, "_SPARSE_WORK", 1 << 60)
-    assert packed == field.mul(big, y.num) == tuple(t << 70 for t in field.mul(x.num, y.num))
+    assert packed == field.mul(big, y.pairs()) == \
+        tuple(t << 70 for t in field.mul(x.pairs(), y.pairs()))
 
 
 # -- trigonometric constructors ---------------------------------------
@@ -391,7 +392,8 @@ def test_subtraction_and_rational_factors_match_general_forms(data, m, r):
     assert (a - r).key() == (a + (-fr)).key()
     # the product through the field multiplication, as for any two factors
     field = exact._field(m)
-    general = CycloReal._make(m, *exact._normalize(field.mul(a.num, fr.num), a.den * fr.den))
+    general = CycloReal._make(m, *exact._normalize(field.mul(a.pairs(), fr.pairs()),
+                                                   a.den * fr.den))
     assert (a * fr).key() == (fr * a).key() == (a * r).key() == general.key()
     # a rational factor of another modulus takes the general path
     other = CycloReal.from_rational(r, 3 * m)
@@ -461,6 +463,33 @@ def test_operations_keep_values_real(data, m, other, k, r):
         results.append(x / r)
     for v in results:
         assert exact._field(v.modulus).conj(v.num) == v.num, v
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    m=st.sampled_from([8, 12, 20, 28, 188]),
+    other=st.sampled_from([8, 12, 24]),
+    k=st.integers(min_value=-30, max_value=30),
+    r=rationals(),
+)
+def test_cached_pairs_are_the_nonzeros_of_num(data, m, other, k, r):
+    # the pair list a product reads is num's nonzeros, ascending, for
+    # elements from _make, from_obj, arithmetic, cos_pi and sin_pi, and
+    # it is computed once: a boxed element and a second call agree
+    x = data.draw(elements(m))
+    y = data.draw(elements(m))
+    z = data.draw(elements(other))
+    c, s = cos_pi(k, m // 2, m), sin_pi(k, m // 2, m)
+    results = [
+        x, x + y, x - y, x * y, -x, x * r, x + z, x * z, c, s, c * s,
+        CycloReal._make(m, x.num, x.den), CycloReal.from_obj(y.to_obj()),
+        CycloReal.from_rational(r, m), CycloReal.zero(m),
+    ]
+    for v in results:
+        v.float_box()
+        expected = tuple((j, t) for j, t in enumerate(v.num) if t)
+        assert v.pairs() == expected and v.pairs() is v.pairs(), v
 
 
 def test_sign_of_zero_is_symbolic():

@@ -8,27 +8,31 @@ the oracle.  Points come from trivial and altitude-refined tilings,
 moved by one rational affine map per draw, so coordinate denominators
 mix and coefficients pass 2**63.
 
-``det`` has two paths, products of the nonzero coefficients on Python
-ints and products of packed integers (Kronecker substitution), chosen
-per call by ``exact._SPARSE_WORK``, and so has ``reduce``, behind conj,
-embed, cos_pi and sin_pi.  Each check runs with that bound at -2**60 and
-at 2**60, which force one path and then the other.  Dense and sparse
-vectors at composite moduli, and dense vectors with coefficients of 3,
-60 and 1000 bits at moduli that reduce with few and with many degrees
-above phi, are also checked against schoolbook products and long
-division by Phi_M.  A triangle's kernel (Triangle._kernel: one
-den, the three edge vectors and the cross product X of the two out of a
+``det`` takes pair lists, the (degree, coefficient) pairs of the
+nonzeros, and has two paths, products of the pairs on Python ints and
+products of packed integers (Kronecker substitution), chosen per call
+by ``exact._SPARSE_WORK``, and so has ``reduce``, behind conj, embed,
+cos_pi and sin_pi.  The schoolbook oracle below reads dense vectors:
+``pairs`` and ``dense`` convert between the two.  Each check runs with
+that bound at -2**60 and at 2**60, which force one path and then the
+other.  Dense and sparse vectors at composite moduli, and dense vectors
+with coefficients of 3, 60 and 1000 bits at moduli that reduce with few
+and with many degrees above phi, are also checked against schoolbook
+products and long division by Phi_M, and ``is_real`` against the
+schoolbook conjugate.  A triangle's kernel (Triangle._kernel: one den,
+the three edge vectors and the cross product X of the two out of a
 corner) must equal what _differences and _cross give corner by corner.
 """
 from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import isqrt
 from random import Random
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tilegate import exact
@@ -102,6 +106,23 @@ def forced(work: int):
 
 def value(modulus: int, num, den: int) -> CycloReal:
     return CycloReal._make(modulus, *_normalize(num, den))
+
+
+def pairs(v) -> list[tuple[int, int]]:
+    # the pair list of a dense vector, as det takes it
+    return [(j, t) for j, t in enumerate(v) if t]
+
+
+def dense(x, n: int) -> list[int]:
+    # the n coefficients of a pair list, which may hold zero pairs
+    v = [0] * n
+    for j, t in x:
+        v[j] += t
+    return v
+
+
+def negated(x) -> list[tuple[int, int]]:
+    return [(j, -t) for j, t in x]
 
 
 def rotation(gamma: Fraction, modulus: int) -> tuple[CycloReal, CycloReal]:
@@ -189,9 +210,9 @@ def test_kernel_rotated_products_equal_the_cyclotomic_expressions(drawn):
         expected = tuple(e.key() for e in oracle_rotated(a, b, c, cosg, sing))
         for work in PATHS:
             with forced(work):
-                x, d = _cross(field, u, v), _cross(field, u, _turned(v))
+                x, d = pairs(_cross(field, u, v)), pairs(_cross(field, u, _turned(v)))
                 cross = value(t.modulus, field.det(cos_n, x, sin_n, d), scale)
-                dot = value(t.modulus, field.det(cos_n, d, [-s for s in sin_n], x), scale)
+                dot = value(t.modulus, field.det(cos_n, d, negated(sin_n), x), scale)
                 assert (cross.key(), dot.key()) == expected
 
 
@@ -236,11 +257,13 @@ def test_triangle_kernel_equals_the_kernel_of_each_corner(drawn, filled_first):
                         got = [angle_matches(tri, i, g) for g in gammas]
                         assert got == expected[(i + shift) % 3]
                 field, den, edges, cross = tri._kernel()
+                n = field.degree
                 for i in range(3):
                     f, u, v, d = _differences(*(vs[(i + k) % 3] for k in range(3)))
                     assert (f, d) == (field, den)
                     back = edges[i - 1]
-                    assert edges[i] == u and ([-t for t in back[0]], [-t for t in back[1]]) == v
+                    assert [dense(e, n) for e in edges[i]] == [dense(e, n) for e in u]
+                    assert [dense(negated(e), n) for e in back] == [dense(e, n) for e in v]
                     assert _cross(field, u, v) == cross
 
 
@@ -249,12 +272,12 @@ def test_a_zero_factor_beside_one_past_int64_is_exact():
     # products': a zero vector times one past 2**63 must not be packed in
     # 8-byte slots
     field = _field(12)
-    zero, big, one = [0] * 4, [BIG, 0, -BIG, 1], [1, 0, 0, 0]
+    zero, big, one = pairs([0] * 4), pairs([BIG, 0, -BIG, 1]), pairs([1, 0, 0, 0])
     for work in PATHS:
         with forced(work):
             assert field.det(zero, big, one, one) == (-1, 0, 0, 0)
             assert field.det(big, zero, zero, big) == (0,) * 4
-            assert field.det(big, one, zero, big) == tuple(big)
+            assert field.det(big, one, zero, big) == (BIG, 0, -BIG, 1)
 
 
 # moduli with M/2 = phi, where det's fold leaves nothing to divide, and
@@ -265,34 +288,59 @@ DIVIDED_MODULI = (24, 28, 36, 60, 420, 660)
 
 @st.composite
 def composite_products(draw):
-    # four vectors, some entries past 2**63 and some within int64 whose
+    # four pair lists, some entries past 2**63 and some within int64 whose
     # products are not: dense, or a few nonzeros, whose reduction can read
-    # more row entries than the default bound allows
+    # more row entries than the default bound allows, or, in any order of
+    # degrees, a count of pairs just below or above phi / _FEW, where a
+    # packed factor stays a pair list, or sqrt(_SPARSE_WORK + phi), where
+    # the default bound turns; there an entry of 0 is an explicit zero pair
     modulus = draw(st.sampled_from(HALF_PHI_MODULI + DIVIDED_MODULI))
     n = _field(modulus).degree
     entry = st.integers(-15, 15) | st.integers(-2 ** 40, 2 ** 40) | st.integers(-2 ** 70, 2 ** 70)
-    if draw(st.booleans()):
-        return modulus, [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(4)]
+    shape = draw(st.sampled_from(["dense", "sparse", "bounds"]))
+    if shape == "dense":
+        return modulus, [pairs(draw(st.lists(entry, min_size=n, max_size=n))) for _ in range(4)]
+    if shape == "sparse":
+        return modulus, [pairs(dense(draw(st.dictionaries(st.integers(0, n - 1), entry,
+                                                          max_size=6)).items(), n))
+                         for _ in range(4)]
+    few, turn = -(-n // exact._FEW), isqrt(exact._SPARSE_WORK + n)
+    counts = sorted({min(n, max(0, k)) for k in (0, 1, few - 1, few, turn, turn + 1, n)})
     vectors = []
     for _ in range(4):
-        v = [0] * n
-        for i, x in draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=6)).items():
-            v[i] = x
-        vectors.append(v)
+        k = draw(st.sampled_from(counts))
+        degrees = draw(st.permutations(range(n)))[:k]
+        vectors.append(list(zip(degrees, draw(st.lists(entry, min_size=k, max_size=k)))))
     return modulus, vectors
 
 
+# three points whose x coordinates share cos(pi/8) + cos(3pi/8) and whose
+# y coordinates share sin(pi/8): their differences cancel there, and
+# _differences keeps a zero pair at each such degree.  CANCELLED is their
+# u x v as det's four factors
+_c, _s = cos_pi(1, 8, 16) + cos_pi(3, 8, 16), sin_pi(1, 8, 16)
+_, _u, _v, _ = _differences(Point(_c, _s), Point(_c + 1, _s + 2), Point(_c - 3, _s + 1))
+CANCELLED = (16, [_u[0], _v[1], _u[1], _v[0]])
+
+
+def test_a_cancelling_difference_keeps_zero_pairs():
+    (ux, vy, uy, vx) = CANCELLED[1]
+    assert all(any(t == 0 for _, t in x) for x in (ux, vy, uy, vx))
+
+
 @settings(max_examples=90, deadline=None)
+@example(CANCELLED)
 @given(composite_products())
 def test_products_at_composite_moduli_match_schoolbook_division(drawn):
     modulus, (a, b, c, d) = drawn
     field = _field(modulus)
-    expected = schoolbook_det(modulus, a, b, c, d)
+    n = field.degree
+    expected = schoolbook_det(modulus, *(dense(x, n) for x in (a, b, c, d)))
     assert field.det(a, b, c, d) == expected
     for work in PATHS:
         with forced(work):
             assert field.det(a, b, c, d) == expected
-            assert field.mul(a, b) == schoolbook_det(modulus, a, b, [0], [0])
+            assert field.mul(a, b) == schoolbook_det(modulus, dense(a, n), dense(b, n), [0], [0])
 
 
 REDUCE_MODULI = (12, 16, 24, 188, 420, 660)
@@ -356,10 +404,12 @@ def test_each_path_is_taken_at_the_default_bound(monkeypatch):
     field = _field(420)
     high = [0] * 90 + [1, -2, 3, -4, 5, -6]
     ones = [0] * 95 + [1]
-    assert field.det(high, high, ones, high) == schoolbook_det(420, high, high, ones, high)
+    assert field.det(pairs(high), pairs(high), pairs(ones), pairs(high)) == \
+        schoolbook_det(420, high, high, ones, high)
     assert (products, reductions) == ([], [1])
-    dense = list(range(1, 97))
-    assert field.det(dense, dense, dense, ones) == schoolbook_det(420, dense, dense, dense, ones)
+    full = list(range(1, 97))
+    assert field.det(pairs(full), pairs(full), pairs(full), pairs(ones)) == \
+        schoolbook_det(420, full, full, full, ones)
     assert (products, reductions) == ([1, 1], [1, 1])
 
 
@@ -376,13 +426,15 @@ def test_products_where_half_m_is_phi_divide_nothing(monkeypatch):
         for tri in t.triangles:
             field, u, v, _ = _differences(*tri.vertices)
             assert field.modulus == 16
-            assert _cross(field, u, v) == schoolbook_det(16, u[0], v[1], u[1], v[0])
+            (ux, uy), (vx, vy) = ([dense(e, 8) for e in w] for w in (u, v))
+            assert _cross(field, u, v) == schoolbook_det(16, ux, vy, uy, vx)
             assert _cross(field, u, _turned(v)) == \
-                schoolbook_det(16, u[0], v[0], [-t for t in u[1]], v[1])
+                schoolbook_det(16, ux, vx, [-t for t in uy], vy)
     assert (divided, products, reductions) == ([], [], [])
     # at M = 24, M/2 = 12 > phi = 8, the fold is followed by division
     top = [0] * 7 + [1]
-    assert _field(24).mul(top, top) == schoolbook_det(24, top, top, [0], [0]) == (0, 0, -1) + (0,) * 5
+    assert _field(24).mul(pairs(top), pairs(top)) == schoolbook_det(24, top, top, [0], [0]) == \
+        (0, 0, -1) + (0,) * 5
     assert divided == [1]
 
 
@@ -399,10 +451,11 @@ def test_fan_products_at_1052_stay_on_python_ints(monkeypatch):
     cross, dot = _cross(field, u, v), _cross(field, u, _turned(v))
     assert (products, reductions) == ([], [])
     assert any(cross) and any(dot)
-    assert cross == schoolbook_det(1052, u[0], v[1], u[1], v[0])
-    assert dot == schoolbook_det(1052, u[0], v[0], [-t for t in u[1]], v[1])
+    (ux, uy), (vx, vy) = ([dense(e, 524) for e in w] for w in (u, v))
+    assert cross == schoolbook_det(1052, ux, vy, uy, vx)
+    assert dot == schoolbook_det(1052, ux, vx, [-t for t in uy], vy)
     wide = [0] * 262 + [3] * 12 + [0] * 250
-    assert field.mul(wide, wide) == schoolbook_det(1052, wide, wide, [0], [0])
+    assert field.mul(pairs(wide), pairs(wide)) == schoolbook_det(1052, wide, wide, [0], [0])
     assert (products, reductions) == ([], [1])
 
 
@@ -419,6 +472,40 @@ def schoolbook_reduce(modulus: int, terms) -> tuple[int, ...]:
             for i, f in enumerate(phi):
                 v[k - n + i] -= t * f
     return tuple(v[:n])
+
+
+@st.composite
+def conjugation_cases(draw):
+    # a sum of terms c * (zeta^t + zeta^-t), real, and of c * (zeta^t -
+    # zeta^-t), imaginary, then maybe one coefficient moved, which at any
+    # degree but 0 leaves the sum non-real
+    modulus = draw(st.sampled_from([4, 8, 12, 16, 20, 28, 60, 84, 188]))
+    terms = []
+    for _ in range(draw(st.integers(0, 4))):
+        t, c = draw(st.integers(0, modulus - 1)), draw(st.integers(-9, 9))
+        terms += [(t, c), (-t, draw(st.sampled_from([c, -c])))]
+    a = list(schoolbook_reduce(modulus, terms))
+    if draw(st.booleans()):
+        a[draw(st.integers(0, len(a) - 1))] += draw(st.integers(1, 5))
+    return modulus, tuple(a)
+
+
+# at M = 20 (phi = 8, two degrees above phi): cos(3pi/10) and i*sin(3pi/10)
+# have no coefficient at degrees 1..2, cos(pi/10) has; likewise at 188
+@settings(max_examples=300, deadline=None)
+@example((20, schoolbook_reduce(20, [(3, 1), (-3, 1)])))
+@example((20, schoolbook_reduce(20, [(3, 1), (-3, -1)])))
+@example((20, schoolbook_reduce(20, [(1, 1), (-1, 1)])))
+@example((20, schoolbook_reduce(20, [(1, 1), (-1, -1)])))
+@example((188, schoolbook_reduce(188, [(4, 1), (-4, 1), (1, 2), (-1, 2)])))
+@example((188, schoolbook_reduce(188, [(4, 1), (-4, -1)])))
+@given(conjugation_cases())
+def test_is_real_is_being_fixed_by_conjugation(drawn):
+    modulus, a = drawn
+    field = _field(modulus)
+    conj = schoolbook_reduce(modulus, [(-j, c) for j, c in enumerate(a)])
+    assert field.conj(a) == conj
+    assert field.is_real(a) == (conj == a)
 
 
 # moduli whose M/2 - phi degrees above phi are few (188 = 4*47 and
@@ -446,7 +533,7 @@ def test_packed_products_match_schoolbook_division(modulus, bits):
     if modulus < 1604 or bits < 1000:
         cases.append((a, b, c, d))
     for case in cases:
-        assert _field(modulus).det(*case) == schoolbook_det(modulus, *case)
+        assert _field(modulus).det(*map(pairs, case)) == schoolbook_det(modulus, *case)
 
 
 @pytest.mark.parametrize("modulus", WIDE_MODULI)
@@ -472,6 +559,7 @@ def test_a_wide_dense_det_finishes_quickly():
     rng = Random(1604)
     field = _field(1604)
     a, b, c, d = ([rng.randrange(-(1 << 1000), 1 << 1000) for _ in range(800)] for _ in range(4))
+    a, b, c, d = pairs(a), pairs(b), pairs(c), pairs(d)
     start = time.perf_counter()
     field.det(a, b, c, d)
     assert time.perf_counter() - start < 2.0

@@ -509,8 +509,9 @@ def test_saved_trivial_files_are_pinned(tmp_path):
     assert digest.hexdigest() == TRIVIAL_5_TO_50_SHA256
 
 
-@pytest.mark.parametrize("t", [refined(8, 100, 1), Tiling(8, Fraction(1, 4), 16, ())],
-                         ids=["refined", "no-triangles"])
+@pytest.mark.parametrize("t", [refined(8, 100, 1), gen_trivial(47),
+                               Tiling(8, Fraction(1, 4), 16, ())],
+                         ids=["refined", "fan-47", "no-triangles"])
 def test_saved_file_is_the_canonical_json_text(tmp_path, t):
     path = tmp_path / "t.json"
     save_tiling(t, str(path))
