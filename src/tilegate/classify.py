@@ -12,7 +12,8 @@ the text of a and of the corner target 2 - 4/n from their lowest-terms
 ints, and vertex._corner_solutions reads the corner solutions off the
 closed form: the per-target table of those with p <= q, and two
 divisibility tests for those with p > q.  So an audit that stops at
-corner_unsolvable builds no Fraction.
+corner_unsolvable builds no Fraction.  Those solutions also name the corner
+family that an audit reaching corner_strict reports.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from .vertex import (
     allowed_angles,
     as_fraction,
     check_polygon_n,
-    corner_families,
 )
 
 
@@ -171,6 +171,13 @@ _COUNTING_STEPS = (
 )
 
 
+def _corner_verdict(n: int, a: Fraction, outcome: Outcome, kind: str, claim: str,
+                    data: dict) -> Verdict:
+    # a verdict decided at the polygon corner, in one step
+    return Verdict(n, a, outcome, (TraceStep(kind, claim, point_class="PolygonVertex",
+                                             data=data),))
+
+
 def impossibility_audit(n: int, a: Fraction) -> Verdict:
     """Replay the counting argument for smaller angle a in a regular
     n-gon.  Impossible means the argument rules a tiling out;
@@ -185,8 +192,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
 
     # 2 - 4/n = t/d in lowest terms with d >= 2, and v >= 2u >= 2: both print as Fractions do
     t, d = _corner_target(n)
-    target_text = f"{t}/{d}"
-    a_text = f"{u}/{v}"
+    target_text, a_text = f"{t}/{d}", f"{u}/{v}"
 
     if 2 * u == v:
         # right isosceles tiles: every angle is a multiple of pi/4, so
@@ -199,44 +205,32 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
             claim = (f"a = 1/2: every angle is a multiple of 1/2, but the corner "
                      f"angle {target_text} is not, so no corner configuration exists")
             outcome = Outcome.IMPOSSIBLE
-        return Verdict(n, a, outcome, (TraceStep(
-            "isosceles_corner", claim, point_class="PolygonVertex",
-            data={"corner_target": target_text},
-        ),))
+        return _corner_verdict(n, a, outcome, "isosceles_corner", claim,
+                               {"corner_target": target_text})
 
     sols = _corner_solutions(t, d, u, v)
     if not sols:
-        return Verdict(n, a, Outcome.IMPOSSIBLE, (TraceStep(
-            "corner_unsolvable",
+        return _corner_verdict(
+            n, a, Outcome.IMPOSSIBLE, "corner_unsolvable",
             f"no (p, q, r) solves p*a + q*(1-a) + r = {target_text} at a = {a_text}",
-            point_class="PolygonVertex",
-            data={"corner_target": target_text},
-        ),))
+            {"corner_target": target_text})
 
-    violating = next((s for s in sols if s[0] <= s[1]), None)
-    if violating is not None:
-        return Verdict(n, a, Outcome.NOT_EXCLUDED, (TraceStep(
-            "corner_violation",
+    solutions = [list(s) for s in sols]
+    if (violating := next((s for s in sols if s[0] <= s[1]), None)) is not None:
+        return _corner_verdict(
+            n, a, Outcome.NOT_EXCLUDED, "corner_violation",
             f"corner solution {violating} has p <= q; the counting "
-            f"argument does not apply",
-            point_class="PolygonVertex",
-            data={"solutions": [list(s) for s in sols]},
-        ),))
+            f"argument does not apply", {"solutions": solutions})
 
-    # every corner solution has p > q: Lemma 5 pins a to a corner family
-    families = [fam.instance_label(s) for fam in corner_families(n)
-                if (s := fam.parameter_for(a)) is not None]
+    # every corner solution has p > q, so Lemma 5 pins a to a corner
+    # family, which the solutions name (vertex._corner_solutions): (s, 0, 0)
+    # puts a in (2-4/n)/s, and (s, 0, 1), beside (s + 1, 1, 0), in (1-4/n)/s
+    families = [f"({head}-4/{n})/{sol[0]}" for head, tail in ((2, (0, 0)), (1, (0, 1)))
+                for sol in sols if sol[1:] == tail]
     strict = TraceStep(
-        "corner_strict",
-        f"every corner solution has p > q, and a = {a_text} lies in "
-        f"{families or 'no corner family'}",
-        lemma="L5",
-        point_class="PolygonVertex",
-        data={
-            "solutions": [list(s) for s in sols],
-            "families": families,
-        },
-    )
+        "corner_strict", f"every corner solution has p > q, and a = {a_text} lies in {families}",
+        lemma="L5", point_class="PolygonVertex",
+        data={"solutions": solutions, "families": families})
 
     if a not in LEMMA4_EXCEPTIONS:
         return Verdict(n, a, Outcome.IMPOSSIBLE, (strict, *_COUNTING_STEPS))
@@ -244,7 +238,7 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
     # exceptional a: the interior counts can fail, fall back to the
     # family analysis of the exceptional values
     allowed = allowed_angles(n)
-    data = {"allowed": [str(v) for v in allowed]}
+    data = {"allowed": [str(v) for v in allowed], "families": families}
     if (1 - a) in allowed:
         kind, outcome = "exceptional_complement", Outcome.IMPOSSIBLE
         claim = (f"a = {a_text} is exceptional and lies in a corner family; the "
@@ -255,5 +249,4 @@ def impossibility_audit(n: int, a: Fraction) -> Verdict:
         kind, outcome = "exceptional_escape", Outcome.NOT_EXCLUDED
         claim = (f"a = {a_text} is exceptional and neither a nor 1-a = {1 - a} is in the "
                  f"allowed set; the family analysis yields no contradiction")
-    data["families"] = families
     return Verdict(n, a, outcome, (strict, TraceStep(kind, claim, lemma="L6", data=data)))

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import sys
 
 from .classify import alpha_str, candidates, impossibility_audit
 from .errors import TilegateError, echo
-from .text import parse_fraction
+from .text import canonical_json, parse_fraction
 from .vertex import audit_lemma
 
 
@@ -33,7 +32,7 @@ class _UsageError(Exception):
 
 
 def _emit_json(obj: object) -> None:
-    print(json.dumps(obj, sort_keys=True, separators=(",", ":")))
+    print(canonical_json(obj))
 
 
 def _parse_count(text: str) -> int:

@@ -7,14 +7,18 @@ from fractions import Fraction
 
 def echo(value: object) -> str:
     """reprlib.repr(value), or the type's name where that raises (as for
-    an int of more than 4300 digits): never raises."""
+    an int of more than 4300 digits): never raises.  reprlib bounds each
+    level of a container, so nested ones multiply the bounds; a text over
+    100 characters is cut to 97 and "...", which leaves every flat value
+    and every Fraction as reprlib writes it."""
     if isinstance(value, Fraction):  # as str() writes it, parts shortened
         den = value.denominator
         return echo(value.numerator) + (f"/{echo(den)}" if den != 1 else "")
     try:
-        return reprlib.repr(value)
+        text = reprlib.repr(value)
     except Exception:
         return f"<{type(value).__name__}>"
+    return text if len(text) <= 100 else text[:97] + "..."
 
 
 class TilegateError(Exception):

@@ -605,15 +605,18 @@ def _normalize(num: Iterable[int], den: int) -> tuple[tuple[int, ...], int]:
 def _real_vector(modulus: int, ratios: Sequence[tuple[int, int]]) -> tuple[tuple[int, ...], int]:
     """The normalized (num, den) of the coefficients p/q, given as integer
     pairs (p, q), q > 0, reduced or not, after the checks every element
-    read from outside passes: the modulus, the count phi(M) and reality."""
+    read from outside passes: the modulus, the count phi(M) and reality.
+    Only the nonzero ratios are scaled, and only their q enter the common
+    denominator: a loaded scalar has few nonzeros, and _normalize makes
+    the result canonical whatever q a zero was written over."""
     field = _field(modulus)
     if len(ratios) != field.degree:
         raise DomainError(
             f"expected {field.degree} coefficients for modulus {modulus}, "
             f"got {len(ratios)}"
         )
-    den = math.lcm(*[q for _, q in ratios])
-    num, den = _normalize([p * (den // q) for p, q in ratios], den)
+    den = math.lcm(*[q for p, q in ratios if p])
+    num, den = _normalize([p * (den // q) if p else 0 for p, q in ratios], den)
     if not field.is_real(num):
         raise NonRealError(
             f"coefficient vector is not fixed by conjugation in "

@@ -69,7 +69,6 @@ to skip triangles whose boxes prove them irrelevant.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from fractions import Fraction
 from math import frexp, inf, lcm, ldexp, nextafter
 from typing import Sequence
 
@@ -126,11 +125,6 @@ class Point:
 
     def __repr__(self) -> str:
         return f"Point({float(self.x):.6g}, {float(self.y):.6g})"
-
-
-def midpoint(a: Point, b: Point) -> Point:
-    half = Fraction(1, 2)
-    return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
 # Round-to-nearest doubles: the unit roundoff u = 2**-53, and _ETA,

@@ -1,9 +1,10 @@
-"""The one grammar tilegate reads fractions in, for tiling files and the
-command line alike, and nothing else: no state, no memo.  It does not
-import the tiling side, so the classify side of the command line can
-use it without loading that."""
+"""The one grammar tilegate reads fractions in, and the one encoder it
+writes JSON with, for tiling files and the command line alike, and
+nothing else: no state, no memo.  It does not import the tiling side, so
+the classify side of the command line can use it without loading that."""
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 
@@ -15,6 +16,11 @@ FRACTION_DIGITS_LIMIT = 300
 FRACTION_DIGITS_BOUND = 10 ** FRACTION_DIGITS_LIMIT
 _DIGITS = f"[0-9]{{1,{FRACTION_DIGITS_LIMIT}}}"
 _FRACTION_TEXT = re.compile(rf"(-?{_DIGITS})(?:/(?!0*\Z)({_DIGITS}))?")
+
+# The canonical JSON text of an object: sorted keys, no spaces, the text of
+# json.dumps(obj, sort_keys=True, separators=(",", ":")).  A one-shot
+# encode runs in C, where json.dump streams through the pure-Python encoder
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def fraction_parts(text: object, what: str) -> tuple[int, int]:

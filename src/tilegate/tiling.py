@@ -18,7 +18,7 @@ import json
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DomainError, FormatError, StructuralError, echo
 from .exact import CycloReal, _nonzeros, _normalize, _zeta_mean, cos_pi, field_degree, sin_pi
@@ -35,7 +35,7 @@ from .geometry import (
     orientation,
     triangles_interior_disjoint,
 )
-from .text import parse_fraction
+from .text import canonical_json, parse_fraction
 from .vertex import (
     PointClass,
     PointKind,
@@ -148,18 +148,8 @@ class Tiling:
         """JSON-ready document in the tilegate-tiling/1 format.  Each
         distinct Point object is serialized once, so a point that several
         triangles share is one list object at each of its places."""
-        pairs: dict[int, list] = {}
-        for tri in self.triangles:
-            for v in tri.vertices:
-                if id(v) not in pairs:
-                    pairs[id(v)] = [v.x.to_obj(), v.y.to_obj()]
-        return {
-            **self._header(),
-            "triangles": [
-                {"v": [pairs[id(v)] for v in tri.vertices]}
-                for tri in self.triangles
-            ],
-        }
+        return {**self._header(),
+                "triangles": [{"v": vs} for vs in _vertex_forms(self, _point_obj)]}
 
     @classmethod
     def from_obj(cls, obj: object) -> "Tiling":
@@ -238,30 +228,35 @@ def _load_scalar(obj: object, scalars: dict) -> CycloReal:
     return CycloReal.from_obj(obj)
 
 
-# json.dump streams through the pure-Python encoder; only a one-shot
-# encode runs in C
-_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+def _point_obj(v: Point) -> list:
+    # the [x, y] form of a point, in documents and in ledgers alike
+    return [v.x.to_obj(), v.y.to_obj()]
+
+
+def _vertex_forms(tiling: Tiling, form) -> Iterator[list]:
+    # each triangle's vertices as form(point), the one walk to_obj and
+    # save_tiling share: form runs once per distinct Point object, so a
+    # point that several triangles share is one form at each of its places
+    forms: dict[int, object] = {}
+    for tri in tiling.triangles:
+        for v in tri.vertices:
+            if id(v) not in forms:
+                forms[id(v)] = form(v)
+        yield [forms[id(v)] for v in tri.vertices]
 
 
 def save_tiling(tiling: Tiling, path: str) -> None:
     """Write the canonical text of tiling.to_obj(): sorted keys, no
     spaces, one trailing newline, the bytes of json.dumps(obj,
-    sort_keys=True, separators=(",", ":")) + "\n".  The C encoder writes
-    the header ("triangles" sorts last) and the [x, y] text of each
-    distinct Point object, once, as to_obj serializes it once; each
-    triangle joins the texts of its vertices, so the whole text is never
-    held in memory at once."""
-    texts: dict[int, str] = {}
+    sort_keys=True, separators=(",", ":")) + "\n".  text.canonical_json
+    writes the header ("triangles" sorts last) and, in to_obj's walk, the
+    [x, y] text of each distinct Point object once; the file is written
+    triangle by triangle, so the whole text is never held in memory at
+    once."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_ENCODE(tiling._header())[:-1] + ',"triangles":[')
-        for i, tri in enumerate(tiling.triangles):
-            vertices = []
-            for v in tri.vertices:
-                text = texts.get(id(v))
-                if text is None:
-                    text = texts[id(v)] = _ENCODE([v.x.to_obj(), v.y.to_obj()])
-                vertices.append(text)
-            fh.write(('{"v":[' if not i else ',{"v":[') + ",".join(vertices) + "]}")
+        fh.write(canonical_json(tiling._header())[:-1] + ',"triangles":[')
+        for i, vs in enumerate(_vertex_forms(tiling, lambda v: canonical_json(_point_obj(v)))):
+            fh.write(('{"v":[' if not i else ',{"v":[') + ",".join(vs) + "]}")
         fh.write("]}\n")
 
 
@@ -421,7 +416,7 @@ class LedgerEntry(NamedTuple):
 
     def to_obj(self) -> dict:
         return {
-            "point": [self.point.x.to_obj(), self.point.y.to_obj()],
+            "point": _point_obj(self.point),
             "class": str(self.point_class),
             "solution": list(self.solution),
         }

@@ -731,8 +731,15 @@ def test_sign_enclosures_and_float_box_hold_the_value(x):
 @given(data=st.data(), m=st.sampled_from([8, 12, 20]))
 def test_serialization_round_trip_is_bitwise(data, m):
     x = data.draw(elements(m))
-    y = CycloReal.from_obj(x.to_obj())
-    assert y.modulus == x.modulus and y.num == x.num and y.den == x.den
+    obj = x.to_obj()
+    # the same value with each zero coefficient written over a drawn
+    # denominator, which must leave the common denominator alone
+    qs = data.draw(st.lists(st.integers(1, 10**30), min_size=len(obj["coeffs"]),
+                            max_size=len(obj["coeffs"])))
+    zeros = {**obj, "coeffs": [f"0/{q}" if c == "0" else c for c, q in zip(obj["coeffs"], qs)]}
+    for doc in (obj, zeros):
+        y = CycloReal.from_obj(doc)
+        assert y.modulus == x.modulus and y.num == x.num and y.den == x.den
 
 
 def test_from_obj_rejects_malformed_documents():

@@ -26,7 +26,6 @@ from tilegate.geometry import (
     _turn,
     box_columns,
     boxes_meeting,
-    midpoint,
     on_open_segment,
     orientation,
     sign_dot,
@@ -46,6 +45,11 @@ def rp(x, y, modulus=4) -> Point:
 
 def ngon_vertex(k: int, n: int, modulus: int) -> Point:
     return Point(cos_pi(2 * k, n, modulus), sin_pi(2 * k, n, modulus))
+
+
+def midpoint(a: Point, b: Point) -> Point:
+    half = Fraction(1, 2)
+    return Point((a.x + b.x) * half, (a.y + b.y) * half)
 
 
 coords = st.fractions(min_value=-5, max_value=5, max_denominator=8)
